@@ -72,14 +72,18 @@ def parse_k_range(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        ks = list(range(int(lo), int(hi) + 1))
+    else:
+        ks = [int(part) for part in text.split(",") if part.strip()]
+    if not ks:
+        raise ValueError(f"k range {text!r} is empty")
+    return ks
 
 
 def parse_q_list(text: str) -> list[float]:
     qs = [float(part) for part in text.split(",") if part.strip()]
-    if not qs or any(q <= 0 for q in qs):
-        raise ValueError("q values must be positive")
+    if not qs or not all(0 < q < math.inf for q in qs):
+        raise ValueError("q values must be finite and positive")
     return qs
 
 
@@ -445,8 +449,8 @@ def cmd_bench(args, out_dir: Path) -> int:
     timings["generate_seconds"] = time.perf_counter() - t0
     count = args.count or norms.default_count(pair.n, FULL_CIRCLE)
     t0 = time.perf_counter()
-    for _ in evaluate.iter_pair_chunks(pair, 0.0, math.tau, count):
-        pass
+    for poly in (pair.p, pair.q):
+        evaluate.circle_values(poly.coeffs, count)
     dt = time.perf_counter() - t0
     timings["grid_eval_seconds"] = dt
     timings["grid_points_per_second"] = count / dt if dt > 0 else math.inf

@@ -148,12 +148,14 @@ def parallelogram_residual(pair: RudinShapiroPair, num_samples: int) -> float:
     from . import evaluate
 
     two_n = 2.0 * pair.n
-    worst = 0.0
-    for _theta, p, q in evaluate.iter_pair_chunks(
-            pair, 0.0, 2.0 * np.pi, num_samples):
-        dev = np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - two_n)
-        worst = max(worst, float(dev.max()) / two_n)
-    return worst
+    if num_samples <= evaluate.GRID_MAX_COUNT:
+        blocks = [(evaluate.circle_values(pair.p.coeffs, num_samples),
+                   evaluate.circle_values(pair.q.coeffs, num_samples))]
+    else:
+        blocks = (chunk[1:] for chunk in evaluate.iter_pair_chunks(
+            pair, 0.0, 2.0 * np.pi, num_samples))
+    return max(float(np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - two_n)))
+               for p, q in blocks) / two_n
 
 
 def conjugate_relation_residual(pair: RudinShapiroPair,
@@ -175,18 +177,17 @@ def conjugate_relation_residual(pair: RudinShapiroPair,
 
     from . import evaluate
 
-    # P(-z) comes from the shared squaring chain, not from re-evaluation
-    # at the rounded angle theta + pi: an ulp of angle error moves a
-    # degree-(n-1) value by about n * |P| * ulp and would swamp the check.
-    numeric = 0.0
-    chunk = evaluate.DEFAULT_CHUNK
-    step = 2.0 * np.pi / num_samples
-    for lo in range(0, num_samples, chunk):
-        hi = min(lo + chunk, num_samples)
-        thetas = (np.arange(lo, hi, dtype=np.float64) + 0.5) * step
-        _pv, qv, p_neg = evaluate.eval_pair_negated_grid(pair, thetas)
-        numeric = max(numeric,
-                      float(np.max(np.abs(np.abs(qv) - np.abs(p_neg)))))
+    # Past the grid cap, P(-z) comes from the rounded angles theta + pi,
+    # which moves a degree-(n-1) value by up to n * |P| * ulp.
+    if num_samples <= evaluate.GRID_MAX_COUNT:
+        blocks = [(evaluate.circle_values(q, num_samples),
+                   evaluate.circle_values(signs * p, num_samples))]
+    else:
+        blocks = ((qv, evaluate.eval_pair_grid(pair, th + np.pi)[0])
+                  for th, _pv, qv in evaluate.iter_pair_chunks(
+                      pair, 0.0, 2.0 * np.pi, num_samples))
+    numeric = max(float(np.max(np.abs(np.abs(qv) - np.abs(p_neg))))
+                  for qv, p_neg in blocks)
     return coeff_residual, numeric
 
 

@@ -15,7 +15,6 @@ resolution and flagged when the relative step stays too large.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -137,8 +136,8 @@ def mq_arc(source, arc: Arc, q: float, count: int | None = None) -> NormEstimate
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
-    if not q > 0:
-        raise ValueError("mq_arc needs q > 0; use mahler_arc for the q=0 case")
+    if not 0 < q < math.inf:
+        raise ValueError("mq_arc needs a finite q > 0; use mahler_arc for q = 0")
     sampler, n_hint = _resolve_source(source)
     count = _pick_count(count, n_hint, arc)
 
@@ -208,8 +207,8 @@ def mahler_arc(source, arc: Arc, count: int | None = None,
     """Midpoint estimate of the Mahler measure M_0(S, [alpha, beta])."""
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
-    if exclusion_radius < 0:
-        raise ValueError("exclusion_radius must be >= 0")
+    if not 0 <= exclusion_radius < math.inf:
+        raise ValueError("exclusion_radius must be finite and >= 0")
     sampler, n_hint = _resolve_source(source)
     count = _pick_count(count, n_hint, arc)
     return _mahler_estimate(sampler, arc, count, exclusion_radius)
@@ -240,23 +239,10 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     so near-zero samples are handled exactly as in mahler_arc; callers
     typically report value / sqrt(n).
     """
-    arc = FULL_CIRCLE
-    if count is None:
-        count = default_count(pair.n, arc)
     sampler = evaluate.flatness_defect_sampler(pair)
-    return _mahler_estimate(sampler, arc, count, exclusion_radius=0.0)
+    return _mahler_estimate(sampler, FULL_CIRCLE,
+                            _pick_count(count, pair.n, FULL_CIRCLE), 0.0)
 
 
 NORM_TABLE_COLUMNS = ["k", "alpha", "beta", "q", "value", "count",
                       "rel_step", "flagged"]
-
-
-def write_norm_table(path, rows, header_comment: str | None = None) -> None:
-    """CSV of norm estimates; one row per (k, arc, q)."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(NORM_TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

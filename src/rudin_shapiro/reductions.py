@@ -38,8 +38,3 @@ def pairwise_mean(values) -> float:
     if v.size == 0:
         raise ValueError("mean of empty sample set")
     return pairwise_sum(v) / v.size
-
-
-def combine_partials(parts) -> float:
-    """Pairwise-combine per-chunk partial sums, in chunk index order."""
-    return pairwise_sum(np.asarray(list(parts), dtype=np.float64))

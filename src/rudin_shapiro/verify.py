@@ -119,16 +119,9 @@ def _pair(k: int, pair: RudinShapiroPair | None) -> RudinShapiroPair:
 
 def _lattice_squared_moduli(pair: RudinShapiroPair):
     """|P|^2 and |Q|^2 at the exact n-th roots of unity (no offset)."""
-    n = pair.n
-    rp = np.empty(n)
-    rq = np.empty(n)
-    pos = 0
-    for _th, p, q in evaluate.iter_pair_chunks(pair, 0.0, TAU, n,
-                                                   half_offset=False):
-        rp[pos:pos + p.size] = np.abs(p) ** 2
-        rq[pos:pos + q.size] = np.abs(q) ** 2
-        pos += p.size
-    return rp, rq
+    return tuple(np.abs(evaluate.circle_values(
+        poly.coeffs, pair.n, half_offset=False)) ** 2
+        for poly in (pair.p, pair.q))
 
 
 def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
@@ -200,8 +193,8 @@ def bernstein_ratio(k: int, count: int | None = None,
 
     R(t) = |P_k(e^it)|^2 has degree n - 1, so max |R'| <= ((n-1)/2) max R
     (the factor for nonnegative trigonometric polynomials is half the
-    classical one).  R' comes from the exact product rule through a
-    parallel recursion for P_k', never from finite differences.
+    classical one).  R' comes from the exact product rule with z P'(z) as
+    the FFT of m * a_m (past the grid cap, a parallel recursion for P_k').
     """
     pair = _pair(k, pair)
     n = pair.n
@@ -209,13 +202,19 @@ def bernstein_ratio(k: int, count: int | None = None,
         count = max(64, 16 * n)
     if count < 16 * n and k > 0:
         raise ValueError("bernstein ratio needs count >= 16n to resolve R'")
+    if count <= evaluate.GRID_MAX_COUNT:
+        coeffs = pair.p.coeffs
+        blocks = [(evaluate.circle_values(coeffs, count),
+                   evaluate.circle_values(coeffs * np.arange(n), count))]
+    else:
+        blocks = ((p, z * dp) for _th, z, p, _q, dp, _dq in
+                  evaluate.iter_pair_chunks(pair, 0.0, TAU, count, deriv=True))
     max_r = 0.0
     max_dr = 0.0
-    for _th, z, p, _q, dp, _dq in evaluate.iter_pair_chunks(
-            pair, 0.0, TAU, count, deriv=True):
+    for p, zdp in blocks:
         r = np.abs(p) ** 2
         # d/dt |P(e^it)|^2 = 2 Re( conj(P) * i z P'(z) )
-        dr = 2.0 * np.real(np.conj(p) * 1j * z * dp)
+        dr = 2.0 * np.real(np.conj(p) * 1j * zdp)
         max_r = max(max_r, float(r.max()))
         max_dr = max(max_dr, float(np.abs(dr).max()))
     allowed = 0.5 * (n - 1) * max_r
@@ -387,13 +386,9 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         corner = math.hypot(max(abs(r0), abs(r1)), max(abs(i0), abs(i1)))
         if corner >= 1.0:
             raise ValueError(f"rectangle {rect} leaves the open unit disk")
-    scale = math.sqrt(2.0 * n)
-    normalized = np.empty(count, dtype=np.complex128)
-    pos = 0
-    for _th, p, q in evaluate.iter_pair_chunks(pair, 0.0, TAU, count):
-        vals = p if component == "p" else q
-        normalized[pos:pos + vals.size] = vals / scale
-        pos += vals.size
+    poly = pair.p if component == "p" else pair.q
+    normalized = evaluate.circle_values(poly.coeffs, count)
+    normalized /= math.sqrt(2.0 * n)
     u = np.clip(np.abs(normalized) ** 2, 0.0, 1.0)
     u.sort()
     grid = np.arange(1, count + 1, dtype=np.float64) / count
@@ -424,14 +419,19 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     pair = _pair(k, pair)
     if count is None:
         count = max(4096, 64 * pair.n)
+    if count <= evaluate.GRID_MAX_COUNT:
+        poly = pair.p if component == "p" else pair.q
+        blocks = [(evaluate.circle_grid(0.0, TAU, count),
+                   evaluate.circle_values(poly.coeffs, count))]
+    else:
+        blocks = ((th, p if component == "p" else q) for th, p, q in
+                  evaluate.iter_pair_chunks(pair, 0.0, TAU, count))
     best = math.inf
-    for th, p, q in evaluate.iter_pair_chunks(pair, 0.0, TAU, count):
-        vals = p if component == "p" else q
-        away = (np.abs(np.mod(th, TAU)) > exclusion) & \
-               (np.abs(np.mod(th, TAU) - math.pi) > exclusion) & \
-               (np.abs(np.mod(th, TAU) - TAU) > exclusion)
-        if away.any():
-            best = min(best, float(np.min(np.abs(vals[away]))))
+    for th, vals in blocks:
+        away = (th > exclusion) & (np.abs(th - math.pi) > exclusion) & \
+               (TAU - th > exclusion)
+        best = min(best, float(np.min(np.abs(vals), where=away,
+                                      initial=math.inf)))
     return best
 
 

@@ -56,6 +56,24 @@ class TestExitCodes:
         assert main(["norm", "--k", "3", "--q", "2", "--arc", "1:0",
                      "--out", str(tmp_path)]) == 2
 
+    def test_sampler_memory_guard_is_exit_3(self, tmp_path, capsys):
+        assert main(["norm", "--k", "4", "--q", "2", "--count",
+                     "100000000000", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--k", "4", "--q", "inf"],
+        ["norm", "--k", "4", "--q", "2,nan"],
+        ["norm", "--k", "5..3", "--q", "2"],
+        ["mahler", "--k", "4", "--exclusion-radius", "nan"],
+    ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan"])
+    def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestSubcommands:
     def test_generate(self, tmp_path, capsys):

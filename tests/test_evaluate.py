@@ -146,6 +146,110 @@ class TestGrids:
             assert np.array_equal(base.values_q, other.values_q)
 
 
+EPS = np.finfo(np.float64).eps
+FFT_KS = [0, 1, 5, 10, 14]
+
+
+def _fft_counts(n):
+    # folded odd, folded even (for n >= 8), odd >= n, and the 16n default
+    return sorted({n // 4 + 1, n // 2 + 2, 2 * n + 1, 16 * n})
+
+
+def _recursion_grid(pair, count, half_offset):
+    chunks = list(evaluate.iter_pair_chunks(pair, 0.0, TAU, count,
+                                            half_offset=half_offset))
+    return (np.concatenate([c[1] for c in chunks]),
+            np.concatenate([c[2] for c in chunks]))
+
+
+class TestCircleValues:
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_matches_recursion(self, k, half_offset):
+        pair = generate_pair(k)
+        n = pair.n
+        for count in _fft_counts(n):
+            rp, rq = _recursion_grid(pair, count, half_offset)
+            fp = evaluate.circle_values(pair.p.coeffs, count, half_offset)
+            fq = evaluate.circle_values(pair.q.coeffs, count, half_offset)
+            # measured worst 3.3 * eps * n^1.5 over these k and counts: the
+            # recursion's angle rounding, amplified by |S'| <= n |S|
+            assert np.max(np.abs(fp - rp)) <= 10 * EPS * n ** 1.5
+            assert np.max(np.abs(fq - rq)) <= 10 * EPS * n ** 1.5
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_matches_horner(self, k, half_offset):
+        pair = generate_pair(k)
+        n = pair.n
+        # 64 spread samples per grid, one oracle call per polynomial: the
+        # oracle is O(n) per point
+        picks = [(count, np.unique(np.linspace(0, count - 1, 64).astype(int)))
+                 for count in _fft_counts(n)]
+        thetas = np.concatenate([circle_grid(0.0, TAU, count, half_offset)[i]
+                                 for count, i in picks])
+        for poly in (pair.p, pair.q):
+            fft = np.concatenate([evaluate.circle_values(
+                poly.coeffs, count, half_offset)[i] for count, i in picks])
+            # measured worst 3.2 * eps * n^1.5 (Horner shares the float
+            # angles with the recursion)
+            assert np.max(np.abs(fft - eval_horner(poly, thetas))) <= \
+                10 * EPS * n ** 1.5
+
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_z_times_derivative(self, k):
+        pair = generate_pair(k)
+        n = pair.n
+        count = 16 * n
+        _p, _q, dp, _dq, z = evaluate.eval_pair_deriv_grid(
+            pair, circle_grid(0.0, TAU, count))
+        zdp = evaluate.circle_values(pair.p.coeffs * np.arange(n), count)
+        # measured worst 2.5 * eps * n^2.5 at k = 14; |z P'| <= n^1.5
+        assert np.max(np.abs(zdp - z * dp)) <= 10 * EPS * n ** 2.5
+
+    def test_repeated_calls_bit_identical(self):
+        pair = generate_pair(12)
+        for count in (1000, 16 * pair.n):
+            first = evaluate.circle_values(pair.p.coeffs, count)
+            # exact agreement, also from a fresh copy of the coefficients
+            assert np.array_equal(
+                first, evaluate.circle_values(pair.p.coeffs, count))
+            assert np.array_equal(
+                first, evaluate.circle_values(pair.p.coeffs.copy(), count))
+
+    def test_count_guards(self):
+        coeffs = generate_pair(3).p.coeffs
+        with pytest.raises(ValueError):
+            evaluate.circle_values(coeffs, 0)
+        with pytest.raises(ResourceLimitError):
+            evaluate.circle_values(coeffs, evaluate.GRID_MAX_COUNT + 1)
+
+
+class TestSamplers:
+    def test_full_circle_and_subarc_paths(self):
+        pair = generate_pair(9)
+        count = 3000
+        sampler = evaluate.pair_modulus_sampler(pair, "q")
+        _rp, rq = _recursion_grid(pair, count, True)
+        # full circle: FFT; measured 2.2 * eps * n^1.5 from the recursion
+        assert np.max(np.abs(sampler(0.0, TAU, count) - np.abs(rq))) <= \
+            10 * EPS * pair.n ** 1.5
+        # subarc: the recursion itself
+        thetas = circle_grid(0.5, 2.0, count)
+        assert np.array_equal(sampler(0.5, 2.0, count),
+                              np.abs(evaluate.eval_pair_grid(pair, thetas)[1]))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, TAU), (0.5, 2.0)])
+    def test_memory_guard(self, alpha, beta):
+        pair = generate_pair(4)
+        for sampler in (evaluate.pair_modulus_sampler(pair),
+                        evaluate.flatness_defect_sampler(pair)):
+            with pytest.raises(ResourceLimitError):
+                sampler(alpha, beta, 10 ** 11)
+
+
 class TestDerivativeRecursion:
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_matches_horner_derivative(self, k):
