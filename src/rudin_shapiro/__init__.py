@@ -9,8 +9,7 @@ unimodular zeros.
 
 from .core import (LittlewoodPolynomial, MAX_PAIR_K, ResourceLimitError,
                    RudinShapiroPair, SpecialValues, conjugate_relation_residual,
-                   generate_pair, load_pair, parallelogram_residual, save_pair,
-                   special_values)
+                   generate_pair, parallelogram_residual, special_values)
 from .evaluate import (CirclePoint, GridSamples, circle_grid, circle_values,
                        eval_grid, eval_horner, eval_pair_point)
 from .gf2 import (GF2Poly, MercerCertificate, gf2_divmod, gf2_gcd, gf2_mul,

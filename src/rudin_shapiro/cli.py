@@ -17,26 +17,22 @@ import argparse
 import csv
 import json
 import math
-import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, gf2, norms, roots, verify
-from .core import (ResourceLimitError, generate_pair, pair_cache_path,
-                   parallelogram_residual, special_values)
+from .core import (ResourceLimitError, generate_pair, parallelogram_residual,
+                   special_values)
 from .norms import Arc, FULL_CIRCLE
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-CACHE_ENV_VAR = "RUDIN_SHAPIRO_CACHE"
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-])?\s*(pi)?"
@@ -119,34 +115,13 @@ def write_csv_artifact(path: Path, config: dict, header: list[str],
             writer.writerow([_py(cell) for cell in row])
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated run: what was asked, under which seed.
-
-    Every artifact embeds header_dict() verbatim, so outputs can always
-    be replayed.  threads is carried for execution but excluded from
-    the header: it has no numeric effect, and including it would break
-    byte-identity of artifacts across worker counts.
-    """
-
-    subcommand: str
-    seed: int
-    format: str
-    threads: int = 1
-    params: dict = field(default_factory=dict)
-
-    def header_dict(self) -> dict:
-        base = {"subcommand": self.subcommand, "seed": self.seed,
-                "format": self.format}
-        base.update(self.params)
-        return base
-
-
 def _config(args, **fields) -> dict:
-    config = RunConfig(subcommand=args.command, seed=args.seed,
-                       format=args.format, threads=args.threads,
-                       params=fields)
-    return config.header_dict()
+    """Artifact header: subcommand, seed and the numeric parameters.
+
+    --threads is left out: it has no numeric effect, and artifacts must
+    be byte-identical across worker counts.
+    """
+    return {"subcommand": args.command, "seed": args.seed, **fields}
 
 
 def _arc_pair(arc: Arc) -> list[float]:
@@ -158,18 +133,13 @@ def _arc_pair(arc: Arc) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args, out_dir: Path) -> int:
-    cache_dir = args.cache_dir
-    if args.write_cache and cache_dir is None:
-        raise ValueError("--write-cache needs a cache directory "
-                         f"(flag --cache-dir or ${CACHE_ENV_VAR})")
-    pair = generate_pair(args.k, cache_dir=cache_dir,
-                         write_cache=args.write_cache)
+    pair = generate_pair(args.k)
     sv = special_values(args.k)
     closed_forms_ok = (sv.p_at_1 == sv.expected_p_at_1 and
                        sv.q_at_minus1 == sv.expected_q_at_minus1 and
                        sv.p_at_minus1 == sv.expected_cross and
                        sv.q_at_1 == sv.expected_cross)
-    config = _config(args, k=args.k, write_cache=args.write_cache)
+    config = _config(args, k=args.k)
     result = {
         "n": pair.n,
         "degree": pair.n - 1,
@@ -184,15 +154,13 @@ def cmd_generate(args, out_dir: Path) -> int:
         "expected_cross": sv.expected_cross,
         "closed_forms_match": closed_forms_ok,
     }
-    if args.write_cache:
-        result["cache_file"] = pair_cache_path(cache_dir, args.k).name
     write_json_artifact(out_dir / f"generate_k{args.k:02d}.json", config, result)
     print(f"k={args.k} n={pair.n} closed_forms_match={closed_forms_ok}")
     return EXIT_OK if closed_forms_ok else EXIT_CHECK_FAILED
 
 
 def cmd_eval(args, out_dir: Path) -> int:
-    pair = generate_pair(args.k, cache_dir=args.cache_dir)
+    pair = generate_pair(args.k)
     if args.theta is not None:
         theta = parse_angle(args.theta)
         p, q = evaluate.eval_pair_point(pair, theta)
@@ -224,22 +192,16 @@ def cmd_eval(args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _norm_rows(args, pair, arc, qs, count):
-    rows = []
-    for q in qs:
-        est = norms.mq_arc((pair, args.which), arc, q, count)
-        rows.append([pair.k, arc.alpha, arc.beta, float(q), est.value,
-                     est.count, est.rel_step, est.flagged])
-    return rows
-
-
 def cmd_norm(args, out_dir: Path) -> int:
     arc = parse_arc(args.arc) if args.arc else FULL_CIRCLE
     qs = parse_q_list(args.q)
     rows = []
     for k in parse_k_range(args.k):
-        pair = generate_pair(k, cache_dir=args.cache_dir)
-        rows.extend(_norm_rows(args, pair, arc, qs, args.count))
+        pair = generate_pair(k)
+        for q in qs:
+            est = norms.mq_arc((pair, args.which), arc, q, args.count)
+            rows.append([k, arc.alpha, arc.beta, float(q), est.value,
+                         est.count, est.rel_step, est.flagged])
     config = _config(args, k=args.k, arc=_arc_pair(arc), q=qs,
                      count=args.count, which=args.which)
     write_csv_artifact(out_dir / "norms.csv", config,
@@ -254,7 +216,7 @@ def cmd_mahler(args, out_dir: Path) -> int:
     arc = parse_arc(args.arc) if args.arc else FULL_CIRCLE
     rows = []
     for k in parse_k_range(args.k):
-        pair = generate_pair(k, cache_dir=args.cache_dir)
+        pair = generate_pair(k)
         est = norms.mahler_arc((pair, args.which), arc, args.count,
                                exclusion_radius=args.exclusion_radius)
         rows.append([k, arc.alpha, arc.beta, 0.0, est.value, est.count,
@@ -270,7 +232,7 @@ def cmd_mahler(args, out_dir: Path) -> int:
 
 
 def cmd_roots(args, out_dir: Path) -> int:
-    pair = generate_pair(args.k, cache_dir=args.cache_dir)
+    pair = generate_pair(args.k)
     poly = pair.p if args.which == "p" else pair.q
     rootset = roots.find_roots(poly, tol=args.tol, max_iter=args.max_iter,
                                seed=args.seed)
@@ -289,31 +251,35 @@ def cmd_roots(args, out_dir: Path) -> int:
 
 
 def cmd_census(args, out_dir: Path) -> int:
-    pair = generate_pair(args.k, cache_dir=args.cache_dir)
     which = ("p", "q") if args.which == "both" else (args.which,)
-    results = []
-    for component in which:
-        poly = pair.p if component == "p" else pair.q
-        rootset = roots.find_roots(poly, tol=args.tol, seed=args.seed)
-        census = roots.zero_census(rootset, eps=args.eps)
-        results.append({
-            "component": component,
-            "k": args.k,
-            "eps": args.eps,
-            "seed": args.seed,
-            "inside_open_disk": census.inside_open_disk,
-            "on_circle_within_eps": census.on_circle_within_eps,
-            "outside": census.outside,
-            "real_zeros": census.real_zeros,
-            "flagged_roots": int(rootset.flags.sum()),
-        })
-    config = _config(args, k=args.k, which=args.which, eps=args.eps,
-                     tol=args.tol)
-    write_json_artifact(out_dir / f"census_k{args.k:02d}.json", config, results)
-    for res in results:
-        print(f"k={args.k} {res['component']}: inside={res['inside_open_disk']} "
-              f"circle={res['on_circle_within_eps']} outside={res['outside']} "
-              f"real={res['real_zeros']}")
+    for k in parse_k_range(args.k):
+        pair = generate_pair(k)
+        results = []
+        for component in which:
+            poly = pair.p if component == "p" else pair.q
+            rootset = roots.find_roots(poly, tol=args.tol, seed=args.seed)
+            census = roots.zero_census(rootset, eps=args.eps)
+            results.append({
+                "component": component,
+                "k": k,
+                "eps": args.eps,
+                "seed": args.seed,
+                "inside_open_disk": census.inside_open_disk,
+                "on_circle_within_eps": census.on_circle_within_eps,
+                "outside": census.outside,
+                "real_zeros": census.real_zeros,
+                "flagged_roots": int(rootset.flags.sum()),
+                "min_modulus_away_from_poles":
+                    verify.min_modulus_excluding_poles(
+                        k, component=component, pair=pair),
+            })
+        config = _config(args, k=k, which=args.which, eps=args.eps,
+                         tol=args.tol)
+        write_json_artifact(out_dir / f"census_k{k:02d}.json", config, results)
+        for res in results:
+            print(f"k={k} {res['component']}: inside={res['inside_open_disk']} "
+                  f"circle={res['on_circle_within_eps']} outside={res['outside']} "
+                  f"real={res['real_zeros']}")
     return EXIT_OK
 
 
@@ -373,7 +339,7 @@ def cmd_saffari(args, out_dir: Path) -> int:
     rows = []
     all_passed = True
     for k in parse_k_range(args.k):
-        pair = generate_pair(k, cache_dir=args.cache_dir)
+        pair = generate_pair(k)
         for q in qs:
             report = verify.saffari_ratio(k, q, count=args.count, pair=pair)
             rows.append([k, q, report.lhs, report.rhs,
@@ -399,9 +365,8 @@ def cmd_mercer(args, out_dir: Path) -> int:
         results.append(cert.to_json_dict())
     else:
         rng = np.random.default_rng(args.seed)
-        max_m = max(1, args.degree // 2)
         for index in range(args.random):
-            m = int(rng.integers(1, max_m + 1))
+            m = int(rng.integers(1, args.degree // 2 + 1))
             coeffs = gf2.random_skew_reciprocal(m, rng)
             cert = gf2.mercer_certificate(coeffs)
             entry = cert.to_json_dict()
@@ -428,7 +393,7 @@ def cmd_mercer(args, out_dir: Path) -> int:
 def cmd_problem55(args, out_dir: Path) -> int:
     rows = []
     for k in parse_k_range(args.k):
-        pair = generate_pair(k, cache_dir=args.cache_dir)
+        pair = generate_pair(k)
         est = norms.flatness_defect_mahler(pair, count=args.count)
         ratio = est.value / math.sqrt(pair.n)
         rows.append([k, est.value, ratio, est.count, est.rel_step,
@@ -474,12 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for every random choice (default 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for grid evaluation")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="preferred artifact format hint")
     common.add_argument("--out", default=".",
                         help="directory for output artifacts")
-    common.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV_VAR),
-                        help=f"coefficient cache directory (default ${CACHE_ENV_VAR})")
 
     parser = argparse.ArgumentParser(
         prog="rudin-shapiro",
@@ -489,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[common],
                        help="build (P_k, Q_k) and report exact special values")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--write-cache", action="store_true")
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate the pair at a point or over a grid")
@@ -524,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", parents=[common],
                        help="classify roots against the unit circle")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True, help="k or range, e.g. 5 or 1..10")
     p.add_argument("--which", choices=("p", "q", "both"), default="both")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -588,15 +548,31 @@ COMMANDS = {
 }
 
 
+def _check_counts(args) -> None:
+    """Range checks of the integer flags, before any work or output."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    for flag in ("random", "falsify", "arcs"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise ValueError(f"--{flag} must be >= 0, got {value}")
+    if args.command == "mercer":
+        if args.degree < 2:
+            raise ValueError(f"--degree must be >= 2, got {args.degree}")
+        if not args.coeffs and args.random < 1:
+            raise ValueError("mercer needs --coeffs or --random >= 1")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        _check_counts(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](args, out_dir)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

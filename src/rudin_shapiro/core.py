@@ -16,16 +16,12 @@ checked in integers is checked in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 #: Largest k accepted by generate_pair.  2^26 int8 coefficients per
 #: polynomial keep a pair within 128 MiB.
 MAX_PAIR_K = 26
-
-PAIR_CACHE_MAGIC = b"RSPAIR"
-PAIR_CACHE_VERSION = 1
 
 
 class ResourceLimitError(RuntimeError):
@@ -106,35 +102,23 @@ class SpecialValues:
     expected_cross: int
 
 
-def generate_pair(k: int, *, max_k: int = MAX_PAIR_K,
-                  cache_dir=None, write_cache: bool = False) -> RudinShapiroPair:
-    """Build (P_k, Q_k) by the doubling recursion in O(2^k) work.
-
-    With a cache_dir, a previously saved coefficient file for this k is
-    loaded instead of regenerating; write_cache saves the result.
-    """
+def generate_pair(k: int, *, max_k: int = MAX_PAIR_K) -> RudinShapiroPair:
+    """Build (P_k, Q_k) by the doubling recursion in O(2^k) work."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > max_k:
         raise ResourceLimitError(
             f"k={k} exceeds the generation limit max_k={max_k} "
             f"(2^{k} coefficients per polynomial)")
-    if cache_dir is not None:
-        path = pair_cache_path(cache_dir, k)
-        if path.is_file():
-            return load_pair(k, cache_dir)
     p = np.ones(1, dtype=np.int8)
     q = np.ones(1, dtype=np.int8)
     for _ in range(k):
         p, q = np.concatenate([p, q]), np.concatenate([p, -q])
     p.setflags(write=False)  # freshly built, safe to adopt without copying
     q.setflags(write=False)
-    pair = RudinShapiroPair(k=k, n=1 << k,
+    return RudinShapiroPair(k=k, n=1 << k,
                             p=LittlewoodPolynomial(p),
                             q=LittlewoodPolynomial(q))
-    if cache_dir is not None and write_cache:
-        save_pair(pair, cache_dir)
-    return pair
 
 
 def parallelogram_residual(pair: RudinShapiroPair, num_samples: int) -> float:
@@ -213,37 +197,3 @@ def special_values(k: int) -> SpecialValues:
         expected_cross=cross,
     )
 
-
-def pair_cache_path(cache_dir, k: int) -> Path:
-    return Path(cache_dir) / f"rspair_k{k:02d}.bin"
-
-
-def save_pair(pair: RudinShapiroPair, cache_dir) -> Path:
-    """Write one coefficient record: magic, version, k, then P and Q bytes."""
-    path = pair_cache_path(cache_dir, pair.k)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = PAIR_CACHE_MAGIC + bytes([PAIR_CACHE_VERSION, pair.k])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pair.p.coeffs.tobytes())
-        fh.write(pair.q.coeffs.tobytes())
-    return path
-
-
-def load_pair(k: int, cache_dir) -> RudinShapiroPair:
-    path = pair_cache_path(cache_dir, k)
-    n = 1 << k
-    expected = len(PAIR_CACHE_MAGIC) + 2 + 2 * n
-    raw = path.read_bytes()
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    if raw[:6] != PAIR_CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:6]!r}")
-    if raw[6] != PAIR_CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported version {raw[6]}")
-    if raw[7] != k:
-        raise ValueError(f"{path}: header k={raw[7]} does not match requested k={k}")
-    body = np.frombuffer(raw, dtype=np.int8, offset=8)
-    return RudinShapiroPair(k=k, n=n,
-                            p=LittlewoodPolynomial(body[:n]),
-                            q=LittlewoodPolynomial(body[n:]))

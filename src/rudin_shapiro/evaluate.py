@@ -27,8 +27,6 @@ from .core import LittlewoodPolynomial, ResourceLimitError, RudinShapiroPair
 if TYPE_CHECKING:
     from .norms import Arc
 
-TAU = math.tau
-
 #: Fixed evaluation chunk; reductions depend on it, thread counts do not.
 DEFAULT_CHUNK = 1 << 19
 #: Cap on materialized grids (two complex arrays of this length).
@@ -47,7 +45,7 @@ class CirclePoint:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TAU)
+        object.__setattr__(self, "theta", float(self.theta) % math.tau)
 
     @property
     def z(self) -> complex:
@@ -82,7 +80,7 @@ def circle_grid(alpha: float, beta: float, count: int,
 
 
 def _unit_circle(thetas: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.mod(thetas, TAU))
+    return np.exp(1j * np.mod(thetas, math.tau))
 
 
 # Error-free transformations (Dekker/Knuth).  Work elementwise on
@@ -187,7 +185,7 @@ def eval_pair_point(pair: RudinShapiroPair, point) -> tuple[complex, complex]:
     powers of the evaluation point; values then agree with the Horner
     oracle to the oracle's own rounding level.
     """
-    theta = point.theta if isinstance(point, CirclePoint) else float(point) % TAU
+    theta = point.theta if isinstance(point, CirclePoint) else float(point) % math.tau
     z = cmath.exp(1j * theta)
     p = 1 + 0j
     q = 1 + 0j
@@ -344,7 +342,7 @@ def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
     poly, pick = (pair.p, 1) if component == "p" else (pair.q, 2)
 
     def sampler(alpha, beta, count, half_offset=True):
-        if alpha == 0.0 and beta == TAU and count <= GRID_MAX_COUNT:
+        if alpha == 0.0 and beta == math.tau and count <= GRID_MAX_COUNT:
             return transform(circle_values(poly.coeffs, count, half_offset))
         if count > 4 * GRID_MAX_COUNT:
             raise ResourceLimitError(

@@ -60,7 +60,6 @@ class GF2Poly:
         return f"GF2Poly(0b{self.bits:b})"
 
 
-GF2_ZERO = GF2Poly(0)
 GF2_ONE = GF2Poly(1)
 
 

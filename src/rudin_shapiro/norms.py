@@ -24,8 +24,6 @@ from . import evaluate
 from .core import LittlewoodPolynomial, RudinShapiroPair
 from .reductions import pairwise_mean
 
-TAU = math.tau
-
 #: Samples with |S| below this are excluded from log integrands; the
 #: logarithm of a denormal would only inject noise.
 UNDERFLOW_FLOOR = 1e-300
@@ -44,7 +42,7 @@ class Arc:
     def __post_init__(self):
         if not (self.alpha < self.beta):
             raise ValueError(f"arc needs alpha < beta, got [{self.alpha}, {self.beta}]")
-        if self.beta - self.alpha > TAU * (1 + 1e-12):
+        if self.beta - self.alpha > math.tau * (1 + 1e-12):
             raise ValueError("arc length may not exceed 2*pi")
 
     @property
@@ -53,11 +51,11 @@ class Arc:
 
     @property
     def fraction(self) -> float:
-        return self.length / TAU
+        return self.length / math.tau
 
     @classmethod
     def full(cls) -> "Arc":
-        return cls(0.0, TAU)
+        return cls(0.0, math.tau)
 
 
 FULL_CIRCLE = Arc.full()
@@ -106,7 +104,7 @@ def default_count(n: int, arc: Arc) -> int:
 def _resolve_source(source):
     """Turn a polynomial, pair, (pair, 'p'|'q'), or sampler into a sampler."""
     if callable(source):
-        return source, getattr(source, "n_hint", None)
+        return source, None
     if isinstance(source, RudinShapiroPair):
         return evaluate.pair_modulus_sampler(source, "p"), source.n
     if isinstance(source, tuple) and len(source) == 2 and \

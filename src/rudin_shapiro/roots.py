@@ -119,6 +119,10 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
     non-convergence the partial result is returned with flags set,
     never silently.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     c = _coefficients(poly)
     degree = len(c) - 1
     if degree < 1:
@@ -185,8 +189,8 @@ def jensen_mahler(rootset: RootSet,
 
 def zero_census(rootset: RootSet, eps: float = 1e-4) -> ZeroCensus:
     """Classify roots by |z| against a band of width eps around the circle."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     moduli = np.abs(rootset.roots)
     on_circle = np.abs(moduli - 1.0) <= eps
     inside = moduli < 1.0 - eps

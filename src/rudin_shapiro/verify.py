@@ -20,8 +20,6 @@ from . import evaluate, norms
 from .core import RudinShapiroPair, generate_pair
 from .norms import Arc, FULL_CIRCLE
 
-TAU = math.tau
-
 #: The lattice constant sin^2(pi/8); satisfies 2*gamma = 1 - cos(pi/4).
 GAMMA = math.sin(math.pi / 8.0) ** 2
 
@@ -176,7 +174,7 @@ def check_certified_intervals(k: int, pair=None,
         certified_total += qualifying.size
         if qualifying.size == 0:
             continue
-        thetas = (TAU * qualifying[:, None] / n + offsets[None, :]).ravel()
+        thetas = (math.tau * qualifying[:, None] / n + offsets[None, :]).ravel()
         vals = evaluate.eval_pair_grid(pair, thetas)[0 if component == "p" else 1]
         overall_min = min(overall_min, float(np.min(np.abs(vals) ** 2)))
     bound = GAMMA * n
@@ -208,7 +206,7 @@ def bernstein_ratio(k: int, count: int | None = None,
                    evaluate.circle_values(coeffs * np.arange(n), count))]
     else:
         blocks = ((p, z * dp) for _th, z, p, _q, dp, _dq in
-                  evaluate.iter_pair_chunks(pair, 0.0, TAU, count, deriv=True))
+                  evaluate.iter_pair_chunks(pair, 0.0, math.tau, count, deriv=True))
     max_r = 0.0
     max_dr = 0.0
     for p, zdp in blocks:
@@ -400,7 +398,7 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         r0, r1, i0, i1 = rect
         inside = (normalized.real >= r0) & (normalized.real <= r1) & \
                  (normalized.imag >= i0) & (normalized.imag <= i1)
-        empirical = TAU * float(np.count_nonzero(inside)) / count
+        empirical = math.tau * float(np.count_nonzero(inside)) / count
         rect_tests.append((rect, empirical, 2.0 * (r1 - r0) * (i1 - i0)))
     return DistributionReport(k=k, bins=bins, count=count, empirical_cdf=cdf,
                               sup_distance_to_uniform=sup,
@@ -421,15 +419,15 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
         count = max(4096, 64 * pair.n)
     if count <= evaluate.GRID_MAX_COUNT:
         poly = pair.p if component == "p" else pair.q
-        blocks = [(evaluate.circle_grid(0.0, TAU, count),
+        blocks = [(evaluate.circle_grid(0.0, math.tau, count),
                    evaluate.circle_values(poly.coeffs, count))]
     else:
         blocks = ((th, p if component == "p" else q) for th, p, q in
-                  evaluate.iter_pair_chunks(pair, 0.0, TAU, count))
+                  evaluate.iter_pair_chunks(pair, 0.0, math.tau, count))
     best = math.inf
     for th, vals in blocks:
         away = (th > exclusion) & (np.abs(th - math.pi) > exclusion) & \
-               (TAU - th > exclusion)
+               (math.tau - th > exclusion)
         best = min(best, float(np.min(np.abs(vals), where=away,
                                       initial=math.inf)))
     return best
@@ -493,15 +491,15 @@ def random_arcs(k: int, how_many: int, seed: int = 0,
     """
     n = 1 << k
     lo = MIN_ARC_FACTOR / n if min_length is None else min_length
-    if lo > TAU:
+    if lo > math.tau:
         raise ValueError(f"minimum arc length {lo:.4g} exceeds 2*pi; "
                          f"k={k} is too small for the hypothesis")
     rng = np.random.default_rng(seed)
     arcs = []
     for _ in range(how_many):
-        length = math.exp(rng.uniform(math.log(lo), math.log(TAU)))
-        length = min(length, TAU)
-        alpha = rng.uniform(0.0, TAU)
+        length = math.exp(rng.uniform(math.log(lo), math.log(math.tau)))
+        length = min(length, math.tau)
+        alpha = rng.uniform(0.0, math.tau)
         arcs.append(Arc(alpha, alpha + length))
     return arcs
 
@@ -533,7 +531,7 @@ def run_verification(names, ks, n_arcs: int = 8, qs=(0.25, 1.0, 2.0, 4.0),
         pair = generate_pair(k)
         # the 32*pi/n hypothesis is unsatisfiable for k < 4, so the
         # subarc checks are vacuous there
-        can_meet_hypothesis = MIN_ARC_FACTOR / (1 << k) <= TAU
+        can_meet_hypothesis = MIN_ARC_FACTOR / (1 << k) <= math.tau
         arcs = random_arcs(k, n_arcs, seed=seed + k) \
             if (n_arcs > 0 and can_meet_hypothesis) else []
         if "lattice_pair" in selected:

@@ -13,6 +13,16 @@ def artifact_bytes(directory: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
+def artifact_config(path: Path) -> dict:
+    """The configuration embedded in a JSON or CSV artifact."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["config"]
+    first = text.splitlines()[0]
+    assert first.startswith("# config ")
+    return json.loads(first[len("# config "):])
+
+
 class TestParsing:
     def test_angles(self):
         assert parse_angle("2pi") == pytest.approx(math.tau)
@@ -67,11 +77,35 @@ class TestExitCodes:
         ["norm", "--k", "4", "--q", "2,nan"],
         ["norm", "--k", "5..3", "--q", "2"],
         ["mahler", "--k", "4", "--exclusion-radius", "nan"],
-    ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan"])
+        ["roots", "--k", "3", "--tol", "-1"],
+        ["roots", "--k", "3", "--max-iter", "0"],
+        ["census", "--k", "3", "--tol", "nan"],
+        ["census", "--k", "3", "--eps", "nan"],
+        ["generate", "--k", "3", "--threads", "0"],
+        ["eval", "--k", "3", "--theta", "0", "--threads", "-3"],
+        ["mercer", "--random", "-1"],
+        ["mercer", "--random", "5", "--falsify", "-1"],
+        ["verify", "lattice_pair", "--k", "3", "--arcs", "-1"],
+        ["mercer", "--random", "5", "--degree", "1"],
+        ["mercer"],
+    ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
+            "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
+            "census_eps_nan", "threads_zero", "threads_negative",
+            "mercer_random_negative", "falsify_negative", "arcs_negative",
+            "mercer_degree_1", "mercer_no_input"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--k", "4", "--format", "json"],
+        ["generate", "--k", "4", "--cache-dir", "x"],
+        ["generate", "--k", "4", "--write-cache"],
+    ], ids=["format", "cache_dir", "write_cache"])
+    def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
 
 
@@ -82,12 +116,6 @@ class TestSubcommands:
         assert payload["results"]["n"] == 32
         assert payload["results"]["closed_forms_match"] is True
         assert payload["config"]["subcommand"] == "generate"
-
-    def test_generate_writes_cache(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["generate", "--k", "4", "--write-cache",
-                     "--cache-dir", str(cache), "--out", str(tmp_path)]) == 0
-        assert (cache / "rspair_k04.bin").is_file()
 
     def test_eval_point(self, tmp_path, capsys):
         assert main(["eval", "--k", "2", "--theta", "0",
@@ -137,6 +165,21 @@ class TestSubcommands:
                 entry["on_circle_within_eps"] + entry["outside"]
             assert total == 31
             assert entry["real_zeros"] == 1
+
+    def test_census_k_range(self, tmp_path, capsys):
+        assert main(["census", "--k", "3..5", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["census_k03.json", "census_k04.json", "census_k05.json"]
+        for k in (3, 4, 5):
+            payload = json.loads((tmp_path / f"census_k{k:02d}.json")
+                                 .read_text())
+            assert payload["config"]["k"] == k
+            p_min, q_min = (entry["min_modulus_away_from_poles"]
+                            for entry in payload["results"])
+            assert p_min > 0 and q_min > 0
+            # |Q(z)| = |P(-z)|, and the excluded zones are symmetric
+            # under theta -> theta + pi
+            assert q_min == pytest.approx(p_min, rel=1e-9)
 
     def test_verify_gated_pass(self, tmp_path, capsys):
         assert main(["verify", "lattice_pair", "--k", "1..6",
@@ -212,6 +255,8 @@ class TestDeterminism:
         assert main(command + ["--out", str(first)]) == 0
         assert main(command + ["--out", str(second)]) == 0
         assert artifact_bytes(first) == artifact_bytes(second)
+        for path in first.iterdir():
+            assert "format" not in artifact_config(path)
 
     @pytest.mark.parametrize("threads", ["2", "8"])
     def test_thread_count_invisible_in_artifacts(self, threads, tmp_path,

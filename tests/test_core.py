@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
                                 conjugate_relation_residual, generate_pair,
-                                load_pair, pair_cache_path,
-                                parallelogram_residual, save_pair,
-                                special_values)
+                                parallelogram_residual, special_values)
 
 
 class TestLittlewoodPolynomial:
@@ -140,34 +138,3 @@ class TestSpecialValues:
             assert isinstance(value, int)
             assert abs(value) <= 1 << k
 
-
-class TestCoefficientCache:
-    def test_round_trip(self, tmp_path):
-        pair = generate_pair(6)
-        save_pair(pair, tmp_path)
-        loaded = load_pair(6, tmp_path)
-        assert loaded.k == 6
-        assert np.array_equal(loaded.p.coeffs, pair.p.coeffs)
-        assert np.array_equal(loaded.q.coeffs, pair.q.coeffs)
-
-    def test_generate_uses_cache(self, tmp_path):
-        first = generate_pair(5, cache_dir=tmp_path, write_cache=True)
-        assert pair_cache_path(tmp_path, 5).is_file()
-        second = generate_pair(5, cache_dir=tmp_path)
-        assert np.array_equal(first.p.coeffs, second.p.coeffs)
-
-    def test_header_is_validated(self, tmp_path):
-        pair = generate_pair(4)
-        path = save_pair(pair, tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="magic"):
-            load_pair(4, tmp_path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        pair = generate_pair(4)
-        path = save_pair(pair, tmp_path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match="bytes"):
-            load_pair(4, tmp_path)
