@@ -552,6 +552,9 @@ def _check_counts(args) -> None:
     """Range checks of the integer flags, before any work or output."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    count = getattr(args, "count", None)
+    if count is not None and count < 1:
+        raise ValueError(f"--count must be >= 1, got {count}")
     for flag in ("random", "falsify", "arcs"):
         value = getattr(args, flag, 0)
         if value < 0:

@@ -3,9 +3,15 @@
 Littlewood polynomials concentrate their roots near the unit circle,
 which makes deflation unstable; find_roots therefore refines all roots
 jointly by Aberth-Ehrlich simultaneous iteration (Jacobi sweeps, so the
-update order cannot depend on scheduling).  Real-zero counts are also
-available through an exact integer Sturm chain, independent of any
-floating-point solver.
+update order cannot depend on scheduling).
+
+Real-zero counts are also exact, independent of any floating-point
+solver: the remainder sequence of (P, P') runs modulo batches of
+word-size primes in lockstep (one int64 array, primes x coefficients),
+the principal subresultant coefficients follow from its leading
+coefficients and degrees (Brown & Traub 1971), CRT lifts them exactly
+past the Hadamard bound, and the signed Sturm-Habicht sequence counts
+the distinct real zeros (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
 """
 
 from __future__ import annotations
@@ -17,18 +23,11 @@ import numpy as np
 
 from .core import LittlewoodPolynomial, ResourceLimitError
 
-try:  # GMP-backed integers cut the exact Sturm chain cost several-fold
-    from gmpy2 import gcd as _int_gcd
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from math import gcd as _int_gcd
-
-    _mpz = int
-
 #: Simultaneous iteration is O(degree^2) per sweep.
 MAX_ABERTH_DEGREE = 1 << 14
-#: Exact Sturm chains stay tractable to about this degree.
-MAX_STURM_DEGREE = 1 << 10
+#: An exact real-zero count at degree 2047 takes about 50 s on one core;
+#: the cost grows about 8x per doubling of the degree.
+MAX_STURM_DEGREE = 1 << 11
 
 
 @dataclass(eq=False)
@@ -206,64 +205,251 @@ def zero_census(rootset: RootSet, eps: float = 1e-4) -> ZeroCensus:
 
 
 # ---------------------------------------------------------------------------
-# Exact real-zero counting (integer Sturm chain).
+# Exact real-zero counting (multimodular Sturm-Habicht sequence).
 # ---------------------------------------------------------------------------
 
-def _content(v) -> int:
-    g = _mpz(0)
-    for coeff in v:
-        g = _int_gcd(g, coeff)
-        if g == 1:
-            return g
-    return g
+#: Moduli are primes below 2^31: a product of two residues is below
+#: 2^62, so one such product minus two others stays inside int64.
+_PRIME_BOUND = 1 << 31
+#: Primes x coefficients in one lockstep batch (16 MiB per int64 array).
+_BATCH_ELEMENTS = 1 << 21
+#: Primes below _PRIME_BOUND in descending order, extended on demand.
+_prime_table = np.empty(0, dtype=np.int64)
 
 
-def _strip_content(v):
-    g = _content(v)
-    return [coeff // g for coeff in v] if g > 1 else v
+def _sieve(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi), ascending, for 3 <= lo < hi <= _PRIME_BOUND."""
+    root = math.isqrt(hi - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for q in range(2, math.isqrt(root) + 1):
+        if small[q]:
+            small[q * q::q] = False
+    mask = np.ones(hi - lo, dtype=bool)
+    for q in np.flatnonzero(small).tolist():
+        mask[max(q * q, -(-lo // q) * q) - lo::q] = False
+    return np.flatnonzero(mask) + lo
 
 
-def _pseudo_remainder(f, g):
-    """(r, sign): r = positive * sign * (f mod g), all in integers.
+def _primes(count: int) -> np.ndarray:
+    """The first `count` primes of the table, sieving more below its end."""
+    global _prime_table
+    while len(_prime_table) < count:
+        top = int(_prime_table[-1]) if len(_prime_table) else _PRIME_BOUND
+        block = _sieve(max(3, top - (1 << 16)), top)[::-1]
+        _prime_table = np.concatenate((_prime_table, block))
+    return _prime_table[:count]
 
-    Classic pseudo-division: scale the dividend by the divisor's leading
-    coefficient before each elimination, tracking the sign of the
-    accumulated multiplier so the caller can recover the sign of the
-    true remainder.
+
+def _pow_mod(base: np.ndarray, exponent, mod: np.ndarray) -> np.ndarray:
+    """base^exponent mod `mod` elementwise by square and multiply."""
+    exponent = np.broadcast_to(np.asarray(exponent, dtype=np.int64),
+                               base.shape).copy()
+    result = np.ones_like(base)
+    base = base % mod
+    while exponent.any():
+        odd = (exponent & 1).astype(bool)
+        result = np.where(odd, result * base % mod, result)
+        base = base * base % mod
+        exponent >>= 1
+    return result
+
+
+def _remainder_sequence(p_res: np.ndarray, primes: np.ndarray):
+    """Euclidean remainder sequence of (P, P') modulo each prime at once.
+
+    p_res holds P's ascending coefficients mod each prime, one column per
+    prime.  Every step is fraction-free, lc(B) A - lc(A) x^s B, so G_i
+    = lam_i F_i where F_i is the remainder sequence over the field and
+    lam_i a tracked scale.  A prime whose next degree falls below the
+    batch maximum divides a principal subresultant coefficient of P and
+    P' (it is unlucky) and is dropped.
+
+    Returns (primes, degrees, values) with degrees n_1 = d > n_2 = d - 1
+    > ... and values[i - 3] = c_2 prod_{l=3..i} (c_{l-1} c_l)^(n_{l-1} -
+    n_l) mod each kept prime for i >= 3, c_l = lc(F_l): by Brown and
+    Traub's fundamental theorem this is (-1)^tau_i times the principal
+    subresultant coefficient of index n_i.
     """
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    g_low = g[:dg]
-    sign = 1
-    while len(r) - 1 >= dg:
-        lead = r[-1]
-        if lead == 0:
-            r.pop()
+    d = len(p_res) - 1
+    a = p_res[::-1].copy()
+    b = p_res[:0:-1] * (np.arange(d, 0, -1)[:, None] % primes) % primes
+    # a, b and the next remainder r are leading rows of a_store, b_store
+    # and r_store; spare is the store no live array uses
+    a_store, b_store = a, b
+    spare, work = np.empty_like(a), np.empty_like(a)
+    # values as documented; den_steps[i] = (lam_{i+2} lam_{i+3})^delta,
+    # whose prefix products divide them at the end
+    values, den_steps = np.empty_like(b), np.empty_like(b)
+    degrees = [d, d - 1]
+    g = b[0].copy()
+    a_scale = b_scale = den = np.ones_like(primes)
+    num = g
+    while degrees[-1] > 0:
+        na, nb = degrees[-2], degrees[-1]
+        if na - nb == 1:
+            # both eliminations in one pass: g^2 A - (q1 x + q0) B
+            q1 = g * a[0] % primes
+            q0 = (g * a[1] - a[0] * b[1]) % primes
+            scale = g * g % primes
+            r_store = spare
+            r = np.multiply(a[2:], scale, out=r_store[:nb])
+            r[:-1] -= np.multiply(b[2:], q1, out=work[:nb - 1])
+            r -= np.multiply(b[1:], q0, out=work[:nb])
+            np.remainder(r, primes, out=r)
+        else:
+            r = a
+            for _ in range(na - nb + 1):
+                lead = r[0]
+                r = r * g
+                r[:nb + 1] -= lead * b
+                r_store = r % primes
+                r = r_store[1:]
+            scale = _pow_mod(g, na - nb + 1, primes)
+        if not r[0].all():
+            nonzero = r != 0
+            shift = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), nb)
+            keep = shift == shift.min()
+            if not keep.all():
+                (primes, a, b, r, scale, values, den_steps, g, a_scale,
+                 b_scale, num, den) = (
+                    np.ascontiguousarray(x[..., keep]) for x in (
+                        primes, a, b, r, scale, values, den_steps, g,
+                        a_scale, b_scale, num, den))
+                a_store, b_store, r_store = a, b, r
+                work = np.empty((d + 1, len(primes)), dtype=np.int64)
+            r = r[shift.min():]
+            if not len(r):  # gcd(P, P') = B, of degree nb
+                break
+        degrees.append(len(r) - 1)
+        r_lead, r_scale = r[0].copy(), scale * a_scale % primes
+        num_step = g * r_lead % primes
+        den_step = b_scale * r_scale % primes
+        if nb - degrees[-1] > 1:
+            num_step = _pow_mod(num_step, nb - degrees[-1], primes)
+            den_step = _pow_mod(den_step, nb - degrees[-1], primes)
+        num = num * num_step % primes
+        den = den * den_step % primes
+        values[len(degrees) - 3] = num
+        den_steps[len(degrees) - 3] = den_step
+        g, a_scale, b_scale = r_lead, b_scale, r_scale
+        spare = a_store
+        a, a_store, b, b_store = b, b_store, r, r_store
+
+    # One inversion of the last prefix product of den_steps serves all.
+    inverse = _pow_mod(den, primes - 2, primes)
+    for i in range(len(degrees) - 3, -1, -1):
+        values[i] = values[i] * inverse % primes
+        inverse = inverse * den_steps[i] % primes
+    return primes, degrees, values[:len(degrees) - 2]
+
+
+def _chinese_remainder(residues: np.ndarray, primes: np.ndarray,
+                       bits: np.ndarray) -> list[int]:
+    """Symmetric CRT lift of each row of residues (one column per prime).
+
+    Row i uses the fewest leading primes, rounded up to an eighth of the
+    table, whose product reaches 2^bits[i]; the caller guarantees that
+    all of them together exceed twice every value.
+    """
+    logs = np.cumsum(np.log2(primes.astype(np.float64)))
+    tier = max(1, len(primes) // 8)
+    need = -(-(np.searchsorted(logs, bits) + 1) // tier) * tier
+    need = np.minimum(need, len(primes))
+    lifted = [0] * len(residues)
+    for count in np.unique(need).tolist():
+        ps = primes[:count].tolist()
+        modulus = math.prod(ps)
+        basis = [(modulus // p) * pow(modulus // p % p, -1, p) for p in ps]
+        for i in np.flatnonzero(need == count).tolist():
+            value = sum(map(int.__mul__, residues[i, :count].tolist(),
+                            basis)) % modulus
+            lifted[i] = value - modulus if 2 * value > modulus else value
+    return lifted
+
+
+def _subresultant_sequence(coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """Degrees n_i and principal subresultant coefficients of (P, P').
+
+    The coefficients are lc(P) for n_1 = d, d lc(P) for n_2 = d - 1 and,
+    for i >= 3, the determinant of the Sylvester submatrix of index n_i
+    (rows x^t P, then x^t P', highest shift first).  Indices not listed
+    have coefficient zero, so the last degree is that of gcd(P, P').
+
+    Each prime's residues are exact images of these determinants.  Once
+    the kept primes multiply past twice the Hadamard bound |P|^(d-1-j)
+    |P'|^(d-j) at j = 0, the lift is exact, and no index they all
+    skipped can be nonzero.  Batches that disagree keep the
+    lexicographically larger degree sequence: the smaller followed
+    primes that were all unlucky at the same step.
+    """
+    d = len(coeffs) - 1
+    lc = coeffs[-1]
+    norm_p = sum(c * c for c in coeffs)
+    norm_dp = sum((i * c) ** 2 for i, c in enumerate(coeffs))
+    bound_sq = 4 * norm_p ** (d - 1) * norm_dp ** d
+    log_p, log_dp = math.log2(norm_p) / 2, math.log2(norm_dp) / 2
+    try:
+        values = np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        values = np.array(coeffs, dtype=object)
+
+    # bits each lift needs: log2 of twice the bound, plus one of margin
+    # for float rounding; a prime below 2^31 carries just under 31 bits
+    kept, degrees, residues = [], [], []
+    used = 0
+    cap = max(1, _BATCH_ELEMENTS // (d + 1))
+    while math.prod(kept) ** 2 <= bound_sq:
+        missing = (d - 1) * log_p + d * log_dp + 2 - sum(map(math.log2, kept))
+        want = max(1, min(math.ceil(missing / 30.9) + 1, cap))
+        batch = _primes(used + want)[used:]
+        used += want
+        batch = batch[[(d * lc) % p != 0 for p in batch.tolist()]]
+        if not batch.size:
             continue
-        if lg < 0:
-            sign = -sign
-        shift = len(r) - 1 - dg
-        head = r[:shift]
-        tail = r[shift:-1]
-        r = [lg * coeff for coeff in head] + \
-            [lg * coeff - lead * gc for coeff, gc in zip(tail, g_low)]
-        while r and r[-1] == 0:
-            r.pop()
-    return r, sign
+        p_res = (values[:, None] % batch.astype(values.dtype)).astype(
+            np.int64, copy=False)
+        batch, batch_degrees, batch_res = _remainder_sequence(p_res, batch)
+        if batch_degrees > degrees:
+            kept, degrees, residues = [], batch_degrees, []
+        elif batch_degrees < degrees:
+            continue
+        kept.extend(batch.tolist())
+        residues.append(batch_res)
+
+    index = np.array(degrees[2:])
+    bits = (d - 1 - index) * log_p + (d - index) * log_dp + 2
+    lifted = _chinese_remainder(np.concatenate(residues, axis=1),
+                                np.array(kept), bits)
+    # (-1)^tau_i, tau_i = sum_{l <= i-2} (n_l - n_i)(n_{l+1} - n_i), has
+    # the parity of sum n_l n_{l+1} + n_i sum (n_l + n_{l+1} + 1).
+    pscs = [lc, d * lc]
+    pair_sum = line_sum = 0
+    for i in range(2, len(degrees)):
+        pair_sum += degrees[i - 2] * degrees[i - 1]
+        line_sum += degrees[i - 2] + degrees[i - 1] + 1
+        tau = pair_sum + degrees[i] * line_sum
+        pscs.append(-lifted[i - 2] if tau % 2 else lifted[i - 2])
+    return degrees, pscs
 
 
-def _sign_variations(signs) -> int:
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _epsilon(m: int) -> int:
+    """(-1)^(m(m-1)/2)."""
+    return -1 if m % 4 >= 2 else 1
 
 
 def real_zero_count_exact(poly) -> int:
-    """Number of distinct real zeros, by an exact integer Sturm chain.
+    """Number of distinct real zeros, from the Sturm-Habicht sequence.
 
-    Builds the chain with primitive pseudo-remainders (content stripped
-    each step, signs corrected so every term is a positive multiple of
-    the true Sturm term) and counts sign variations at -inf and +inf
-    from leading coefficients alone.  No floating point anywhere.
+    The principal subresultant coefficients psc_j of (P, P') come from
+    the remainder sequence modulo word-size primes, lifted exactly by
+    CRT (_subresultant_sequence).  Signed as sRes_j = eps_{d-j} psc_j,
+    eps_m = (-1)^(m(m-1)/2), they count the distinct real zeros as
+    permanences minus variations: over consecutive nonzero sRes_p,
+    sRes_q, add eps_{p-q} sign(sRes_p sRes_q) when p - q is odd
+    (Gonzalez-Vega, Lombardi, Recio & Roy 1989).  Defective steps and a
+    nontrivial gcd(P, P') need no special case.  No floating point
+    touches the signs.
     """
     if isinstance(poly, LittlewoodPolynomial):
         coeffs = [int(c) for c in poly.coeffs]
@@ -279,19 +465,12 @@ def real_zero_count_exact(poly) -> int:
     if degree <= 0:
         return 0
 
-    p = [_mpz(c) for c in coeffs]
-    dp = [i * p[i] for i in range(1, len(p))]
-    chain = [_strip_content(p), _strip_content(dp)]
-    while len(chain[-1]) - 1 > 0:
-        r, sign = _pseudo_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        # next Sturm term is -(previous mod current) up to positive scale
-        if sign > 0:
-            r = [-coeff for coeff in r]
-        chain.append(_strip_content(r))
-
-    at_plus = [1 if term[-1] > 0 else -1 for term in chain]
-    at_minus = [s * (-1 if (len(term) - 1) % 2 else 1)
-                for s, term in zip(at_plus, chain)]
-    return _sign_variations(at_minus) - _sign_variations(at_plus)
+    degrees, pscs = _subresultant_sequence(coeffs)
+    signs = [((psc > 0) - (psc < 0)) * _epsilon(degree - n)
+             for n, psc in zip(degrees, pscs)]
+    count = 0
+    for i in range(1, len(degrees)):
+        gap = degrees[i - 1] - degrees[i]
+        if gap % 2:
+            count += _epsilon(gap) * signs[i - 1] * signs[i]
+    return count

@@ -88,11 +88,14 @@ class TestExitCodes:
         ["verify", "lattice_pair", "--k", "3", "--arcs", "-1"],
         ["mercer", "--random", "5", "--degree", "1"],
         ["mercer"],
+        ["eval", "--k", "3", "--count", "0"],
+        ["bench", "--k", "3", "--count", "0"],
     ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
             "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
             "census_eps_nan", "threads_zero", "threads_negative",
             "mercer_random_negative", "falsify_negative", "arcs_negative",
-            "mercer_degree_1", "mercer_no_input"])
+            "mercer_degree_1", "mercer_no_input", "eval_count_zero",
+            "bench_count_zero"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rudin_shapiro.roots as roots_mod
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
                                 generate_pair)
 from rudin_shapiro.norms import FULL_CIRCLE, mahler_arc
@@ -12,6 +14,93 @@ from rudin_shapiro.roots import (find_roots, jensen_mahler,
                                  real_zero_count_exact, zero_census)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def _primitive(v):
+    g = 0
+    for c in v:
+        g = math.gcd(g, c)
+    return [c // g for c in v] if g > 1 else v
+
+
+def _pseudo_remainder(f, g):
+    """(r, sign): r = positive * sign * (f mod g), all in integers."""
+    r = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    sign = 1
+    while len(r) - 1 >= dg:
+        lead = r[-1]
+        if lead == 0:
+            r.pop()
+            continue
+        if lg < 0:
+            sign = -sign
+        shift = len(r) - 1 - dg
+        r = [lg * c for c in r[:shift]] + \
+            [lg * c - lead * gc for c, gc in zip(r[shift:-1], g[:dg])]
+        while r and r[-1] == 0:
+            r.pop()
+    return r, sign
+
+
+def prs_real_zero_count(coeffs) -> int:
+    """Oracle: distinct real zeros by a primitive pseudo-remainder Sturm chain.
+
+    Every term is a positive multiple of the true Sturm term, so the sign
+    variations at -inf and +inf come from leading coefficients alone.
+    """
+    p = [int(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if len(p) <= 1:
+        return 0
+    chain = [_primitive(p), _primitive([i * p[i] for i in range(1, len(p))])]
+    while len(chain[-1]) > 1:
+        r, sign = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r] if sign > 0 else r))
+    at_plus = [1 if term[-1] > 0 else -1 for term in chain]
+    at_minus = [s * (-1) ** (len(term) - 1) for s, term in zip(at_plus, chain)]
+
+    def variations(signs):
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    return variations(at_minus) - variations(at_plus)
+
+
+def sylvester_psc(coeffs, j) -> int:
+    """det of the index-j Sylvester submatrix of (P, P'), by Fractions."""
+    d = len(coeffs) - 1
+    p = coeffs[::-1]
+    dp = [i * coeffs[i] for i in range(d, 0, -1)]
+    size = 2 * d - 1 - 2 * j
+    rows = [p + [0] * t for t in range(d - 2 - j, -1, -1)] + \
+        [dp + [0] * t for t in range(d - 1 - j, -1, -1)]
+    m = [[Fraction(c) for c in ([0] * (size + j - len(row)) + row)[:size]]
+         for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            f = m[r][col] / m[col][col]
+            for c in range(col, size):
+                m[r][c] -= f * m[col][c]
+    return int(det)
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 class TestFindRoots:
@@ -150,6 +239,7 @@ class TestZeroCensus:
 class TestExactRealZeroCount:
     def test_constant_has_none(self):
         assert real_zero_count_exact(LittlewoodPolynomial([1])) == 0
+        assert real_zero_count_exact([0, 0, 0]) == 0
 
     def test_simple_polynomials(self):
         assert real_zero_count_exact([-1, 0, 1]) == 2      # z^2 - 1
@@ -164,15 +254,109 @@ class TestExactRealZeroCount:
         assert real_zero_count_exact([1, 0, 2, 0, 1]) == 0
         assert real_zero_count_exact([2, -3, 0, 1]) == 2
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sparse_binomials(self, n):
+        # x^n - 1 and x^n + 1: one remainder step of degree gap n - 1
+        minus = [-1] + [0] * (n - 1) + [1]
+        plus = [1] + [0] * (n - 1) + [1]
+        assert real_zero_count_exact(minus) == (2 if n % 2 == 0 else 1)
+        assert real_zero_count_exact(plus) == (0 if n % 2 == 0 else 1)
+
+    def test_defective_sequences(self):
+        assert real_zero_count_exact([0, -1, 0, 0, 0, 1]) == 3   # x^5 - x
+        assert real_zero_count_exact([1, 0, 2, 0, 1]) == 0       # (x^2+1)^2
+        assert real_zero_count_exact([-1, 0, 0, 1]) == 1         # gap 2
+
     @pytest.mark.parametrize("k", range(1, 8))
     def test_pair_has_exactly_one_real_zero(self, k):
         pair = generate_pair(k)
         assert real_zero_count_exact(pair.p) == 1
         assert real_zero_count_exact(pair.q) == 1
 
+    def test_pairs_match_prs_oracle(self):
+        for k in range(1, 9):
+            pair = generate_pair(k)
+            for poly in (pair.p, pair.q):
+                assert real_zero_count_exact(poly) == \
+                    prs_real_zero_count(poly.coeffs.tolist())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=256))
+    def test_littlewood_matches_prs_oracle(self, coeffs):
+        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=255),
+           st.sampled_from([-3, -1, 1, 2]))
+    def test_small_integers_match_prs_oracle(self, coeffs, lead):
+        coeffs = coeffs + [lead]
+        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6)),
+                    min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 9)),
+                    max_size=3))
+    def test_known_counts(self, linear, quadratics):
+        # prod (a x - b) times positive quadratics x^2 + c x + e, c^2 < 4e:
+        # the real zeros are the distinct b / a, repeated factors included
+        coeffs = [1]
+        for a, b in linear:
+            coeffs = poly_mul(coeffs, [-b, a])
+        for c, e in quadratics:
+            if c * c < 4 * e:
+                coeffs = poly_mul(coeffs, [e, c, 1])
+        distinct = len({Fraction(b, a) for a, b in linear})
+        assert real_zero_count_exact(coeffs) == distinct
+        assert prs_real_zero_count(coeffs) == distinct
+
+    def test_principal_coefficients_are_exact(self):
+        # the fixed cases have an even degree gap before later steps, where
+        # the Brown-Traub sign (-1)^tau is odd; x^6 + x^3 has a gcd
+        rng = np.random.default_rng(3)
+        cases = [[1, 2, 0, 0, 1], [-1, 0, -2, 0, 0, 0, 2, 1],
+                 [0, 0, 0, 1, 0, 0, 1]]
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            cases.append([int(c) for c in rng.integers(-4, 5, d)] +
+                         [int(rng.choice([-2, -1, 1, 3]))])
+        for coeffs in cases:
+            d = len(coeffs) - 1
+            assert real_zero_count_exact(coeffs) == \
+                prs_real_zero_count(coeffs)
+            degrees, pscs = roots_mod._subresultant_sequence(coeffs)
+            by_index = dict(zip(degrees, pscs))
+            for j in range(d - 1):
+                assert by_index.get(j, 0) == sylvester_psc(coeffs, j)
+
+    def test_big_coefficients(self):
+        coeffs = [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]
+        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+
+    def test_unlucky_prime_is_dropped(self, monkeypatch):
+        # 11 divides psc_2 = 72567 = 11 * 6597 but not d lc = 6, so mod 11
+        # the sequence loses index 2 after two coefficients were stored
+        coeffs = [2, -1, 3, 3, 2, -2, 1]
+        expected = roots_mod._subresultant_sequence(coeffs)
+        assert expected[0] == [6, 5, 4, 3, 2, 1, 0]
+        assert expected[1][4] == 72567
+        table = np.concatenate(([11], roots_mod._primes(64)))
+        monkeypatch.setattr(roots_mod, "_prime_table", table)
+        kept = []
+        sequence = roots_mod._remainder_sequence
+
+        def spy(p_res, primes):
+            result = sequence(p_res, primes)
+            kept.extend(result[0].tolist())
+            return result
+        monkeypatch.setattr(roots_mod, "_remainder_sequence", spy)
+        assert roots_mod._subresultant_sequence(coeffs) == expected
+        assert kept and 11 not in kept
+        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+
     def test_degree_guard(self):
         with pytest.raises(ResourceLimitError, match="census"):
-            real_zero_count_exact(generate_pair(11).p)
+            real_zero_count_exact(generate_pair(12).p)
 
     @settings(max_examples=30)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=16))
@@ -194,15 +378,3 @@ class TestExactRealZeroCount:
         distinct = sum(1 for cluster in clusters
                        if abs(np.mean(cluster).imag) <= 1e-9)
         assert exact == distinct
-
-    def test_plain_int_fallback_agrees(self, monkeypatch):
-        # the chain must work with stdlib integers when gmpy2 is absent
-        import rudin_shapiro.roots as roots_mod
-
-        monkeypatch.setattr(roots_mod, "_mpz", int)
-        monkeypatch.setattr(roots_mod, "_int_gcd", math.gcd)
-        assert real_zero_count_exact([1, 1, -1]) == 2
-        for k in (1, 3, 5):
-            pair = generate_pair(k)
-            assert real_zero_count_exact(pair.p) == 1
-            assert real_zero_count_exact(pair.q) == 1
