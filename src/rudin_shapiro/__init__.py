@@ -16,7 +16,7 @@ from .gf2 import (GF2Poly, MercerCertificate, gf2_divmod, gf2_gcd, gf2_mul,
                   is_skew_reciprocal, mercer_certificate,
                   random_skew_reciprocal, real_imag_parts_gf2)
 from .norms import (Arc, FULL_CIRCLE, NormEstimate, flatness_defect_mahler,
-                    mahler_arc, mq_arc, mq_limit_diagnostic)
+                    mahler_arc, mq_arc, mq_arcs, mq_limit_diagnostic)
 from .roots import (RootSet, ZeroCensus, find_roots, jensen_mahler,
                     real_zero_count_exact, zero_census)
 from .verify import (GAMMA, MAHLER_LIMIT_RATIO, DistributionReport,

@@ -198,9 +198,8 @@ def cmd_norm(args, out_dir: Path) -> int:
     rows = []
     for k in parse_k_range(args.k):
         pair = generate_pair(k)
-        for q in qs:
-            est = norms.mq_arc((pair, args.which), arc, q, args.count)
-            rows.append([k, arc.alpha, arc.beta, float(q), est.value,
+        for est in norms.mq_arcs((pair, args.which), arc, qs, args.count):
+            rows.append([k, arc.alpha, arc.beta, float(est.q), est.value,
                          est.count, est.rel_step, est.flagged])
     config = _config(args, k=args.k, arc=_arc_pair(arc), q=qs,
                      count=args.count, which=args.which)
@@ -553,8 +552,8 @@ def _check_counts(args) -> None:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     count = getattr(args, "count", None)
-    if count is not None and count < 1:
-        raise ValueError(f"--count must be >= 1, got {count}")
+    if count is not None and count < 2:
+        raise ValueError(f"--count must be >= 2, got {count}")
     for flag in ("random", "falsify", "arcs"):
         value = getattr(args, flag, 0)
         if value < 0:

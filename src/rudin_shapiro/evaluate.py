@@ -1,14 +1,43 @@
-"""Circle evaluation of Rudin-Shapiro pairs: FFT, recursion and an oracle.
+"""Circle evaluation of Rudin-Shapiro pairs: FFT, chirp-z, recursion, oracle.
 
-Full-circle grids take inverse FFTs of the twiddled coefficients
-(circle_values), on exact roots of unity, free of angle rounding.
-Subarcs, single points, and full circles past GRID_MAX_COUNT run the
-doubling recursion with repeated squaring of z: a point costs O(k)
-complex operations instead of the O(2^k) of Horner's rule, and rounding
-error grows with k rather than with the degree.  Each squaring
-renormalizes the power back to unit modulus to stop drift.  Horner
-evaluation is kept as an independent cross-check oracle and for
-Littlewood polynomials that are not Rudin-Shapiro pairs.
+Which grid goes to which backend:
+
+- full circles: inverse FFTs of the twiddled coefficients
+  (circle_values), on exact roots of unity, free of angle rounding;
+- subarcs of count >= max(8n, 2^14) points: Bluestein's chirp-z
+  transform (iter_chirp_values), streamed in blocks of about 3n points,
+  one FFT/IFFT pair each;
+- shorter subarcs, single points, derivatives and full circles past
+  GRID_MAX_COUNT: the doubling recursion with repeated squaring of z, a
+  point costing O(k) complex operations instead of the O(2^k) of
+  Horner's rule, with rounding error growing with k rather than with
+  the degree; each squaring renormalizes the power to unit modulus.
+
+iter_arc_values applies the subarc rule, which depends only on (count,
+n).  Measured speed-up of chirp-z over the recursion (one component,
+arc 0.3..3.3, best of 5, Python 3.11, numpy 2.4, 2 cores):
+
+     k      n   chirp-z first wins   at max(8n, 2^14)   at max(64n, 2^16)
+     4     16         2^13                 2.1                3.5
+     5     32         2^14                 2.0                3.6
+     6     64         2^13                 1.5                3.1
+     7    128         2^14                 3.4                3.3
+     8    256         2^13                 2.8                3.6
+     9    512         2^13                 2.2                3.4
+    10   1024         2^13                 1.9                2.9
+    11   2048         2^14                 1.6                4.0
+    12   4096         2^15                 1.4                5.3
+    13   8192         2^15                 4.0                4.7
+    14  16384         2^15                 1.8                5.6
+    15  32768         2^17                 2.7                3.7
+    16  65536         2^19                 2.6                3.6
+
+Single readings on a shared machine vary by about a third.  At half
+the rule's count the ratio is 0.5 to 1.2, so the rule sits just past
+the crossover: Bluestein costs O(n log n) even for a short grid, the
+recursion O(k) per point.  Horner evaluation is kept as an independent
+cross-check oracle and for Littlewood polynomials that are not
+Rudin-Shapiro pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +62,16 @@ DEFAULT_CHUNK = 1 << 19
 GRID_MAX_COUNT = 1 << 24
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
+#: Subarc grids go to chirp-z from max(CHIRP_MIN_RATIO * n,
+#: CHIRP_MIN_COUNT) points on (the measured crossover), and only while
+#: n * count <= CHIRP_MAX_PRODUCT keeps its integer phases below 2^53.
+CHIRP_MIN_RATIO = 8
+CHIRP_MIN_COUNT = 1 << 14
+CHIRP_MAX_PRODUCT = 1 << 52
+#: Smallest chirp-z FFT: shorter blocks cost more in numpy calls than in flops.
+CHIRP_MIN_FFT = 1 << 12
+#: 2 pi minus its double: (math.tau, _TAU_LO) is 2 pi to about 106 bits.
+_TAU_LO = 2.4492935982947064e-16
 
 GRID_DUMP_MAGIC = b"RSGRID"
 GRID_DUMP_VERSION = 1
@@ -296,6 +335,81 @@ def iter_pair_chunks(pair: RudinShapiroPair, alpha: float, beta: float,
             yield (thetas,) + _pair_recursion(z, pair.k)
 
 
+def _unit_phase(ints: np.ndarray, g: float) -> np.ndarray:
+    """exp(i * ints * g) for exact integers ints (float64, below 2^53).
+
+    The product is formed exactly as a double-double and reduced modulo
+    a double-double 2 pi, so the phase is good to a few ulps of pi
+    however large ints * g grows.
+    """
+    p, e = _two_prod(ints, g)
+    turns = np.rint(p / math.tau)
+    hi, lo = _two_prod(turns, math.tau)
+    return np.exp(1j * ((((p - hi) - lo) + e) - turns * _TAU_LO))
+
+
+def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
+                      half_offset: bool = True):
+    """Yield S(exp(i theta_j)) over the arc grid in blocks, by chirp-z.
+
+    theta_j = alpha + (2j + s) g with g = (beta - alpha) / (2 count) and
+    s = 1 on the half-offset grid, 0 on the lattice.  Bluestein's
+    2mt = m^2 + t^2 - (t - m)^2 turns the block j = j0 + t, t < block,
+    into one circular convolution of a_m exp(i(m alpha + m(2 j0 + s) g
+    + m^2 g)) with the chirp exp(-i d^2 g): one FFT of the chirp per
+    call, one FFT/IFFT pair of length 2^e >= max(4n, 4096) per block of
+    2^e - n + 1 points.  Every phase is an exact integer (m, m^2, d^2,
+    t^2, m(2 j0 + s)) times alpha or g, reduced by _unit_phase.
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    n = a.size
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if n * max(count, 8 * n) > CHIRP_MAX_PRODUCT:  # m(2 j0 + s) and d^2
+        raise ValueError(f"n = {n} and count = {count} exceed the chirp-z "
+                         "range, past which the integer phases lose exactness")
+    g = (beta - alpha) / count / 2.0
+    s = 1 if half_offset else 0
+    size = 1 << (max(4 * n, CHIRP_MIN_FFT) - 1).bit_length()
+    if count < size - n + 1:  # one short block
+        size = 1 << (n + count - 2).bit_length()  # >= n + count - 1
+    block = min(count, size - n + 1)
+    m = np.arange(n, dtype=np.float64)
+    pre = a * _unit_phase(m, alpha) * _unit_phase(m * m, g)
+    d = np.arange(max(n, block), dtype=np.float64)
+    post = _unit_phase(d * d, g)  # exp(i d^2 g); the chirp is its conjugate
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[:block] = np.conj(post[:block])
+    chirp[size - n + 1:] = np.conj(post[n - 1:0:-1])  # lags -(n-1)..-1
+    chirp = np.fft.fft(chirp)
+    post = post[:block]
+    for j0 in range(0, count, block):
+        b = min(block, count - j0)
+        u = np.fft.fft(pre * _unit_phase(m * (2 * j0 + s), g), size)
+        yield np.fft.ifft(u * chirp)[:b] * post[:b]
+
+
+def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
+                    beta: float, count: int, *, half_offset: bool = True):
+    """Yield S = P_k or Q_k over the arc grid in blocks, cheaper backend.
+
+    Chirp-z from max(8n, 2^14) points on, the recursion below (the
+    measured rule of the module docstring); the blocks concatenate to
+    the grid either way.
+    """
+    n = pair.n
+    if max(CHIRP_MIN_RATIO * n, CHIRP_MIN_COUNT) <= count and \
+            n * count <= CHIRP_MAX_PRODUCT:
+        poly = pair.p if component == "p" else pair.q
+        yield from iter_chirp_values(poly.coeffs, alpha, beta, count,
+                                     half_offset=half_offset)
+    else:
+        pick = 1 if component == "p" else 2
+        for chunk in iter_pair_chunks(pair, alpha, beta, count,
+                                      half_offset=half_offset):
+            yield chunk[pick]
+
+
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
               half_offset: bool = True, threads: int = 1,
               max_count: int = GRID_MAX_COUNT) -> GridSamples:
@@ -336,10 +450,11 @@ def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
 def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
     """Sampler (alpha, beta, count) -> transform(S) for S = P_k or Q_k.
 
-    Full circles take circle_values; other grids run the recursion into
-    one float array, allowed the bytes of the cap's two complex arrays.
+    Full circles take circle_values; other grids stream iter_arc_values
+    into one float array, allowed the bytes of the cap's two complex
+    arrays.
     """
-    poly, pick = (pair.p, 1) if component == "p" else (pair.q, 2)
+    poly = pair.p if component == "p" else pair.q
 
     def sampler(alpha, beta, count, half_offset=True):
         if alpha == 0.0 and beta == math.tau and count <= GRID_MAX_COUNT:
@@ -349,10 +464,10 @@ def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
                 f"count {count} exceeds the sample array cap {4 * GRID_MAX_COUNT}")
         out = np.empty(count, dtype=np.float64)
         pos = 0
-        for chunk in iter_pair_chunks(pair, alpha, beta, count,
+        for values in iter_arc_values(pair, component, alpha, beta, count,
                                       half_offset=half_offset):
-            out[pos:pos + chunk[0].size] = transform(chunk[pick])
-            pos += chunk[0].size
+            out[pos:pos + values.size] = transform(values)
+            pos += values.size
         return out
 
     return sampler

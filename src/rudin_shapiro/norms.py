@@ -126,29 +126,39 @@ def _pick_count(count, n_hint, arc: Arc) -> int:
     return default_count(n_hint, arc)
 
 
-def mq_arc(source, arc: Arc, q: float, count: int | None = None) -> NormEstimate:
-    """Midpoint estimate of M_q(S, [alpha, beta]) for q > 0.
+def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate]:
+    """Midpoint estimates of M_q(S, [alpha, beta]) for every q in qs.
 
-    Returned with the doubled-resolution refinement; convergence is
-    measured by the relative step, never assumed monotone.
+    One c-grid and one 2c-grid serve every exponent, so each estimate
+    equals mq_arc(source, arc, q, count) bit for bit.  Returned with the
+    doubled-resolution refinement; convergence is measured by the
+    relative step, never assumed monotone.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
-    if not 0 < q < math.inf:
-        raise ValueError("mq_arc needs a finite q > 0; use mahler_arc for q = 0")
+    qs = list(qs)
+    if not qs or not all(0 < q < math.inf for q in qs):
+        raise ValueError("M_q needs finite exponents q > 0; "
+                         "use mahler_arc for q = 0")
     sampler, n_hint = _resolve_source(source)
     count = _pick_count(count, n_hint, arc)
 
-    def estimate(c: int) -> float:
+    def estimates(c: int) -> list[float]:
         vals = sampler(arc.alpha, arc.beta, c)
-        return pairwise_mean(vals ** q) ** (1.0 / q)
+        return [pairwise_mean(vals ** q) ** (1.0 / q) for q in qs]
 
-    value = estimate(count)
-    refined = estimate(2 * count)
-    rel_step = abs(value - refined) / max(value, 1e-300)
-    return NormEstimate(q=q, value=value, count=count, refined_value=refined,
-                        rel_step=rel_step,
-                        flagged=rel_step > rel_step_tolerance(q))
+    out = []
+    for q, value, refined in zip(qs, estimates(count), estimates(2 * count)):
+        rel_step = abs(value - refined) / max(value, 1e-300)
+        out.append(NormEstimate(q=q, value=value, count=count,
+                                refined_value=refined, rel_step=rel_step,
+                                flagged=rel_step > rel_step_tolerance(q)))
+    return out
+
+
+def mq_arc(source, arc: Arc, q: float, count: int | None = None) -> NormEstimate:
+    """Midpoint estimate of M_q(S, [alpha, beta]) for one q > 0 (see mq_arcs)."""
+    return mq_arcs(source, arc, [q], count)[0]
 
 
 def _log_mean(vals: np.ndarray, spacing: float,
@@ -224,7 +234,7 @@ def mq_limit_diagnostic(source, arc: Arc, q_list,
     if not qs or any(q <= 0 for q in qs) or \
             any(b >= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_list must be strictly decreasing positive reals")
-    estimates = [mq_arc(source, arc, q, count) for q in qs]
+    estimates = mq_arcs(source, arc, qs, count)
     estimates.append(mahler_arc(source, arc, count))
     return estimates
 

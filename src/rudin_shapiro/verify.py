@@ -167,16 +167,20 @@ def check_certified_intervals(k: int, pair=None,
     radius = GAMMA / n
     rp, rq = _lattice_squared_moduli(pair)
     offsets = np.linspace(-radius, radius, points_per_interval)
+    m = np.arange(n)
     overall_min = math.inf
     certified_total = 0
-    for component, lattice_sq in (("p", rp), ("q", rq)):
+    for poly, lattice_sq in ((pair.p, rp), (pair.q, rq)):
         qualifying = np.nonzero(lattice_sq >= 2.0 * GAMMA * n)[0]
         certified_total += qualifying.size
         if qualifying.size == 0:
             continue
-        thetas = (math.tau * qualifying[:, None] / n + offsets[None, :]).ravel()
-        vals = evaluate.eval_pair_grid(pair, thetas)[0 if component == "p" else 1]
-        overall_min = min(overall_min, float(np.min(np.abs(vals) ** 2)))
+        for offset in offsets:
+            # S at t_j + offset for every lattice index j: one inverse
+            # FFT of a_m exp(i m offset), as in circle_values
+            vals = np.fft.ifft(poly.coeffs * np.exp(1j * offset * m),
+                               norm="forward")[qualifying]
+            overall_min = min(overall_min, float(np.min(np.abs(vals) ** 2)))
     bound = GAMMA * n
     return InequalityReport(
         name="certified_intervals", k=k, lhs=overall_min, rhs=bound,
@@ -250,8 +254,7 @@ def check_level_set_measure(k: int, arc: Arc, pair=None) -> InequalityReport:
     in_sq = 0
     in_lit = 0
     total = 0
-    for _th, p, _q in evaluate.iter_pair_chunks(
-            pair, arc.alpha, arc.beta, count):
+    for p in evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta, count):
         moduli = np.abs(p)
         in_sq += int(np.count_nonzero(moduli ** 2 >= GAMMA * n))
         in_lit += int(np.count_nonzero(moduli >= GAMMA * n))
@@ -279,9 +282,14 @@ def check_subarc_moment_bounds(k: int, arc: Arc, q: float,
     if q <= 0:
         raise ValueError("q must be positive")
     pair = _pair(k, pair)
-    n = pair.n
     _require_min_length(k, arc)
-    est = norms.mq_arc((pair, "p"), arc, q)
+    return _moment_bounds_report(k, arc, pair.n,
+                                 norms.mq_arc((pair, "p"), arc, q))
+
+
+def _moment_bounds_report(k: int, arc: Arc, n: int,
+                          est: norms.NormEstimate) -> InequalityReport:
+    q = est.q
     mq_pow = est.value ** q
     lower = GAMMA / (4.0 * math.pi) * (GAMMA * n) ** (q / 2.0)
     upper = (2.0 * n) ** (q / 2.0)
@@ -545,9 +553,10 @@ def run_verification(names, ks, n_arcs: int = 8, qs=(0.25, 1.0, 2.0, 4.0),
                 reports.append(check_level_set_measure(k, arc, pair=pair))
         if "moment_bounds" in selected:
             for arc in arcs:
-                for q in qs:
-                    reports.append(check_subarc_moment_bounds(k, arc, q,
-                                                              pair=pair))
+                # one c-grid and one 2c-grid per arc for every exponent
+                _require_min_length(k, arc)
+                for est in norms.mq_arcs((pair, "p"), arc, qs):
+                    reports.append(_moment_bounds_report(k, arc, pair.n, est))
         if "subarc_mahler" in selected:
             for arc in arcs:
                 reports.append(subarc_mahler_ratio(k, arc, pair=pair))

@@ -90,17 +90,34 @@ class TestExitCodes:
         ["mercer"],
         ["eval", "--k", "3", "--count", "0"],
         ["bench", "--k", "3", "--count", "0"],
+        ["eval", "--k", "3", "--count", "1"],
+        ["bench", "--k", "3", "--count", "1"],
+        ["norm", "--k", "3", "--q", "2", "--count", "1"],
+        ["saffari", "--k", "3", "--count", "1"],
+        ["problem55", "--k", "3", "--count", "1"],
     ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
             "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
             "census_eps_nan", "threads_zero", "threads_negative",
             "mercer_random_negative", "falsify_negative", "arcs_negative",
             "mercer_degree_1", "mercer_no_input", "eval_count_zero",
-            "bench_count_zero"])
+            "bench_count_zero", "eval_count_one", "bench_count_one",
+            "norm_count_one", "saffari_count_one", "problem55_count_one"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        "eval", "bench", "norm", "mahler", "distribution", "saffari",
+        "problem55"])
+    def test_count_has_one_boundary(self, command, tmp_path, capsys):
+        argv = [command, "--k", "3", "--count", "1", "--out", str(tmp_path)]
+        if command == "norm":
+            argv += ["--q", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "invalid configuration: --count must be >= 2, got 1\n"
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--k", "4", "--format", "json"],

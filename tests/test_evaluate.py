@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +164,15 @@ def _recursion_grid(pair, count, half_offset):
             np.concatenate([c[2] for c in chunks]))
 
 
+def _chirp_grid(coeffs, alpha, beta, count, half_offset=True):
+    return np.concatenate(list(evaluate.iter_chirp_values(
+        coeffs, alpha, beta, count, half_offset=half_offset)))
+
+
+def _crossover(n):
+    return max(evaluate.CHIRP_MIN_RATIO * n, evaluate.CHIRP_MIN_COUNT)
+
+
 class TestCircleValues:
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
@@ -240,6 +251,10 @@ class TestSamplers:
         thetas = circle_grid(0.5, 2.0, count)
         assert np.array_equal(sampler(0.5, 2.0, count),
                               np.abs(evaluate.eval_pair_grid(pair, thetas)[1]))
+        # subarc past the dispatch crossover: chirp-z itself
+        count = _crossover(pair.n) + 99
+        assert np.array_equal(sampler(0.5, 2.0, count), np.abs(
+            _chirp_grid(pair.q.coeffs, 0.5, 2.0, count)))
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, TAU), (0.5, 2.0)])
     def test_memory_guard(self, alpha, beta):
@@ -248,6 +263,155 @@ class TestSamplers:
                         evaluate.flatness_defect_sampler(pair)):
             with pytest.raises(ResourceLimitError):
                 sampler(alpha, beta, 10 ** 11)
+
+
+def _chirp_tol(n):
+    return 10 * EPS * max(n, 4) ** 1.5
+
+
+def _chirp_counts(n):
+    # one short block, then below, at and above the dispatch crossover;
+    # the block is max(4n, 4096) - n + 1 points, and the last count ends
+    # in a partial block
+    block = max(4 * n, 4096) - n + 1
+    cross = _crossover(n)
+    counts = sorted({1000, cross - 1, cross, cross + block // 2 + 7})
+    assert counts[-1] > block and counts[-1] % block
+    return counts
+
+
+def _chirp_arcs(k):
+    # a seeded subarc, one that wraps past 2 pi, and a near-full arc
+    rng = np.random.default_rng(1000 + k)
+    alpha = rng.uniform(0.0, TAU)
+    return [(alpha, alpha + rng.uniform(0.2, 3.0)), (5.0, 9.0),
+            (0.1, 0.1 + TAU * (1 - 1e-9))]
+
+
+class TestChirpValues:
+    """Chirp-z against the compensated Horner oracle and the recursion.
+
+    Tolerances take the suite's form 10 * eps * n^1.5: the oracle and the
+    recursion evaluate at rounded float angles, the chirp at the exact
+    alpha + (2j + s) g, and |S'| <= n^1.5 turns the angle rounding into
+    value differences of that order.  n is floored at 4, because below
+    that the rounding of the 4096-point FFT blocks (measured 6.4 * eps at
+    n = 1) exceeds n^1.5.
+    """
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_matches_recursion(self, k, half_offset):
+        pair = generate_pair(k)
+        n = pair.n
+        for alpha, beta in _chirp_arcs(k):
+            for count in _chirp_counts(n):
+                chunks = list(evaluate.iter_pair_chunks(
+                    pair, alpha, beta, count, half_offset=half_offset))
+                for poly, pick in ((pair.p, 1), (pair.q, 2)):
+                    rec = np.concatenate([c[pick] for c in chunks])
+                    cz = _chirp_grid(poly.coeffs, alpha, beta, count,
+                                     half_offset)
+                    # measured worst 6.4 * eps * n^1.5 (k = 14)
+                    assert np.max(np.abs(cz - rec)) <= _chirp_tol(n)
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_matches_horner(self, k, half_offset):
+        pair = generate_pair(k)
+        n = pair.n
+        # 32 spread samples per grid, one oracle call per polynomial
+        grids = [(alpha, beta, count,
+                  np.unique(np.linspace(0, count - 1, 32).astype(int)))
+                 for alpha, beta in _chirp_arcs(k)
+                 for count in _chirp_counts(n)]
+        thetas = np.concatenate([
+            circle_grid(alpha, beta, count, half_offset)[i]
+            for alpha, beta, count, i in grids])
+        for poly in (pair.p, pair.q):
+            cz = np.concatenate([
+                _chirp_grid(poly.coeffs, alpha, beta, count, half_offset)[i]
+                for alpha, beta, count, i in grids])
+            # measured worst 4.8 * eps * n^1.5, from the oracle's angles
+            assert np.max(np.abs(cz - eval_horner(poly, thetas))) <= \
+                _chirp_tol(n)
+
+    @pytest.mark.parametrize("k", FFT_KS)
+    def test_exact_angles(self, k):
+        # with alpha and g dyadic every float grid angle is exact, so the
+        # oracle sees the chirp's own points; measured worst 0.3 * eps *
+        # n^1.5 for k >= 5, and 5.1 * eps at k = 0 (FFT rounding)
+        pair = generate_pair(k)
+        n = pair.n
+        thetas, values = [], []
+        for count in _chirp_counts(n):
+            for s in (0, 1):
+                g = 2.0 ** -((2 * count).bit_length() + 1)
+                alpha = 0.5 + 3 * g
+                beta = alpha + 2 * count * g
+                grid = circle_grid(alpha, beta, count, half_offset=bool(s))
+                assert np.array_equal(
+                    grid, alpha + (2 * np.arange(count) + s) * g)
+                i = np.unique(np.linspace(0, count - 1, 32).astype(int))
+                thetas.append(grid[i])
+                values.append(_chirp_grid(pair.q.coeffs, alpha, beta, count,
+                                          half_offset=bool(s))[i])
+        oracle = eval_horner(pair.q, np.concatenate(thetas))
+        assert np.max(np.abs(np.concatenate(values) - oracle)) <= \
+            _chirp_tol(n)
+
+    def test_phases_exact_past_large_products(self):
+        # exp(i x g) for x up to 2^52: the reduction mod 2 pi keeps the
+        # phase within a few ulps where a plain product would be off by
+        # eps * x * g (about 2.5e-3 radians at x = 2^52, g = 1.1)
+        two_pi = Fraction("6.28318530717958647692528676655900576839433879875")
+        x = np.array([0, 1, 3, 2 ** 20 + 1, 2 ** 40 - 3, 2 ** 52 - 1],
+                     dtype=np.float64)
+        for g in (1.1, -0.37, 2.0 ** -18 * 3, 5.0e-7):
+            got = evaluate._unit_phase(x, g)
+            for xi, value in zip(x, got):
+                phase = Fraction(int(xi)) * Fraction(g) % two_pi
+                assert abs(value - cmath.exp(1j * float(phase))) <= 4 * EPS
+
+    def test_repeated_calls_bit_identical(self):
+        pair = generate_pair(12)
+        count = _crossover(pair.n) + 12345
+        first = _chirp_grid(pair.p.coeffs, 0.7, 4.1, count)
+        assert np.array_equal(first, _chirp_grid(pair.p.coeffs, 0.7, 4.1,
+                                                 count))
+        assert np.array_equal(first, _chirp_grid(pair.p.coeffs.copy(), 0.7,
+                                                 4.1, count))
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_dispatch(self, k):
+        # below the crossover the recursion's own values, from it on the
+        # chirp's, in blocks that concatenate to the grid
+        pair = generate_pair(k)
+        cross = _crossover(pair.n)
+        for count in (cross - 1, cross, 3 * cross + 5):
+            blocks = list(evaluate.iter_arc_values(pair, "q", 0.4, 2.9, count))
+            got = np.concatenate(blocks)
+            if count < cross:
+                expect = np.concatenate([c[2] for c in evaluate.iter_pair_chunks(
+                    pair, 0.4, 2.9, count)])
+            else:
+                expect = _chirp_grid(pair.q.coeffs, 0.4, 2.9, count)
+                assert len(blocks) > 1
+            assert np.array_equal(got, expect)
+
+    def test_guards(self):
+        coeffs = generate_pair(3).p.coeffs
+        with pytest.raises(ValueError):
+            next(evaluate.iter_chirp_values(coeffs, 0.0, 1.0, 0))
+        with pytest.raises(ValueError, match="exactness"):
+            next(evaluate.iter_chirp_values(coeffs, 0.0, 1.0, 2 ** 52))
+        # past the exact-phase limit the dispatch keeps the recursion
+        pair = generate_pair(3)
+        first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0, 2 ** 50))
+        assert np.array_equal(first, next(evaluate.iter_pair_chunks(
+            pair, 0.0, 1.0, 2 ** 50))[1])
 
 
 class TestDerivativeRecursion:

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from rudin_shapiro import evaluate
 from rudin_shapiro.core import LittlewoodPolynomial, generate_pair
 from rudin_shapiro.evaluate import eval_pair_point
 from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
                                  flatness_defect_mahler, mahler_arc, mq_arc,
-                                 mq_limit_diagnostic, rel_step_tolerance)
+                                 mq_arcs, mq_limit_diagnostic,
+                                 rel_step_tolerance)
 
 TAU = math.tau
 
@@ -85,6 +87,40 @@ class TestMqArc:
         est = mq_arc((pair, "p"), arc, q, count=1 << 14)
         assert est.value == pytest.approx(expected, rel=1e-7)
         assert abserr < 1e-8
+
+
+class TestMqArcs:
+    @pytest.mark.parametrize("arc, count", [
+        (Arc(0.3, 2.9), None),               # recursion grids
+        (Arc(0.3, 2.9), 1 << 15),            # chirp-z grids
+        (Arc(5.0, 5.0 + TAU - 1e-6), None),  # wraps past 2 pi, chirp-z
+        (FULL_CIRCLE, None),                 # FFT grids
+    ])
+    def test_equals_mq_arc_bitwise(self, arc, count):
+        source = (generate_pair(10), "q")
+        q1, q2 = 0.25, 3.0
+        assert mq_arcs(source, arc, [q1, q2], count) == \
+            [mq_arc(source, arc, q1, count), mq_arc(source, arc, q2, count)]
+
+    def test_one_c_grid_and_one_2c_grid(self):
+        pair = generate_pair(9)
+        inner = evaluate.pair_modulus_sampler(pair, "p")
+        calls = []
+
+        def spy(alpha, beta, count, half_offset=True):
+            calls.append((alpha, beta, count, half_offset))
+            return inner(alpha, beta, count, half_offset)
+
+        arc = Arc(0.5, 3.5)
+        ests = mq_arcs(spy, arc, [0.25, 1.0, 2.0, 4.0], count=5000)
+        assert calls == [(0.5, 3.5, 5000, True), (0.5, 3.5, 10000, True)]
+        assert [est.q for est in ests] == [0.25, 1.0, 2.0, 4.0]
+        assert all(est.count == 5000 for est in ests)
+
+    @pytest.mark.parametrize("qs", [[], [2.0, 0.0], [math.inf], [math.nan]])
+    def test_rejects_bad_exponents(self, qs):
+        with pytest.raises(ValueError):
+            mq_arcs((generate_pair(2), "p"), FULL_CIRCLE, qs)
 
 
 class TestMahlerArc:
