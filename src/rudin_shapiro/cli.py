@@ -251,6 +251,7 @@ def cmd_roots(args, out_dir: Path) -> int:
 
 def cmd_census(args, out_dir: Path) -> int:
     which = ("p", "q") if args.which == "both" else (args.which,)
+    flagged = 0
     for k in parse_k_range(args.k):
         pair = generate_pair(k)
         results = []
@@ -279,7 +280,8 @@ def cmd_census(args, out_dir: Path) -> int:
             print(f"k={k} {res['component']}: inside={res['inside_open_disk']} "
                   f"circle={res['on_circle_within_eps']} outside={res['outside']} "
                   f"real={res['real_zeros']}")
-    return EXIT_OK
+            flagged += res["flagged_roots"]
+    return EXIT_OK if flagged == 0 else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args, out_dir: Path) -> int:

@@ -17,7 +17,6 @@ carry-less arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 MERCER_CERT_VERSION = 1
@@ -246,7 +245,7 @@ def random_skew_reciprocal(m: int, rng) -> list[int]:
 
 
 def circle_min_modulus(coeffs, points_per_degree: int = 64) -> float:
-    """Numerical falsifier: min |S| over a dense uniform circle grid.
+    """Numerical falsifier: min |S| over a dense half-offset circle grid.
 
     A certified polynomial must keep this strictly positive; a zero on
     the circle would drag it to the grid resolution.
@@ -257,6 +256,5 @@ def circle_min_modulus(coeffs, points_per_degree: int = 64) -> float:
 
     degree = len(coeffs) - 1
     count = max(64, points_per_degree * max(1, degree))
-    thetas = evaluate.circle_grid(0.0, math.tau, count)
-    vals = evaluate.eval_horner([float(c) for c in coeffs], thetas)
+    vals = evaluate.circle_values(coeffs, count)
     return float(np.min(np.abs(vals)))

@@ -126,6 +126,15 @@ def _pick_count(count, n_hint, arc: Arc) -> int:
     return default_count(n_hint, arc)
 
 
+def _grids(source, arc: Arc, count):
+    """The count and the c-grid and 2c-grid of |S| on arc, drawn lazily."""
+    if not isinstance(arc, Arc):
+        raise ValueError("arc must be an Arc")
+    sampler, n_hint = _resolve_source(source)
+    count = _pick_count(count, n_hint, arc)
+    return count, (sampler(arc.alpha, arc.beta, c) for c in (count, 2 * count))
+
+
 def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate]:
     """Midpoint estimates of M_q(S, [alpha, beta]) for every q in qs.
 
@@ -134,21 +143,19 @@ def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate
     doubled-resolution refinement; convergence is measured by the
     relative step, never assumed monotone.
     """
-    if not isinstance(arc, Arc):
-        raise ValueError("arc must be an Arc")
     qs = list(qs)
     if not qs or not all(0 < q < math.inf for q in qs):
         raise ValueError("M_q needs finite exponents q > 0; "
                          "use mahler_arc for q = 0")
-    sampler, n_hint = _resolve_source(source)
-    count = _pick_count(count, n_hint, arc)
+    count, grids = _grids(source, arc, count)
+    return _mq_estimates(grids, qs, count)
 
-    def estimates(c: int) -> list[float]:
-        vals = sampler(arc.alpha, arc.beta, c)
-        return [pairwise_mean(vals ** q) ** (1.0 / q) for q in qs]
 
+def _mq_estimates(grids, qs, count: int) -> list[NormEstimate]:
+    value_rows = ([pairwise_mean(vals ** q) ** (1.0 / q) for q in qs]
+                  for vals in grids)
     out = []
-    for q, value, refined in zip(qs, estimates(count), estimates(2 * count)):
+    for q, value, refined in zip(qs, *value_rows):
         rel_step = abs(value - refined) / max(value, 1e-300)
         out.append(NormEstimate(q=q, value=value, count=count,
                                 refined_value=refined, rel_step=rel_step,
@@ -186,15 +193,13 @@ def _log_mean(vals: np.ndarray, spacing: float,
     return pairwise_mean(np.log(vals[keep])), excluded
 
 
-def _mahler_estimate(sampler, arc: Arc, count: int,
+def _mahler_estimate(grids, arc: Arc, count: int,
                      exclusion_radius: float) -> NormEstimate:
-    def one(c: int) -> tuple[float, int]:
-        vals = sampler(arc.alpha, arc.beta, c)
+    def one(vals: np.ndarray, c: int) -> tuple[float, int]:
         mean_log, excluded = _log_mean(vals, arc.length / c, exclusion_radius)
         return math.exp(mean_log) if mean_log > -math.inf else 0.0, excluded
 
-    value, excluded = one(count)
-    refined, excluded2 = one(2 * count)
+    (value, excluded), (refined, excluded2) = map(one, grids, (count, 2 * count))
     if excluded == count and excluded2 == 2 * count:
         return NormEstimate(q=0.0, value=0.0, count=count, refined_value=0.0,
                             rel_step=0.0, excluded=excluded, flagged=True,
@@ -213,13 +218,10 @@ def _mahler_estimate(sampler, arc: Arc, count: int,
 def mahler_arc(source, arc: Arc, count: int | None = None,
                exclusion_radius: float = 0.0) -> NormEstimate:
     """Midpoint estimate of the Mahler measure M_0(S, [alpha, beta])."""
-    if not isinstance(arc, Arc):
-        raise ValueError("arc must be an Arc")
     if not 0 <= exclusion_radius < math.inf:
         raise ValueError("exclusion_radius must be finite and >= 0")
-    sampler, n_hint = _resolve_source(source)
-    count = _pick_count(count, n_hint, arc)
-    return _mahler_estimate(sampler, arc, count, exclusion_radius)
+    count, grids = _grids(source, arc, count)
+    return _mahler_estimate(grids, arc, count, exclusion_radius)
 
 
 def mq_limit_diagnostic(source, arc: Arc, q_list,
@@ -228,15 +230,16 @@ def mq_limit_diagnostic(source, arc: Arc, q_list,
 
     Power-mean monotonicity makes the values nonincreasing along the
     ladder up to quadrature tolerance, and they approach the final M_0
-    entry; callers assert both.
+    entry; callers assert both.  Every entry shares the c and 2c grids.
     """
     qs = [float(q) for q in q_list]
-    if not qs or any(q <= 0 for q in qs) or \
+    if not qs or not all(0 < q < math.inf for q in qs) or \
             any(b >= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_list must be strictly decreasing positive reals")
-    estimates = mq_arcs(source, arc, qs, count)
-    estimates.append(mahler_arc(source, arc, count))
-    return estimates
+    count, grids = _grids(source, arc, count)
+    grids = list(grids)
+    return _mq_estimates(grids, qs, count) + \
+        [_mahler_estimate(grids, arc, count, 0.0)]
 
 
 def flatness_defect_mahler(pair: RudinShapiroPair,
@@ -247,9 +250,9 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     so near-zero samples are handled exactly as in mahler_arc; callers
     typically report value / sqrt(n).
     """
-    sampler = evaluate.flatness_defect_sampler(pair)
-    return _mahler_estimate(sampler, FULL_CIRCLE,
-                            _pick_count(count, pair.n, FULL_CIRCLE), 0.0)
+    count, grids = _grids(evaluate.flatness_defect_sampler(pair), FULL_CIRCLE,
+                          _pick_count(count, pair.n, FULL_CIRCLE))
+    return _mahler_estimate(grids, FULL_CIRCLE, count, 0.0)
 
 
 NORM_TABLE_COLUMNS = ["k", "alpha", "beta", "q", "value", "count",

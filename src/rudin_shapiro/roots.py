@@ -3,7 +3,10 @@
 Littlewood polynomials concentrate their roots near the unit circle,
 which makes deflation unstable; find_roots therefore refines all roots
 jointly by Aberth-Ehrlich simultaneous iteration (Jacobi sweeps, so the
-update order cannot depend on scheduling).
+update order cannot depend on scheduling).  A root freezes once its step
+is below tol (Bini & Fiorentino 2000), so a sweep costs (moving roots) x
+degree, not degree^2, and S, S' come from a blocked Horner scheme in
+about 2 sqrt(degree) numpy steps.
 
 Real-zero counts are also exact, independent of any floating-point
 solver: the remainder sequence of (P, P') runs modulo batches of
@@ -23,7 +26,7 @@ import numpy as np
 
 from .core import LittlewoodPolynomial, ResourceLimitError
 
-#: Simultaneous iteration is O(degree^2) per sweep.
+#: A sweep costs (moving roots) x degree; early sweeps move all of them.
 MAX_ABERTH_DEGREE = 1 << 14
 #: An exact real-zero count at degree 2047 takes about 50 s on one core;
 #: the cost grows about 8x per doubling of the degree.
@@ -76,33 +79,55 @@ def _coefficients(poly) -> np.ndarray:
     return arr
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.full_like(x, complex(c[-1]))
-    for j in range(len(c) - 2, -1, -1):
-        acc = acc * x + c[j]
-    return acc
+def _coefficient_blocks(c: np.ndarray) -> np.ndarray:
+    """(nb, 2, B) blocks of S and S' coefficients, B = ceil(sqrt(d + 1)).
+
+    blocks[i, :, r] holds the coefficients of z^(iB + r) in S and S',
+    zero-padded past the top degree.
+    """
+    size = len(c)
+    width = math.isqrt(size - 1) + 1
+    pair = np.zeros((2, -(-size // width) * width))
+    pair[0, :size] = c
+    pair[1, :size - 1] = c[1:] * np.arange(1, size)
+    return pair.reshape(2, -1, width).transpose(1, 0, 2).copy()
 
 
-def _newton_ratio(c, dc, c_rev, dc_rev, x):
+def _blocked_horner(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(S(x), S'(x)) as an (m, 2) array: Horner in y = x^B, then in x.
+
+    About nb + B numpy steps on (m, 2, B) arrays instead of d on (m,).
+    """
+    width = blocks.shape[2]
+    y = (x ** width)[:, None, None]
+    acc = np.empty((len(x), 2, width), dtype=np.complex128)
+    acc[:] = blocks[-1]
+    for block in blocks[-2::-1]:
+        acc *= y
+        acc += block
+    out = acc[..., -1]
+    for r in range(width - 2, -1, -1):
+        out = out * x[:, None] + acc[..., r]
+    return out
+
+
+def _newton_ratio(blocks, blocks_rev, d, x):
     """S(x)/S'(x), switching to reversed coefficients for |x| > 1.
 
     With y = 1/x and q the reversed polynomial, S(x) = x^d q(y) and
     S'(x) = x^(d-1) (d q(y) - y q'(y)); evaluating q at |y| < 1 avoids
     the overflow of x^d at high degree.
     """
-    d = len(c) - 1
     ratio = np.empty_like(x)
     inner = np.abs(x) <= 1.0
     xi = x[inner]
     if xi.size:
-        pv = _horner(c, xi)
-        dv = _horner(dc, xi)
+        pv, dv = _blocked_horner(blocks, xi).T
         ratio[inner] = pv / np.where(dv == 0, 1e-300, dv)
     xo = x[~inner]
     if xo.size:
         y = 1.0 / xo
-        qv = _horner(c_rev, y)
-        dqv = _horner(dc_rev, y)
+        qv, dqv = _blocked_horner(blocks_rev, y).T
         denom = d * qv - y * dqv
         ratio[~inner] = xo * qv / np.where(denom == 0, 1e-300, denom)
     return ratio
@@ -114,9 +139,10 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
 
     Starts from a circle of radius 1 + 1/degree with seeded random
     phases (roots cluster near the unit circle), refines every root
-    jointly with no deflation, and always verifies residuals.  On
-    non-convergence the partial result is returned with flags set,
-    never silently.
+    jointly with no deflation, and always verifies residuals of all
+    roots.  A root whose capped step has |delta| / (1 + |z|) < tol is
+    frozen, yet still repels the moving ones.  On non-convergence the
+    partial result is returned with flags set, never silently.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -130,9 +156,8 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
         raise ResourceLimitError(
             f"degree {degree} exceeds the simultaneous-iteration limit "
             f"{MAX_ABERTH_DEGREE}")
-    dc = c[1:] * np.arange(1, degree + 1, dtype=np.float64)
-    c_rev = c[::-1].copy()
-    dc_rev = c_rev[1:] * np.arange(1, degree + 1, dtype=np.float64)
+    blocks = _coefficient_blocks(c)
+    blocks_rev = _coefficient_blocks(c[::-1])
 
     rng = np.random.default_rng(seed)
     x = (1.0 + 1.0 / degree) * np.exp(1j * math.tau * rng.random(degree))
@@ -140,28 +165,35 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
     # Aberth steps can overshoot badly from a bad configuration; a cap
     # on the move length keeps iterates near the root annulus.
     step_cap = 0.5
-    block = max(1, (1 << 22) // degree)
+    block = max(1, (1 << 16) // degree)  # rows per cache-sized block
+    active = np.arange(degree)
     iterations = 0
     converged = False
     for _ in range(max_iter):
         iterations += 1
-        newton = _newton_ratio(c, dc, c_rev, dc_rev, x)
-        repulsion = np.zeros(degree, dtype=np.complex128)
-        for lo in range(0, degree, block):
-            hi = min(lo + block, degree)
-            diff = x[lo:hi, None] - x[None, :]
-            rows = np.arange(lo, hi)
-            diff[rows - lo, rows] = np.inf
-            repulsion[lo:hi] = (1.0 / diff).sum(axis=1)
+        xa = x[active]
+        newton = _newton_ratio(blocks, blocks_rev, degree, xa)
+        repulsion = np.empty_like(xa)
+        for lo in range(0, len(active), block):
+            # sum over j != i of 1/(x_i - x_j) = conj(diff) / |diff|^2
+            xb = xa[lo:lo + block]
+            own = (np.arange(len(xb)), active[lo:lo + block])
+            re, im = xb.real[:, None] - x.real, xb.imag[:, None] - x.imag
+            re[own] = 1.0  # keeps |diff|^2 > 0; the self weight is zeroed
+            w = 1.0 / (re * re + im * im)
+            w[own] = 0.0
+            repulsion[lo:lo + block] = (re * w).sum(1) - 1j * (im * w).sum(1)
         delta = newton / (1.0 - newton * repulsion)
         mag = np.abs(delta)
         delta *= np.minimum(1.0, step_cap / np.maximum(mag, 1e-300))
-        x = x - delta
-        if float(np.max(np.abs(delta) / (1.0 + np.abs(x)))) < tol:
+        x[active] = xa - delta
+        # a NaN step fails the test and stays active
+        active = active[~(np.abs(delta) / (1.0 + np.abs(x[active])) < tol)]
+        if not active.size:
             converged = True
             break
 
-    residuals = np.abs(_newton_ratio(c, dc, c_rev, dc_rev, x))
+    residuals = np.abs(_newton_ratio(blocks, blocks_rev, degree, x))
     flags = residuals > tol
     return RootSet(roots=x, residuals=residuals, flags=flags, tolerance=tol,
                    degree=degree, seed=seed, iterations=iterations,

@@ -201,6 +201,18 @@ class TestSubcommands:
             # under theta -> theta + pi
             assert q_min == pytest.approx(p_min, rel=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "--k", "3", "--tol", "1e-300"],
+        ["roots", "--k", "3", "--tol", "1e-300"],
+    ], ids=["census", "roots"])
+    def test_flagged_roots_fail_the_check(self, tmp_path, capsys, argv):
+        # P_3(-1) = Q_3(1) = 0 is hit exactly; the other 6 roots stay flagged
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        if argv[0] == "census":
+            payload = json.loads((tmp_path / "census_k03.json").read_text())
+            assert [entry["flagged_roots"] for entry in payload["results"]] \
+                == [6, 6]
+
     def test_verify_gated_pass(self, tmp_path, capsys):
         assert main(["verify", "lattice_pair", "--k", "1..6",
                      "--out", str(tmp_path)]) == 0

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rudin_shapiro.core import generate_pair
+from rudin_shapiro.evaluate import circle_grid, eval_horner
 from rudin_shapiro.gf2 import (GF2_ONE, GF2Poly, circle_min_modulus, gf2_add,
                                gf2_divmod, gf2_gcd, gf2_mul,
                                is_skew_reciprocal, mercer_certificate,
@@ -191,3 +194,15 @@ class TestMercerCertificate:
         assert circle_min_modulus(coeffs) > 1e-9
         rootset = find_roots(coeffs)
         assert np.min(np.abs(np.abs(rootset.roots) - 1.0)) > 1e-7
+
+    def test_falsifier_matches_horner_minimum(self):
+        # the FFT grid against the compensated Horner oracle on the same
+        # half-offset points, 64 per degree
+        rng = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        for m in rng.integers(1, 33, size=40).tolist() + [1, 64]:
+            coeffs = random_skew_reciprocal(m, rng)
+            count = 64 * (len(coeffs) - 1)
+            oracle = np.abs(eval_horner(coeffs, circle_grid(0, math.tau, count)))
+            assert abs(circle_min_modulus(coeffs) - oracle.min()) <= \
+                32 * eps * len(coeffs)

@@ -191,6 +191,29 @@ class TestLimitDiagnostic:
             mq_limit_diagnostic(LittlewoodPolynomial([1]), FULL_CIRCLE,
                                 (1.0, 2.0), count=128)
 
+    @pytest.mark.parametrize("qs", [(math.inf, 1.0), (1.0, math.nan),
+                                    (1.0, 0.0), ()])
+    def test_rejects_bad_exponents(self, qs):
+        with pytest.raises(ValueError):
+            mq_limit_diagnostic(LittlewoodPolynomial([1]), FULL_CIRCLE,
+                                qs, count=128)
+
+    def test_one_c_grid_and_one_2c_grid(self):
+        pair = generate_pair(9)
+        inner = evaluate.pair_modulus_sampler(pair, "p")
+        counts = []
+
+        def spy(alpha, beta, count, half_offset=True):
+            counts.append(count)
+            return inner(alpha, beta, count, half_offset)
+
+        arc = Arc(0.0, 1.0)
+        ests = mq_limit_diagnostic(spy, arc, [2, 1, 0.5], count=4096)
+        assert counts == [4096, 8192]
+        # the same estimates as separate M_q and M_0 calls, bit for bit
+        assert ests == mq_arcs((pair, "p"), arc, [2.0, 1.0, 0.5], 4096) + \
+            [mahler_arc((pair, "p"), arc, 4096)]
+
 
 class TestPowerMeanMonotonicity:
     @settings(max_examples=25)

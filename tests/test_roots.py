@@ -1,9 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rudin_shapiro.roots as roots_mod
@@ -103,6 +104,70 @@ def poly_mul(f, g):
     return out
 
 
+def horner(c, x):
+    """Oracle: plain Horner, one numpy step per coefficient."""
+    acc = np.full_like(x, complex(c[-1]))
+    for j in range(len(c) - 2, -1, -1):
+        acc = acc * x + c[j]
+    return acc
+
+
+def horner_newton_ratio(c, x):
+    """Oracle: S(x)/S'(x) by plain Horner, reversed coefficients for |x| > 1."""
+    d = len(c) - 1
+    m = np.arange(d + 1, dtype=np.float64)
+    ratio = np.empty_like(x)
+    inner = np.abs(x) <= 1.0
+    xi, xo = x[inner], x[~inner]
+    if xi.size:
+        dv = horner(c[1:] * m[1:], xi)
+        ratio[inner] = horner(c, xi) / np.where(dv == 0, 1e-300, dv)
+    if xo.size:
+        y = 1.0 / xo
+        qv, dqv = horner(c[::-1], y), horner(c[::-1][1:] * m[1:], y)
+        denom = d * qv - y * dqv
+        ratio[~inner] = xo * qv / np.where(denom == 0, 1e-300, denom)
+    return ratio
+
+
+def unfrozen_find_roots(c, tol=1e-10, max_iter=200, seed=0):
+    """Reference: Aberth sweeps that update every root until all converge.
+
+    Same start and step cap as find_roots, but no root is ever frozen:
+    every root moves in every sweep until all steps of one sweep are
+    below tol, and the Newton ratio comes from plain Horner.  Returns
+    (roots, iterations).
+    """
+    c = np.asarray(c, dtype=np.float64)
+    degree = len(c) - 1
+    rng = np.random.default_rng(seed)
+    x = (1.0 + 1.0 / degree) * np.exp(1j * math.tau * rng.random(degree))
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        newton = horner_newton_ratio(c, x)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        delta = newton / (1.0 - newton * (1.0 / diff).sum(axis=1))
+        delta *= np.minimum(1.0, 0.5 / np.maximum(np.abs(delta), 1e-300))
+        x = x - delta
+        if float(np.max(np.abs(delta) / (1.0 + np.abs(x)))) < tol:
+            break
+    return x, iterations
+
+
+def squarefree(coeffs) -> bool:
+    """gcd(P, P') is a constant, by an exact primitive remainder sequence."""
+    p = [int(c) for c in coeffs]
+    a, b = _primitive(p), _primitive([i * p[i] for i in range(1, len(p))])
+    while len(b) > 1:
+        r, _sign = _pseudo_remainder(a, b)
+        if not r:
+            return False
+        a, b = b, _primitive(r)
+    return True
+
+
 class TestFindRoots:
     def test_one_plus_z(self):
         rootset = find_roots(LittlewoodPolynomial([1, 1]))
@@ -175,6 +240,91 @@ class TestFindRoots:
         reconstructed = float(pair.p.coeffs[-1]) * np.poly(rootset.roots)[::-1]
         assert np.max(np.abs(reconstructed.real - pair.p.coeffs)) <= 1e-6
         assert np.max(np.abs(reconstructed.imag)) <= 1e-6
+
+
+class TestAberthSweep:
+    """The blocked Newton-ratio kernel and the sweep that freezes roots."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 15, 16, 17, 255, 1023])
+    def test_blocked_ratio_matches_horner(self, degree):
+        # d + 1 = 3, 17 and 18 are not multiples of B = ceil(sqrt(d + 1))
+        rng = np.random.default_rng(degree)
+        c = rng.choice([-1.0, 1.0], size=degree + 1)
+        radii = np.concatenate([rng.uniform(0.2, 0.999, 200),
+                                rng.uniform(1.001, 5.0, 200),
+                                1.0 + rng.uniform(-1e-8, 1e-8, 200)])
+        x = radii * np.exp(1j * math.tau * rng.random(radii.size))
+        blocks = roots_mod._coefficient_blocks(c)
+        blocks_rev = roots_mod._coefficient_blocks(c[::-1])
+        got = roots_mod._newton_ratio(blocks, blocks_rev, degree, x)
+        want = horner_newton_ratio(c, x)
+        # first-order bound: eps * d times the sum of |terms| of S and S'
+        # (or of q and d q - y q', y = 1/x, past the circle), relative to
+        # their values
+        m = np.arange(degree + 1, dtype=np.float64)
+        inner = np.abs(x) <= 1.0
+        w = np.where(inner, x, 1.0 / x)
+        s, ds = horner(c, w), horner(c[1:] * m[1:], w)
+        q, dq = horner(c[::-1], w), horner(c[::-1][1:] * m[1:], w)
+        values = np.abs(np.where(inner, s, q))
+        slopes = np.abs(np.where(inner, ds, degree * q - w * dq))
+        terms = np.where(inner[:, None], np.abs(c), np.abs(c[::-1])) * \
+            np.abs(w)[:, None] ** m
+        value_terms = terms.sum(axis=1)
+        slope_terms = np.where(inner, (terms * m).sum(axis=1) / np.abs(w),
+                               (terms * (degree + m)).sum(axis=1))
+        cond = value_terms / values + slope_terms / slopes
+        tol = 4 * np.finfo(float).eps * degree * cond * np.abs(want)
+        assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("component", ["p", "q"])
+    def test_pairs_match_unfrozen_sweeps(self, k, component):
+        poly = getattr(generate_pair(k), component)
+        self._assert_match_unfrozen(poly.coeffs)
+
+    @settings(max_examples=30)
+    @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=65))
+    def test_littlewood_match_unfrozen_sweeps(self, coeffs):
+        # a multiple root is only resolved to ~sqrt(eps) by either loop
+        assume(squarefree(coeffs))
+        self._assert_match_unfrozen(coeffs)
+
+    @staticmethod
+    def _assert_match_unfrozen(coeffs):
+        rootset = find_roots(coeffs)
+        reference, iterations = unfrozen_find_roots(coeffs)
+        assert not rootset.flags.any() and rootset.converged
+        assert rootset.iterations <= iterations
+        dist = np.abs(rootset.roots[:, None] - reference[None, :])
+        assert dist.min(axis=0).max() <= 1e-9  # every reference root
+        assert dist.min(axis=1).max() <= 1e-9  # every computed root
+        assert zero_census(rootset) == zero_census(
+            dataclasses.replace(rootset, roots=reference))
+        jensen = math.exp(np.sum(np.log(np.maximum(1.0, np.abs(reference)))))
+        assert jensen_mahler(rootset) == pytest.approx(jensen, rel=1e-12)
+
+    def test_residuals_cover_every_root(self):
+        c = generate_pair(8).p.coeffs.astype(np.float64)
+        blocks = roots_mod._coefficient_blocks(c)
+        blocks_rev = roots_mod._coefficient_blocks(c[::-1])
+        for max_iter in (20, 200):  # stopped with some roots frozen; converged
+            rootset = find_roots(c, max_iter=max_iter)
+            steps = np.abs(roots_mod._newton_ratio(blocks, blocks_rev, 255,
+                                                   rootset.roots))
+            assert np.array_equal(rootset.residuals, steps)
+            assert np.array_equal(rootset.flags, steps > rootset.tolerance)
+        assert rootset.converged and not rootset.flags.any()
+        oracle = np.abs(horner_newton_ratio(c, rootset.roots))
+        assert np.all(np.abs(rootset.residuals - oracle) <= 1e-13)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_unreachable_tolerance_flags_every_root(self, k):
+        # no root of P_k, k even, is a float where S evaluates to exactly 0
+        rootset = find_roots(generate_pair(k).p, tol=1e-300, max_iter=15)
+        assert rootset.flags.all()
+        assert rootset.iterations == 15
+        assert not rootset.converged
 
 
 class TestJensenMahler:
