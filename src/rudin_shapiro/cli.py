@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +52,8 @@ def parse_angle(text: str) -> float:
     value = coeff * (math.pi if match.group(2) else 1.0)
     if match.group(3):
         value /= float(match.group(3))
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
     return value
 
 
@@ -290,6 +291,9 @@ def cmd_verify(args, out_dir: Path) -> int:
     names = [args.name] if args.name != "all" else "all"
     reports = verify.run_verification(names, ks, n_arcs=args.arcs, qs=qs,
                                       seed=args.seed)
+    if not reports:
+        raise ValueError(f"verify {args.name} runs no check for --k {args.k} "
+                         f"--arcs {args.arcs}")
     config = _config(args, name=args.name, k=args.k, arcs=args.arcs, q=qs)
     by_name: dict[str, list] = {}
     for report in reports:
@@ -408,28 +412,6 @@ def cmd_problem55(args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, out_dir: Path) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    pair = generate_pair(args.k)
-    timings["generate_seconds"] = time.perf_counter() - t0
-    count = args.count or norms.default_count(pair.n, FULL_CIRCLE)
-    t0 = time.perf_counter()
-    for poly in (pair.p, pair.q):
-        evaluate.circle_values(poly.coeffs, count)
-    dt = time.perf_counter() - t0
-    timings["grid_eval_seconds"] = dt
-    timings["grid_points_per_second"] = count / dt if dt > 0 else math.inf
-    t0 = time.perf_counter()
-    norms.mq_arc((pair, "p"), FULL_CIRCLE, 2.0, count)
-    timings["m2_seconds"] = time.perf_counter() - t0
-    config = _config(args, k=args.k, count=count)
-    write_json_artifact(out_dir / "bench.json", config, timings)
-    print(f"k={args.k} count={count} "
-          f"eval={timings['grid_points_per_second']:.3g} points/s")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -525,11 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--count", type=int)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="evaluation throughput measurements")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--count", type=int)
-
     return parser
 
 
@@ -545,7 +522,6 @@ COMMANDS = {
     "saffari": cmd_saffari,
     "mercer": cmd_mercer,
     "problem55": cmd_problem55,
-    "bench": cmd_bench,
 }
 
 

@@ -132,14 +132,10 @@ def parallelogram_residual(pair: RudinShapiroPair, num_samples: int) -> float:
     from . import evaluate
 
     two_n = 2.0 * pair.n
-    if num_samples <= evaluate.GRID_MAX_COUNT:
-        blocks = [(evaluate.circle_values(pair.p.coeffs, num_samples),
-                   evaluate.circle_values(pair.q.coeffs, num_samples))]
-    else:
-        blocks = (chunk[1:] for chunk in evaluate.iter_pair_chunks(
-            pair, 0.0, 2.0 * np.pi, num_samples))
+    blocks = zip(evaluate.iter_circle_values(pair.p.coeffs, num_samples),
+                 evaluate.iter_circle_values(pair.q.coeffs, num_samples))
     return max(float(np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - two_n)))
-               for p, q in blocks) / two_n
+               for (*_, p), (*_, q) in blocks) / two_n
 
 
 def conjugate_relation_residual(pair: RudinShapiroPair,
@@ -161,17 +157,12 @@ def conjugate_relation_residual(pair: RudinShapiroPair,
 
     from . import evaluate
 
-    # Past the grid cap, P(-z) comes from the rounded angles theta + pi,
-    # which moves a degree-(n-1) value by up to n * |P| * ulp.
-    if num_samples <= evaluate.GRID_MAX_COUNT:
-        blocks = [(evaluate.circle_values(q, num_samples),
-                   evaluate.circle_values(signs * p, num_samples))]
-    else:
-        blocks = ((qv, evaluate.eval_pair_grid(pair, th + np.pi)[0])
-                  for th, _pv, qv in evaluate.iter_pair_chunks(
-                      pair, 0.0, 2.0 * np.pi, num_samples))
+    # P(-z) on the grid is the FFT of the sign-alternated coefficients,
+    # on the same exact roots of unity as Q(z)
+    blocks = zip(evaluate.iter_circle_values(q, num_samples),
+                 evaluate.iter_circle_values(signs * p, num_samples))
     numeric = max(float(np.max(np.abs(np.abs(qv) - np.abs(p_neg))))
-                  for qv, p_neg in blocks)
+                  for (*_, qv), (*_, p_neg) in blocks)
     return coeff_residual, numeric
 
 

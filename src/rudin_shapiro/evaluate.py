@@ -2,16 +2,18 @@
 
 Which grid goes to which backend:
 
-- full circles: inverse FFTs of the twiddled coefficients
-  (circle_values), on exact roots of unity, free of angle rounding;
+- full circles: inverse FFTs of the twiddled coefficients, one per
+  interleaved sub-grid of at most GRID_MAX_COUNT points
+  (iter_circle_values, materialized by circle_values), on exact roots
+  of unity, free of angle rounding;
 - subarcs of count >= max(8n, 2^14) points: Bluestein's chirp-z
   transform (iter_chirp_values), streamed in blocks of about 3n points,
   one FFT/IFFT pair each;
-- shorter subarcs, single points, derivatives and full circles past
-  GRID_MAX_COUNT: the doubling recursion with repeated squaring of z, a
-  point costing O(k) complex operations instead of the O(2^k) of
-  Horner's rule, with rounding error growing with k rather than with
-  the degree; each squaring renormalizes the power to unit modulus.
+- shorter subarcs and single points: the doubling recursion with
+  repeated squaring of z, a point costing O(k) complex operations
+  instead of the O(2^k) of Horner's rule, with rounding error growing
+  with k rather than with the degree; each squaring renormalizes the
+  power to unit modulus.
 
 iter_arc_values applies the subarc rule, which depends only on (count,
 n).  Measured speed-up of chirp-z over the recursion (one component,
@@ -56,9 +58,10 @@ from .core import LittlewoodPolynomial, ResourceLimitError, RudinShapiroPair
 if TYPE_CHECKING:
     from .norms import Arc
 
-#: Fixed evaluation chunk; reductions depend on it, thread counts do not.
+#: Fixed chunk of recursion grids; thread counts do not change it.
 DEFAULT_CHUNK = 1 << 19
-#: Cap on materialized grids (two complex arrays of this length).
+#: Cap on materialized grids (two complex arrays of this length) and on
+#: each streamed full-circle sub-grid.
 GRID_MAX_COUNT = 1 << 24
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
@@ -79,12 +82,15 @@ GRID_DUMP_VERSION = 1
 
 @dataclass(frozen=True)
 class CirclePoint:
-    """An angle on the unit circle, reduced to [0, 2*pi)."""
+    """A finite angle on the unit circle, reduced to [0, 2*pi)."""
 
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % math.tau)
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"angle must be finite, got {theta}")
+        object.__setattr__(self, "theta", theta % math.tau)
 
     @property
     def z(self) -> complex:
@@ -180,41 +186,10 @@ def _pair_recursion(z: np.ndarray, k: int):
     return p, q
 
 
-def _pair_recursion_deriv(z: np.ndarray, k: int):
-    """Recursion carrying (P, Q, P', Q'); derivatives are in z.
-
-    Differentiating P_{j+1} = P_j + z^m Q_j with m = 2^j gives
-    P'_{j+1} = P'_j + m z^(m-1) Q_j + z^m Q'_j, and z^(m-1) = w conj(z)
-    on the unit circle.
-    """
-    p = np.ones_like(z)
-    q = np.ones_like(z)
-    dp = np.zeros_like(z)
-    dq = np.zeros_like(z)
-    w = z
-    zinv = np.conj(z)
-    for step in range(k):
-        t = w * (float(1 << step) * zinv * q + dq)
-        dp, dq = dp + t, dp - t
-        wq = w * q
-        p, q = p + wq, p - wq
-        if step != k - 1:
-            w = w * w
-            w = w / np.abs(w)
-    return p, q, dp, dq
-
-
 def eval_pair_grid(pair: RudinShapiroPair, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(P_k, Q_k) at the given angles, O(k) vector passes."""
     z = _unit_circle(np.asarray(thetas, dtype=np.float64))
     return _pair_recursion(z, pair.k)
-
-
-def eval_pair_deriv_grid(pair: RudinShapiroPair, thetas):
-    """(P, Q, P', Q', z) at the given angles; primes are d/dz."""
-    z = _unit_circle(np.asarray(thetas, dtype=np.float64))
-    p, q, dp, dq = _pair_recursion_deriv(z, pair.k)
-    return p, q, dp, dq, z
 
 
 def eval_pair_point(pair: RudinShapiroPair, point) -> tuple[complex, complex]:
@@ -224,7 +199,7 @@ def eval_pair_point(pair: RudinShapiroPair, point) -> tuple[complex, complex]:
     powers of the evaluation point; values then agree with the Horner
     oracle to the oracle's own rounding level.
     """
-    theta = point.theta if isinstance(point, CirclePoint) else float(point) % math.tau
+    theta = CirclePoint(getattr(point, "theta", point)).theta
     z = cmath.exp(1j * theta)
     p = 1 + 0j
     q = 1 + 0j
@@ -279,60 +254,60 @@ def eval_horner(poly, point):
     return complex(acc[0]) if scalar else acc
 
 
-def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
-    """S(z_j) = sum_m a_m z_j^m at z_j = exp(2 pi i (j + off) / count), j < count.
+def iter_circle_values(coeffs, count: int, half_offset: bool = True):
+    """Yield (r, stride, values), values[t] = S(z_{r + stride t}), r < stride.
 
-    off = 1/2 on the half-offset grid, 0 on the lattice.  Points j = r +
-    stride * t form grids of length >= a.size, one inverse FFT each of
-    a_m exp(2 pi i m (r + off) / count).  With count < a.size, a folds
-    modulo count first, exactly, since z_j^count = exp(2 pi i off).
+    S(z) = sum_m a_m z^m and z_j = exp(2 pi i (j + off) / count), with
+    off = 1/2 on the half-offset grid and 0 on the lattice.  Each
+    sub-grid j = r + stride * t is one inverse FFT of length count /
+    stride of a_m exp(2 pi i m (r + off) / count).  The stride is the
+    largest power of two up to 64 that keeps the sub-grid at least
+    a.size long, raised to the smallest power of two that brings it to
+    at most GRID_MAX_COUNT points; a count past the cap must be a
+    multiple of that stride.  On a sub-grid shorter than a.size, a folds
+    modulo its length L with the sub-grid's constant z^L = exp(2 pi i
+    (r + off) / stride), which is exactly -1 or 1 when stride = 1.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > GRID_MAX_COUNT:
-        raise ResourceLimitError(
-            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
     a = np.asarray(coeffs)
-    # the largest power-of-two stride up to 64 that keeps length >= a.size:
     # FFT scratch stays near the degree, and short grids stay few
-    stride = math.gcd(count, 64,
-                      1 << max(0, (int(count) // a.size).bit_length() - 1))
+    stride = max(math.gcd(count, 64,
+                          1 << max(0, (int(count) // a.size).bit_length() - 1)),
+                 1 << (-(-count // GRID_MAX_COUNT) - 1).bit_length())
+    if count % stride:
+        raise ResourceLimitError(f"count {count} past the grid cap is not "
+                                 f"a multiple of the stride {stride}")
     length = count // stride
     offset, sign = (0.5, -1.0) if half_offset else (0.0, 1.0)
     rows = np.pad(a, (0, -a.size % length)).reshape(-1, length)
-    folded = rows[0::2].sum(axis=0, dtype=np.float64) + \
-        sign * rows[1::2].sum(axis=0, dtype=np.float64)  # exact integer sums
+    complex_fold = stride > 1 and len(rows) > 1  # only past the cap
+    if not complex_fold:
+        folded = rows[0::2].sum(axis=0, dtype=np.float64) + \
+            sign * rows[1::2].sum(axis=0, dtype=np.float64)  # exact sums
     # advancing the twiddles one factor per grid drifts < 5e-15 in 64 grids
     step = np.exp(2j * np.pi / count * np.arange(length))
     twiddle = np.exp(2j * np.pi * offset / count * np.arange(length))
-    out = np.empty(count, dtype=np.complex128)
     for r in range(stride):
-        out[r::stride] = np.fft.ifft(folded * twiddle, norm="forward")
+        if complex_fold:
+            turn = np.exp(2j * np.pi * (r + offset) / stride)
+            folded = np.zeros(length, dtype=np.complex128)
+            for row in rows[::-1]:  # Horner in z^L over the rows
+                folded *= turn
+                folded += row
+        yield r, stride, np.fft.ifft(folded * twiddle, norm="forward")
         twiddle *= step
+
+
+def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
+    """iter_circle_values materialized: S(z_j) for every j < count <= cap."""
+    if count > GRID_MAX_COUNT:
+        raise ResourceLimitError(
+            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
+    out = np.empty(count, dtype=np.complex128)
+    for r, stride, values in iter_circle_values(coeffs, count, half_offset):
+        out[r::stride] = values
     return out
-
-
-def iter_pair_chunks(pair: RudinShapiroPair, alpha: float, beta: float,
-                     count: int, *, half_offset: bool = True,
-                     chunk: int = DEFAULT_CHUNK, deriv: bool = False):
-    """Yield (thetas, P, Q) or (thetas, z, P, Q, dP, dQ) per index chunk.
-
-    The chunk size is a constant of the grid, never of the worker
-    count, so downstream reductions see identical blocks regardless of
-    threading.
-    """
-    offset = 0.5 if half_offset else 0.0
-    step = (beta - alpha) / count
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        j = np.arange(lo, hi, dtype=np.float64)
-        thetas = alpha + (j + offset) * step
-        z = _unit_circle(thetas)
-        if deriv:
-            p, q, dp, dq = _pair_recursion_deriv(z, pair.k)
-            yield thetas, z, p, q, dp, dq
-        else:
-            yield (thetas,) + _pair_recursion(z, pair.k)
 
 
 def _unit_phase(ints: np.ndarray, g: float) -> np.ndarray:
@@ -404,10 +379,12 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
         yield from iter_chirp_values(poly.coeffs, alpha, beta, count,
                                      half_offset=half_offset)
     else:
-        pick = 1 if component == "p" else 2
-        for chunk in iter_pair_chunks(pair, alpha, beta, count,
-                                      half_offset=half_offset):
-            yield chunk[pick]
+        pick = 0 if component == "p" else 1
+        offset = 0.5 if half_offset else 0.0
+        step = (beta - alpha) / count
+        for lo in range(0, count, DEFAULT_CHUNK):
+            j = np.arange(lo, min(lo + DEFAULT_CHUNK, count), dtype=np.float64)
+            yield eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
 
 
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
@@ -450,19 +427,22 @@ def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
 def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
     """Sampler (alpha, beta, count) -> transform(S) for S = P_k or Q_k.
 
-    Full circles take circle_values; other grids stream iter_arc_values
+    Full circles stream iter_circle_values, other grids iter_arc_values,
     into one float array, allowed the bytes of the cap's two complex
     arrays.
     """
     poly = pair.p if component == "p" else pair.q
 
     def sampler(alpha, beta, count, half_offset=True):
-        if alpha == 0.0 and beta == math.tau and count <= GRID_MAX_COUNT:
-            return transform(circle_values(poly.coeffs, count, half_offset))
         if count > 4 * GRID_MAX_COUNT:
             raise ResourceLimitError(
                 f"count {count} exceeds the sample array cap {4 * GRID_MAX_COUNT}")
         out = np.empty(count, dtype=np.float64)
+        if alpha == 0.0 and beta == math.tau:
+            for r, stride, values in iter_circle_values(poly.coeffs, count,
+                                                        half_offset):
+                out[r::stride] = transform(values)
+            return out
         pos = 0
         for values in iter_arc_values(pair, component, alpha, beta, count,
                                       half_offset=half_offset):

@@ -195,8 +195,9 @@ def bernstein_ratio(k: int, count: int | None = None,
 
     R(t) = |P_k(e^it)|^2 has degree n - 1, so max |R'| <= ((n-1)/2) max R
     (the factor for nonnegative trigonometric polynomials is half the
-    classical one).  R' comes from the exact product rule with z P'(z) as
-    the FFT of m * a_m (past the grid cap, a parallel recursion for P_k').
+    classical one).  R' comes from the exact product rule with z P'(z),
+    the polynomial with coefficients m * a_m, streamed on the same
+    sub-grids as P.
     """
     pair = _pair(k, pair)
     n = pair.n
@@ -204,16 +205,11 @@ def bernstein_ratio(k: int, count: int | None = None,
         count = max(64, 16 * n)
     if count < 16 * n and k > 0:
         raise ValueError("bernstein ratio needs count >= 16n to resolve R'")
-    if count <= evaluate.GRID_MAX_COUNT:
-        coeffs = pair.p.coeffs
-        blocks = [(evaluate.circle_values(coeffs, count),
-                   evaluate.circle_values(coeffs * np.arange(n), count))]
-    else:
-        blocks = ((p, z * dp) for _th, z, p, _q, dp, _dq in
-                  evaluate.iter_pair_chunks(pair, 0.0, math.tau, count, deriv=True))
-    max_r = 0.0
-    max_dr = 0.0
-    for p, zdp in blocks:
+    coeffs = pair.p.coeffs
+    blocks = zip(evaluate.iter_circle_values(coeffs, count),
+                 evaluate.iter_circle_values(coeffs * np.arange(n), count))
+    max_r = max_dr = 0.0
+    for (*_, p), (*_, zdp) in blocks:
         r = np.abs(p) ** 2
         # d/dt |P(e^it)|^2 = 2 Re( conj(P) * i z P'(z) )
         dr = 2.0 * np.real(np.conj(p) * 1j * zdp)
@@ -425,15 +421,12 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     pair = _pair(k, pair)
     if count is None:
         count = max(4096, 64 * pair.n)
-    if count <= evaluate.GRID_MAX_COUNT:
-        poly = pair.p if component == "p" else pair.q
-        blocks = [(evaluate.circle_grid(0.0, math.tau, count),
-                   evaluate.circle_values(poly.coeffs, count))]
-    else:
-        blocks = ((th, p if component == "p" else q) for th, p, q in
-                  evaluate.iter_pair_chunks(pair, 0.0, math.tau, count))
+    poly = pair.p if component == "p" else pair.q
     best = math.inf
-    for th, vals in blocks:
+    for r, stride, vals in evaluate.iter_circle_values(poly.coeffs, count):
+        # the bits of circle_grid(0, 2 pi, count) at j = r + stride * t
+        th = (r + 0.5 + stride * np.arange(vals.size, dtype=np.float64)) * \
+            (math.tau / count)
         away = (th > exclusion) & (np.abs(th - math.pi) > exclusion) & \
                (math.tau - th > exclusion)
         best = min(best, float(np.min(np.abs(vals), where=away,

@@ -35,6 +35,9 @@ class TestParsing:
     def test_angle_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_angle("two pies")
+        for text in ("1e400", "-1e400pi", "1e308pi", "1e308pi/0.5"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_angle(text)
 
     def test_arc(self):
         arc = parse_arc("0:2pi")
@@ -72,6 +75,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("resource limit:") and err.count("\n") == 1
 
+    def test_full_circle_count_past_cap_needs_its_stride(self, tmp_path,
+                                                         capsys):
+        # past 2^24 points a full circle streams sub-grids of stride 2,
+        # so an odd count is refused before any evaluation
+        assert main(["norm", "--k", "3", "--q", "2", "--count", "16777217",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and "stride 2" in err
+        assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["norm", "--k", "4", "--q", "inf"],
         ["norm", "--k", "4", "--q", "2,nan"],
@@ -89,19 +102,22 @@ class TestExitCodes:
         ["mercer", "--random", "5", "--degree", "1"],
         ["mercer"],
         ["eval", "--k", "3", "--count", "0"],
-        ["bench", "--k", "3", "--count", "0"],
         ["eval", "--k", "3", "--count", "1"],
-        ["bench", "--k", "3", "--count", "1"],
         ["norm", "--k", "3", "--q", "2", "--count", "1"],
         ["saffari", "--k", "3", "--count", "1"],
         ["problem55", "--k", "3", "--count", "1"],
+        ["eval", "--k", "3", "--theta", "1e400"],
+        ["eval", "--k", "3", "--theta", "1e308pi"],
+        ["verify", "level_set", "--k", "4..5", "--arcs", "0"],
+        ["verify", "moment_bounds", "--k", "2"],
     ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
             "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
             "census_eps_nan", "threads_zero", "threads_negative",
             "mercer_random_negative", "falsify_negative", "arcs_negative",
             "mercer_degree_1", "mercer_no_input", "eval_count_zero",
-            "bench_count_zero", "eval_count_one", "bench_count_one",
-            "norm_count_one", "saffari_count_one", "problem55_count_one"])
+            "eval_count_one", "norm_count_one", "saffari_count_one",
+            "problem55_count_one", "theta_overflow", "theta_pi_overflow",
+            "verify_no_arcs", "verify_no_admissible_arc"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -109,8 +125,7 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", [
-        "eval", "bench", "norm", "mahler", "distribution", "saffari",
-        "problem55"])
+        "eval", "norm", "mahler", "distribution", "saffari", "problem55"])
     def test_count_has_one_boundary(self, command, tmp_path, capsys):
         argv = [command, "--k", "3", "--count", "1", "--out", str(tmp_path)]
         if command == "norm":
@@ -123,7 +138,8 @@ class TestExitCodes:
         ["generate", "--k", "4", "--format", "json"],
         ["generate", "--k", "4", "--cache-dir", "x"],
         ["generate", "--k", "4", "--write-cache"],
-    ], ids=["format", "cache_dir", "write_cache"])
+        ["bench", "--k", "3"],
+    ], ids=["format", "cache_dir", "write_cache", "bench"])
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
@@ -258,11 +274,6 @@ class TestSubcommands:
         lines = (tmp_path / "problem55.csv").read_text().splitlines()
         assert lines[1].startswith("k,value,ratio_to_sqrt_n")
         assert len(lines) == 2 + 4
-
-    def test_bench(self, tmp_path, capsys):
-        assert main(["bench", "--k", "6", "--count", "4096",
-                     "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "bench.json").is_file()
 
 
 class TestDeterminism:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from rudin_shapiro import evaluate
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
-                                generate_pair)
+                                conjugate_relation_residual, generate_pair,
+                                parallelogram_residual)
 from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
                                     eval_horner, eval_pair_point)
 from rudin_shapiro.norms import Arc, FULL_CIRCLE
 from rudin_shapiro.reductions import pairwise_mean, pairwise_sum
+from rudin_shapiro.verify import bernstein_ratio, min_modulus_excluding_poles
 
 TAU = math.tau
 
@@ -26,6 +28,13 @@ class TestCirclePoint:
         point = CirclePoint(-0.5)
         assert 0.0 <= point.theta < TAU
         assert point.theta == pytest.approx(TAU - 0.5)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            CirclePoint(theta)
+        with pytest.raises(ValueError, match="finite"):
+            eval_pair_point(generate_pair(3), theta)
 
 
 class TestPointEvaluation:
@@ -131,11 +140,12 @@ class TestGrids:
         with pytest.raises(ResourceLimitError):
             eval_grid(generate_pair(2), FULL_CIRCLE, 100, max_count=64)
 
-    def test_chunks_cover_grid_exactly(self):
+    def test_chunks_cover_grid_exactly(self, monkeypatch):
         pair = generate_pair(4)
         whole = eval_grid(pair, FULL_CIRCLE, 1000).values_p
-        pieces = [p for _t, p, _q in evaluate.iter_pair_chunks(
-            pair, 0.0, TAU, 1000, chunk=137)]
+        monkeypatch.setattr(evaluate, "DEFAULT_CHUNK", 137)
+        pieces = list(evaluate.iter_arc_values(pair, "p", 0.0, TAU, 1000))
+        assert [p.size for p in pieces] == [137] * 7 + [41]
         assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_thread_count_bit_identical(self):
@@ -157,11 +167,9 @@ def _fft_counts(n):
     return sorted({n // 4 + 1, n // 2 + 2, 2 * n + 1, 16 * n})
 
 
-def _recursion_grid(pair, count, half_offset):
-    chunks = list(evaluate.iter_pair_chunks(pair, 0.0, TAU, count,
-                                            half_offset=half_offset))
-    return (np.concatenate([c[1] for c in chunks]),
-            np.concatenate([c[2] for c in chunks]))
+def _recursion_grid(pair, count, half_offset, alpha=0.0, beta=TAU):
+    return evaluate.eval_pair_grid(
+        pair, circle_grid(alpha, beta, count, half_offset))
 
 
 def _chirp_grid(coeffs, alpha, beta, count, half_offset=True):
@@ -211,14 +219,17 @@ class TestCircleValues:
 
     @pytest.mark.parametrize("k", FFT_KS)
     def test_z_times_derivative(self, k):
+        # z P'(z) is the polynomial with coefficients m * a_m
         pair = generate_pair(k)
         n = pair.n
         count = 16 * n
-        _p, _q, dp, _dq, z = evaluate.eval_pair_deriv_grid(
-            pair, circle_grid(0.0, TAU, count))
-        zdp = evaluate.circle_values(pair.p.coeffs * np.arange(n), count)
-        # measured worst 2.5 * eps * n^2.5 at k = 14; |z P'| <= n^1.5
-        assert np.max(np.abs(zdp - z * dp)) <= 10 * EPS * n ** 2.5
+        coeffs = pair.p.coeffs * np.arange(n)
+        i = np.unique(np.linspace(0, count - 1, 64).astype(int))
+        zdp = evaluate.circle_values(coeffs, count)[i]
+        oracle = eval_horner(coeffs, circle_grid(0.0, TAU, count)[i])
+        # measured worst 1.7 * eps * n^2.5 (k = 10): the oracle's float
+        # angles, amplified by |(z P')'| <= n^2.5
+        assert np.max(np.abs(zdp - oracle)) <= 10 * EPS * n ** 2.5
 
     def test_repeated_calls_bit_identical(self):
         pair = generate_pair(12)
@@ -307,10 +318,9 @@ class TestChirpValues:
         n = pair.n
         for alpha, beta in _chirp_arcs(k):
             for count in _chirp_counts(n):
-                chunks = list(evaluate.iter_pair_chunks(
-                    pair, alpha, beta, count, half_offset=half_offset))
-                for poly, pick in ((pair.p, 1), (pair.q, 2)):
-                    rec = np.concatenate([c[pick] for c in chunks])
+                recursion = _recursion_grid(pair, count, half_offset,
+                                            alpha, beta)
+                for poly, rec in zip((pair.p, pair.q), recursion):
                     cz = _chirp_grid(poly.coeffs, alpha, beta, count,
                                      half_offset)
                     # measured worst 6.4 * eps * n^1.5 (k = 14)
@@ -394,8 +404,7 @@ class TestChirpValues:
             blocks = list(evaluate.iter_arc_values(pair, "q", 0.4, 2.9, count))
             got = np.concatenate(blocks)
             if count < cross:
-                expect = np.concatenate([c[2] for c in evaluate.iter_pair_chunks(
-                    pair, 0.4, 2.9, count)])
+                expect = _recursion_grid(pair, count, True, 0.4, 2.9)[1]
             else:
                 expect = _chirp_grid(pair.q.coeffs, 0.4, 2.9, count)
                 assert len(blocks) > 1
@@ -410,23 +419,134 @@ class TestChirpValues:
         # past the exact-phase limit the dispatch keeps the recursion
         pair = generate_pair(3)
         first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0, 2 ** 50))
-        assert np.array_equal(first, next(evaluate.iter_pair_chunks(
-            pair, 0.0, 1.0, 2 ** 50))[1])
+        j = np.arange(evaluate.DEFAULT_CHUNK, dtype=np.float64)
+        assert np.array_equal(first, evaluate.eval_pair_grid(
+            pair, (j + 0.5) * (1.0 / 2 ** 50))[0])
 
 
-class TestDerivativeRecursion:
-    @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_matches_horner_derivative(self, k):
+def _streamed_reductions(pair, count, sample_count):
+    """Every consumer of iter_circle_values; samplers at sample_count."""
+    k, n = pair.k, pair.n
+    return {
+        "min_modulus_p": min_modulus_excluding_poles(k, count, pair=pair),
+        "min_modulus_q": min_modulus_excluding_poles(k, count, component="q",
+                                                     pair=pair),
+        "bernstein": bernstein_ratio(k, count, pair=pair).lhs,
+        "parallelogram": parallelogram_residual(pair, count),
+        "conjugate": conjugate_relation_residual(pair, count)[1],
+        "modulus": evaluate.pair_modulus_sampler(pair, "q")(
+            0.0, TAU, sample_count),
+        "flatness_lattice": evaluate.flatness_defect_sampler(pair)(
+            0.0, TAU, sample_count, False),
+    }
+
+
+def _materialized_reductions(pair, count):
+    """The same quantities from whole circle_values grids."""
+    n = pair.n
+    p = evaluate.circle_values(pair.p.coeffs, count)
+    q = evaluate.circle_values(pair.q.coeffs, count)
+    zdp = evaluate.circle_values(pair.p.coeffs * np.arange(n), count)
+    signs = np.where(np.arange(n) % 2 == 0, 1, -1)
+    p_neg = evaluate.circle_values(signs * pair.p.coeffs.astype(np.int64),
+                                   count)
+    th = circle_grid(0.0, TAU, count)
+    away = (th > 0.01) & (np.abs(th - math.pi) > 0.01) & (TAU - th > 0.01)
+    return {
+        "min_modulus_p": np.min(np.abs(p), where=away, initial=math.inf),
+        "min_modulus_q": np.min(np.abs(q), where=away, initial=math.inf),
+        "bernstein": np.max(np.abs(2.0 * np.real(np.conj(p) * 1j * zdp))),
+        "parallelogram": float(np.max(np.abs(
+            np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
+        "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
+        "modulus": np.abs(q),
+        "flatness_lattice": np.abs(np.abs(evaluate.circle_values(
+            pair.p.coeffs, count, False)) ** 2 - n),
+    }
+
+
+def _block_spy(monkeypatch):
+    """Record the size of every block iter_circle_values yields."""
+    sizes = []
+    stream = evaluate.iter_circle_values
+
+    def spy(coeffs, count, half_offset=True):
+        for r, stride, values in stream(coeffs, count, half_offset):
+            sizes.append(values.size)
+            yield r, stride, values
+
+    monkeypatch.setattr(evaluate, "iter_circle_values", spy)
+    return sizes
+
+
+class TestStreamedCircle:
+    """iter_circle_values and its consumers, below and past the grid cap."""
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 12])
+    @pytest.mark.parametrize("mult", [16, 64])
+    def test_in_cap_bit_identical(self, k, mult):
         pair = generate_pair(k)
-        thetas = circle_grid(0.0, TAU, 64)
-        _p, _q, dp, _dq, _z = evaluate.eval_pair_deriv_grid(pair, thetas)
-        coeffs = pair.p.coeffs.astype(np.float64)
-        deriv_coeffs = coeffs[1:] * np.arange(1, pair.n)
-        z = np.exp(1j * thetas)
-        expect = np.zeros_like(z)
-        for j in range(len(deriv_coeffs) - 1, -1, -1):
-            expect = expect * z + deriv_coeffs[j]
-        assert np.max(np.abs(dp - expect)) <= 1e-10 * pair.n
+        count = mult * pair.n + (pair.n == 1)  # one odd count at k = 0
+        streamed = _streamed_reductions(pair, count, count)
+        materialized = _materialized_reductions(pair, count)
+        for name, value in materialized.items():
+            assert np.array_equal(streamed[name], value), name
+
+    # the cap below n folds each sub-grid with its own z^L; the cap at
+    # 2n with 256n points takes a stride of 128, past the in-cap 64
+    @pytest.mark.parametrize("k", [5, 8])
+    @pytest.mark.parametrize("cap, mult", [(0.25, 16), (2, 256)],
+                             ids=["folded", "long"])
+    def test_past_cap_matches_in_cap(self, k, cap, mult, monkeypatch):
+        pair = generate_pair(k)
+        n = pair.n
+        count = mult * n
+        # the samplers' own limit is four times the cap
+        sample_count = 4 * int(cap * n)
+        expect = _streamed_reductions(pair, count, sample_count)
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", int(cap * n))
+        sizes = _block_spy(monkeypatch)
+        got = _streamed_reductions(pair, count, sample_count)
+        assert sizes and max(sizes) <= evaluate.GRID_MAX_COUNT
+        if cap < 1:
+            assert min(sizes) < n
+        tol = 10 * EPS * n ** 1.5
+        for name in ("min_modulus_p", "min_modulus_q", "conjugate"):
+            assert abs(got[name] - expect[name]) <= tol, name
+        # R' = 2 Re(conj(P) i z P'), |z P'| <= n^1.5
+        assert abs(got["bernstein"] - expect["bernstein"]) <= \
+            10 * EPS * n ** 2.5
+        assert got["parallelogram"] <= tol / n ** 0.5
+        assert np.max(np.abs(got["modulus"] - expect["modulus"])) <= tol
+        # | |P|^2 - n | moves by 2 |P| dP <= 2 sqrt(2n) tol
+        assert np.max(np.abs(got["flatness_lattice"] -
+                             expect["flatness_lattice"])) <= 3 * n ** 0.5 * tol
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k, cap", [(5, 8), (8, 64), (8, 1024)])
+    def test_past_cap_matches_horner(self, k, cap, half_offset, monkeypatch):
+        pair = generate_pair(k)
+        n = pair.n
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        for count in (16 * n, 64 * n):
+            values = np.empty(count, dtype=np.complex128)
+            for r, stride, block in evaluate.iter_circle_values(
+                    pair.q.coeffs, count, half_offset):
+                assert block.size * stride == count and block.size <= cap
+                values[r::stride] = block
+            i = np.unique(np.linspace(0, count - 1, 64).astype(int))
+            oracle = eval_horner(pair.q, circle_grid(0.0, TAU, count,
+                                                     half_offset)[i])
+            assert np.max(np.abs(values[i] - oracle)) <= 10 * EPS * n ** 1.5
+
+    def test_past_cap_count_needs_the_stride(self, monkeypatch):
+        coeffs = generate_pair(3).p.coeffs
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 64)
+        # 129 points need sub-grids of stride 4
+        with pytest.raises(ResourceLimitError, match="stride 4"):
+            next(evaluate.iter_circle_values(coeffs, 129))
+        assert len(list(evaluate.iter_circle_values(coeffs, 132))) == 4
 
 
 class TestGridDump:
