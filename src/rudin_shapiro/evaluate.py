@@ -387,6 +387,36 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
             yield eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
 
 
+def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
+    """A priori bound on |S^_j - S(e^{i t_j})| over iter_arc_values' grid.
+
+    S = P_k or Q_k, S^_j is the value yielded for any count and either
+    backend, and t_j = alpha + (j + off) L / count the exact grid angle.
+    Let u = 2^-53, T = |alpha| + |beta| and N = max(4n, CHIRP_MIN_FFT),
+    the longest chirp-z FFT, and use |S| <= sqrt(2n) (flatness).
+    - Angles.  The recursion evaluates at fl(alpha + (j + off) fl(L /
+      count)) reduced by fl(2 pi), within (5T + 10) u of t_j; chirp-z at
+      alpha + (2j + 2 off) fl(L / (2 count)), within 2uL.  Bernstein's
+      |S'| <= (n - 1) sqrt(2n) turns either into <= 1.5 (5T + 10) u n^1.5.
+    - Recursion.  A normalized squaring adds <= 6u and doubles what it
+      inherits, so z^(2^j) is off by <= 8u 2^j.  A butterfly is sqrt(2)
+      times a unitary map of (P, Q), so k levels add <= (12n + 6k) u
+      sqrt(n).
+    - Chirp-z.  Each _unit_phase is good to 20u, so the FFT input is good
+      to 75u a term, 75un at an output.  With eta = 7u log2 N per
+      transform (Higham, Accuracy and Stability of Numerical Algorithms,
+      2002, Thm 24.2), the FFTs of the input and of the chirp add <=
+      (14 log2 N + 20) u sqrt(N n) at an output, their product 3u sqrt(N
+      n), and the inverse FFT <= 7u log2 N sqrt(N) n, as the convolution
+      has ||y||_2 <= sqrt(N) n; the final chirp adds 23u sqrt(2n).
+    Both totals are below the 256 u sqrt(N) n (log2 N + T) returned; the
+    factor also covers the radix-4 passes of numpy's FFT.
+    """
+    size = max(4 * pair.n, CHIRP_MIN_FFT)
+    return 2.0 ** -45 * math.sqrt(size) * pair.n * (
+        math.log2(size) + abs(alpha) + abs(beta))
+
+
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
               half_offset: bool = True, threads: int = 1,
               max_count: int = GRID_MAX_COUNT) -> GridSamples:

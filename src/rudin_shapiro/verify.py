@@ -1,12 +1,13 @@
 """Executable checks of the proved inequalities and finite-k experiments.
 
-Proved statements (the lattice lower bound, its interval propagation,
-the Bernstein derivative factor, the level-set measure bound, and the
-two-sided subarc moment bounds) are gated: they must pass at every
-tested k and arc.  Asymptotic statements (the Saffari limit form of
-M_q, the limiting value distribution, the Mahler measure asymptote)
-cannot be certified at finite k; they are checked as trends over a
-fixed k-ladder with calibrated terminal tolerances.
+Proved statements are gated: they must pass at every tested k and arc.
+They are the lattice lower bound, its interval propagation, the
+Bernstein derivative factor, and the level-set measure and two-sided
+subarc moment bounds, certified on a grid with Bernstein slack rather
+than sampled.  Asymptotic statements (the Saffari limit form of M_q, the
+limiting value distribution, the Mahler measure asymptote) cannot be
+certified at finite k; they are checked as trends over a fixed k-ladder
+with calibrated terminal tolerances.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ MAHLER_LIMIT_RATIO = math.sqrt(2.0 / math.e)
 
 #: Minimum arc length for the subarc theorems, as a multiple of 1/n.
 MIN_ARC_FACTOR = 32.0 * math.pi
+#: Midpoint cells per 1/n window of the certified subarc grid.
+CELLS_PER_WINDOW = 4
 
 #: Fixed k-ladders for trend acceptance of asymptotic statements.
 SAFFARI_TREND_KS = (10, 12, 14, 16)
@@ -231,71 +234,73 @@ def _require_min_length(k: int, arc: Arc) -> None:
             f"{min_len:.6g} hypothesis for k={k}")
 
 
-def check_level_set_measure(k: int, arc: Arc, pair=None) -> InequalityReport:
-    """The set where |P_k|^2 >= gamma*n fills a gamma/(4*pi) share of any
-    admissible arc.
+def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
+    """Certified level-set measure and moment bounds of P_k on one arc.
 
-    E = {t in [alpha, beta] : |P_k(e^it)|^2 >= gamma*n} is a finite
-    union of intervals whose endpoints move at Bernstein-bounded speed,
-    so dense sampling (64 points per 1/n window) localizes them well
-    below the gamma/n interval scale.  The squared-modulus level set is
-    the gated reading; the unsquared variant |P_k| >= gamma*n is also
-    measured and reported for transparency (it empties out once
-    gamma*n exceeds sqrt(2n)).
+    f(t) = |P_k(e^it)|^2 has degree n - 1 and 0 <= f <= 2n, so |f'| <=
+    (n - 1) n, as bernstein_ratio checks.  On the cell of width h = L /
+    count around each of count = ceil(CELLS_PER_WINDOW n L) midpoints t_j,
+    f >= f^_j - s: s = (n - 1) n h / 2 + err, err = (2 sqrt(2n) + d) d +
+    16un >= |f^_j - f(t_j)|, d = evaluate.arc_value_error, u = 2^-53, and
+    16un rounds f, s and the comparisons.  So h #{j : f^_j - s >= gamma n}
+    <= |{f >= gamma n}|, mean_j max(0, f^_j - s)^(q/2) <= M_q^q, and M_q^q
+    <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces to counts and sums.
     """
-    pair = _pair(k, pair)
-    n = pair.n
+    if not all(0 < q < math.inf for q in qs):
+        raise ValueError("q must be positive")
     _require_min_length(k, arc)
-    count = max(1024, int(math.ceil(64.0 * n * arc.length)))
-    in_sq = 0
-    in_lit = 0
-    total = 0
+    n, level = pair.n, GAMMA * pair.n
+    count = math.ceil(CELLS_PER_WINDOW * n * arc.length)
+    width = arc.length / count
+    d = evaluate.arc_value_error(pair, arc.alpha, arc.beta)
+    err = (2.0 * math.sqrt(2.0 * n) + d) * d + 2.0 ** -49 * n
+    slack = (n - 1) * n * width / 2.0 + err
+    thresholds = (level + slack, level, level ** 2)  # certified, sampled, unsquared
+    peak, hits, sums = 0.0, np.zeros(3, int), np.zeros((len(qs), 2))
     for p in evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta, count):
-        moduli = np.abs(p)
-        in_sq += int(np.count_nonzero(moduli ** 2 >= GAMMA * n))
-        in_lit += int(np.count_nonzero(moduli >= GAMMA * n))
-        total += moduli.size
-    measure = arc.length * in_sq / total
-    literal_measure = arc.length * in_lit / total
+        f = p.real ** 2 + p.imag ** 2
+        hits += [np.count_nonzero(f >= t) for t in thresholds]
+        peak = max(peak, float(f.max()))
+        floor = np.maximum(f - slack, 0.0)
+        for i, q in enumerate(qs):
+            sums[i] += np.sum(floor ** (q / 2.0)), np.sum(f ** (q / 2.0))
+    measure, sampled, literal = (width * hits).tolist()
     rhs = arc.length * GAMMA / (4.0 * math.pi)
-    return InequalityReport(
+    level_set = InequalityReport(
         name="level_set_measure", k=k, arc=arc, lhs=measure, rhs=rhs,
         margin=measure - rhs, passed=measure >= rhs,
-        details={"count": count,
-                 "literal_measure": literal_measure,
-                 "literal_passed": literal_measure >= rhs})
+        details={"count": count, "slack": slack, "err": err,
+                 "sampled_measure": sampled, "literal_measure": literal})
+    moments = []
+    for q, (low, mean) in zip(qs, (sums / count).tolist()):
+        bound = GAMMA / (4.0 * math.pi) * level ** (q / 2.0)
+        upper = (2.0 * n) ** (q / 2.0)
+        moments.append(InequalityReport(
+            name="subarc_moment_bounds", k=k, arc=arc, q=q, lhs=mean,
+            rhs=upper, margin=upper - mean,
+            passed=low >= bound and peak <= 2.0 * n * (1.0 + 1e-9),
+            details={"lower_bound": bound, "certified_lower": low,
+                     "lower_margin": low - bound, "count": count, "peak": peak}))
+    return level_set, moments
+
+
+def check_level_set_measure(k: int, arc: Arc, pair=None) -> InequalityReport:
+    """|P_k|^2 >= gamma*n on a gamma/(4*pi) share of any admissible arc.
+
+    lhs certifies a lower bound on that measure (see _subarc_reports);
+    details add the sampled reading and the unsquared |P_k| >= gamma*n.
+    """
+    return _subarc_reports(k, arc, _pair(k, pair))[0]
 
 
 def check_subarc_moment_bounds(k: int, arc: Arc, q: float,
                                pair=None) -> InequalityReport:
-    """Two-sided bounds for M_q(P_k, [alpha, beta])^q on admissible arcs:
+    """(gamma/4pi) (gamma n)^(q/2) <= M_q(P_k, [alpha, beta])^q <= (2n)^(q/2).
 
-        (gamma / 4pi) (gamma n)^(q/2)  <=  M_q^q  <=  (2n)^(q/2).
-
-    The upper bound is the flatness identity; it is allowed a 1e-9
-    relative rounding budget.
+    lhs is the midpoint mean of |P_k|^q.  _subarc_reports certifies the
+    lower side; the upper side is flatness at every sample, within 1e-9.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    pair = _pair(k, pair)
-    _require_min_length(k, arc)
-    return _moment_bounds_report(k, arc, pair.n,
-                                 norms.mq_arc((pair, "p"), arc, q))
-
-
-def _moment_bounds_report(k: int, arc: Arc, n: int,
-                          est: norms.NormEstimate) -> InequalityReport:
-    q = est.q
-    mq_pow = est.value ** q
-    lower = GAMMA / (4.0 * math.pi) * (GAMMA * n) ** (q / 2.0)
-    upper = (2.0 * n) ** (q / 2.0)
-    passed = lower <= mq_pow <= upper * (1.0 + 1e-9)
-    return InequalityReport(
-        name="subarc_moment_bounds", k=k, arc=arc, q=q,
-        lhs=mq_pow, rhs=upper, margin=upper - mq_pow, passed=passed,
-        details={"lower_bound": lower, "lower_margin": mq_pow - lower,
-                 "count": est.count, "rel_step": est.rel_step,
-                 "estimate_flagged": est.flagged})
+    return _subarc_reports(k, arc, _pair(k, pair), (q,))[1][0]
 
 
 def saffari_ratio(k: int, q: float, count: int | None = None,
@@ -389,23 +394,27 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         if corner >= 1.0:
             raise ValueError(f"rectangle {rect} leaves the open unit disk")
     poly = pair.p if component == "p" else pair.q
-    normalized = evaluate.circle_values(poly.coeffs, count)
-    normalized /= math.sqrt(2.0 * n)
-    u = np.clip(np.abs(normalized) ** 2, 0.0, 1.0)
+    u = np.empty(count)
+    hits = [0] * len(rectangles)
+    for r, stride, values in evaluate.iter_circle_values(poly.coeffs, count):
+        values /= math.sqrt(2.0 * n)
+        u[r::stride] = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        hits = [hit + np.count_nonzero((values.real >= r0) & (values.real <= r1)
+                                       & (values.imag >= i0) & (values.imag <= i1))
+                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
     u.sort()
-    grid = np.arange(1, count + 1, dtype=np.float64) / count
-    sup = float(max(np.max(u - (grid - 1.0 / count)), np.max(grid - u)))
+    sup = 0.0  # the Kolmogorov distance, over slices of the CDF grid
+    for lo in range(0, count, evaluate.DEFAULT_CHUNK):
+        part = u[lo:lo + evaluate.DEFAULT_CHUNK]
+        grid = np.arange(lo + 1, lo + part.size + 1, dtype=np.float64) / count
+        sup = max(sup, np.max(part - (grid - 1.0 / count)), np.max(grid - part))
     hist, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
     cdf = np.cumsum(hist) / count
-    rect_tests = []
-    for rect in rectangles:
-        r0, r1, i0, i1 = rect
-        inside = (normalized.real >= r0) & (normalized.real <= r1) & \
-                 (normalized.imag >= i0) & (normalized.imag <= i1)
-        empirical = math.tau * float(np.count_nonzero(inside)) / count
-        rect_tests.append((rect, empirical, 2.0 * (r1 - r0) * (i1 - i0)))
+    rect_tests = [(rect, math.tau * int(hit) / count,
+                   2.0 * (rect[1] - rect[0]) * (rect[3] - rect[2]))
+                  for rect, hit in zip(rectangles, hits)]
     return DistributionReport(k=k, bins=bins, count=count, empirical_cdf=cdf,
-                              sup_distance_to_uniform=sup,
+                              sup_distance_to_uniform=float(sup),
                               rectangle_tests=rect_tests)
 
 
@@ -450,36 +459,31 @@ def trend_nonincreasing(values, floor: float) -> bool:
     return steps_ok and overall_ok
 
 
+def _trend_report(name: str, ks, distances: list, floor: float,
+                  terminal_tol: float, q: float | None = None) -> InequalityReport:
+    passed = trend_nonincreasing(distances, floor) and \
+        distances[-1] <= terminal_tol
+    return InequalityReport(
+        name=name, k=ks[-1], q=q, lhs=distances[-1],
+        rhs=terminal_tol, margin=terminal_tol - distances[-1], passed=passed,
+        details={"ks": list(ks), "distances": distances, "floor": floor})
+
+
 def saffari_trend(q: float, ks=SAFFARI_TREND_KS,
                   floor: float = SAFFARI_TREND_FLOOR,
                   terminal_tol: float = TREND_TERMINAL_TOL) -> InequalityReport:
     """|M_q ratio - 1| along the k-ladder: nonincreasing and small at the end."""
-    distances = []
-    for k in ks:
-        report = saffari_ratio(k, q)
-        distances.append(abs(report.details["ratio"] - 1.0))
-    passed = trend_nonincreasing(distances, floor) and \
-        distances[-1] <= terminal_tol
-    return InequalityReport(
-        name="saffari_trend", k=ks[-1], q=q, lhs=distances[-1],
-        rhs=terminal_tol, margin=terminal_tol - distances[-1], passed=passed,
-        details={"ks": list(ks), "distances": distances, "floor": floor})
+    distances = [abs(saffari_ratio(k, q).details["ratio"] - 1.0) for k in ks]
+    return _trend_report("saffari_trend", ks, distances, floor, terminal_tol, q)
 
 
 def mahler_asymptote_trend(ks=MAHLER_TREND_KS,
                            floor: float = MAHLER_TREND_FLOOR,
                            terminal_tol: float = TREND_TERMINAL_TOL) -> InequalityReport:
     """Distance of M_0/sqrt(n) to (2/e)^(1/2) along the k-ladder."""
-    distances = []
-    for k in ks:
-        report = mahler_asymptote_ratio(k)
-        distances.append(report.details["distance"])
-    passed = trend_nonincreasing(distances, floor) and \
-        distances[-1] <= terminal_tol
-    return InequalityReport(
-        name="mahler_asymptote_trend", k=ks[-1], lhs=distances[-1],
-        rhs=terminal_tol, margin=terminal_tol - distances[-1], passed=passed,
-        details={"ks": list(ks), "distances": distances, "floor": floor})
+    distances = [mahler_asymptote_ratio(k).details["distance"] for k in ks]
+    return _trend_report("mahler_asymptote_trend", ks, distances, floor,
+                         terminal_tol)
 
 
 def random_arcs(k: int, how_many: int, seed: int = 0,
@@ -541,15 +545,11 @@ def run_verification(names, ks, n_arcs: int = 8, qs=(0.25, 1.0, 2.0, 4.0),
             reports.append(check_certified_intervals(k, pair=pair))
         if "bernstein" in selected:
             reports.append(bernstein_ratio(k, pair=pair))
-        if "level_set" in selected:
-            for arc in arcs:
-                reports.append(check_level_set_measure(k, arc, pair=pair))
-        if "moment_bounds" in selected:
-            for arc in arcs:
-                # one c-grid and one 2c-grid per arc for every exponent
-                _require_min_length(k, arc)
-                for est in norms.mq_arcs((pair, "p"), arc, qs):
-                    reports.append(_moment_bounds_report(k, arc, pair.n, est))
+        for arc in arcs if {"level_set", "moment_bounds"} & set(selected) else ():
+            # one certified grid per arc for the level set and every exponent
+            level_set, moments = _subarc_reports(
+                k, arc, pair, qs if "moment_bounds" in selected else ())
+            reports += [level_set] * ("level_set" in selected) + moments
         if "subarc_mahler" in selected:
             for arc in arcs:
                 reports.append(subarc_mahler_ratio(k, arc, pair=pair))

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rudin_shapiro import evaluate
 from rudin_shapiro.core import generate_pair
+from rudin_shapiro.evaluate import eval_horner
 from rudin_shapiro.norms import Arc, FULL_CIRCLE, mq_arc
-from rudin_shapiro.verify import (GAMMA, MAHLER_LIMIT_RATIO, bernstein_ratio,
+from rudin_shapiro.verify import (DEFAULT_RECTANGLES, GAMMA,
+                                  MAHLER_LIMIT_RATIO, bernstein_ratio,
                                   check_certified_intervals,
                                   check_lattice_pair_bound,
                                   check_level_set_measure,
@@ -114,6 +119,89 @@ class TestLevelSetMeasure:
         with pytest.raises(ValueError, match="32"):
             check_level_set_measure(10, Arc(0.0, 1e-4))
 
+    def test_gate_arcs_pass_fifty_fold(self):
+        # the arcs of acceptance gate 3
+        reports = run_verification(["level_set"], ks=range(4, 15), n_arcs=8)
+        assert len(reports) == 88
+        assert all(r.lhs >= 50 * r.rhs for r in reports)
+
+
+def _squared_moduli(pair, arc, count):
+    """|P|^2 on the midpoint grid, computed as the certificate computes it."""
+    p = np.concatenate(list(evaluate.iter_arc_values(
+        pair, "p", arc.alpha, arc.beta, count)))
+    return p.real ** 2 + p.imag ** 2
+
+
+class TestLevelSetCertificate:
+    """The certified measure is a proof: every certified cell is in E."""
+
+    @settings(max_examples=15)
+    @given(k=st.integers(4, 10),
+           alpha=st.floats(0.0, TAU, exclude_max=True),
+           stretch=st.floats(0.0, 1.0))
+    def test_certified_cells_hold_densely(self, k, alpha, stretch):
+        pair = generate_pair(k)
+        n = pair.n
+        arc = Arc(alpha, alpha + min(TAU, 32 * math.pi / n * 2 ** stretch))
+        report = check_level_set_measure(k, arc, pair=pair)
+        count = report.details["count"]
+        assert count == math.ceil(4 * n * arc.length)
+        width = arc.length / count
+        # the Bernstein slack, derived here from the degree and cell width
+        slack = (n - 1) * n * width / 2.0 + report.details["err"]
+        assert report.details["slack"] == slack
+        cells = np.nonzero(_squared_moduli(pair, arc, count) >=
+                           GAMMA * n + slack)[0]
+        assert report.lhs == width * cells.size
+        thetas = arc.alpha + (cells[:, None] + np.linspace(0.0, 1.0, 33)) * width
+        dense = np.abs(eval_horner(pair.p, thetas.ravel())) ** 2
+        assert dense.min() >= GAMMA * n
+
+    def test_chirp_cells_nearest_the_level_hold_densely(self):
+        # a 4n * 5 point grid goes to chirp-z; check the 64 certified
+        # cells whose midpoint value is lowest
+        k = 11
+        pair = generate_pair(k)
+        n = pair.n
+        arc = Arc(0.4, 5.4)
+        report = check_level_set_measure(k, arc, pair=pair)
+        count = report.details["count"]
+        assert count >= evaluate.CHIRP_MIN_RATIO * n
+        width = arc.length / count
+        f = _squared_moduli(pair, arc, count)
+        cells = np.nonzero(f >= GAMMA * n + report.details["slack"])[0]
+        assert report.lhs == width * cells.size
+        cells = cells[np.argsort(f[cells])[:64]]
+        thetas = arc.alpha + (cells[:, None] + np.linspace(0.0, 1.0, 33)) * width
+        dense = np.abs(eval_horner(pair.p, thetas.ravel())) ** 2
+        assert dense.min() >= GAMMA * n
+
+    @pytest.mark.parametrize("k", [6, 10, 14])
+    def test_certified_below_dense_sampled_measure(self, k):
+        pair = generate_pair(k)
+        for arc in random_arcs(k, 3, seed=17 + k):
+            report = check_level_set_measure(k, arc, pair=pair)
+            count = math.ceil(64 * pair.n * arc.length)
+            inside = np.count_nonzero(
+                _squared_moduli(pair, arc, count) >= GAMMA * pair.n)
+            assert report.rhs < report.lhs <= arc.length * inside / count
+
+    @pytest.mark.parametrize("k", [10, 12, 14])
+    def test_err_covers_evaluation_error(self, k):
+        # 32 seeded points on a recursion grid, 32 on a chirp-z grid
+        pair = generate_pair(k)
+        rng = np.random.default_rng(k)
+        short = 32 * math.pi / pair.n * 1.5
+        for arc in (Arc(0.9, 0.9 + short), Arc(1.1, 6.2)):
+            report = check_level_set_measure(k, arc, pair=pair)
+            count = report.details["count"]
+            picks = rng.choice(count, 32, replace=False)
+            f = _squared_moduli(pair, arc, count)[picks]
+            thetas = arc.alpha + (picks + 0.5) * (arc.length / count)
+            oracle = np.abs(eval_horner(pair.p, thetas)) ** 2
+            assert np.max(np.abs(f - oracle)) <= report.details["err"]
+
 
 class TestSubarcMomentBounds:
     @pytest.mark.parametrize("q", [0.25, 1.0, 2.0, 4.0])
@@ -132,6 +220,34 @@ class TestSubarcMomentBounds:
         for q in (0.25, 1.0):
             report = check_subarc_moment_bounds(12, Arc(1.1, 1.1 + length), q)
             assert report.passed
+
+    def test_certified_lower_below_midpoint_mean(self):
+        reports = run_verification(["moment_bounds"], ks=[6, 10, 14],
+                                   n_arcs=3, qs=(0.25, 1.0, 2.0, 4.0), seed=5)
+        assert len(reports) == 36
+        for report in reports:
+            assert report.passed
+            assert 0 < report.details["lower_margin"]
+            assert report.details["certified_lower"] <= report.lhs
+
+    @pytest.mark.parametrize("excess, passed", [(0.0, True), (1e-8, False)])
+    def test_upper_side_is_pointwise(self, monkeypatch, excess, passed):
+        # one sample of |P|^2 = 2n (1 + excess); every other sample as computed
+        k, arc = 8, Arc(0.5, 2.5)
+        n = 1 << k
+        honest = evaluate.iter_arc_values
+
+        def doctored(*args, **kwargs):
+            blocks = honest(*args, **kwargs)
+            first = next(blocks)
+            first[0] = math.sqrt(2.0 * n * (1.0 + excess))
+            yield first
+            yield from blocks
+
+        monkeypatch.setattr(evaluate, "iter_arc_values", doctored)
+        report = check_subarc_moment_bounds(k, arc, 2.0)
+        assert report.details["lower_margin"] > 0
+        assert report.passed is passed
 
 
 class TestSaffariRatio:
@@ -197,6 +313,30 @@ class TestValueDistribution:
         # moduli of Q are a half-turn rotation of the moduli of P
         assert q_report.sup_distance_to_uniform == pytest.approx(
             p_report.sup_distance_to_uniform, abs=1e-3)
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_streamed_equals_materialized(self, k):
+        # the computation on one materialized grid, as it stood before
+        report = value_distribution(k, bins=32)
+        pair = generate_pair(k)
+        count = 64 * pair.n
+        normalized = evaluate.circle_values(pair.p.coeffs, count)
+        normalized /= math.sqrt(2.0 * pair.n)
+        u = np.clip(np.abs(normalized) ** 2, 0.0, 1.0)
+        u.sort()
+        grid = np.arange(1, count + 1, dtype=np.float64) / count
+        sup = float(max(np.max(u - (grid - 1.0 / count)), np.max(grid - u)))
+        hist, _ = np.histogram(u, bins=32, range=(0.0, 1.0))
+        rect_tests = []
+        for rect in DEFAULT_RECTANGLES:
+            r0, r1, i0, i1 = rect
+            inside = (normalized.real >= r0) & (normalized.real <= r1) & \
+                     (normalized.imag >= i0) & (normalized.imag <= i1)
+            empirical = math.tau * float(np.count_nonzero(inside)) / count
+            rect_tests.append((rect, empirical, 2.0 * (r1 - r0) * (i1 - i0)))
+        assert report.sup_distance_to_uniform == sup
+        assert np.array_equal(report.empirical_cdf, np.cumsum(hist) / count)
+        assert report.rectangle_tests == rect_tests
 
     def test_sup_distance_shrinks_along_k_ladder(self):
         distances = [value_distribution(k, rectangles=()).sup_distance_to_uniform
