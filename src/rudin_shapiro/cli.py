@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, gf2, norms, roots, verify
-from .core import (ResourceLimitError, generate_pair, parallelogram_residual,
-                   special_values)
+from .core import ResourceLimitError, generate_pair, special_values
 from .norms import Arc, FULL_CIRCLE
 
 EXIT_OK = 0
@@ -51,6 +50,8 @@ def parse_angle(text: str) -> float:
         coeff = float(lead)
     value = coeff * (math.pi if match.group(2) else 1.0)
     if match.group(3):
+        if float(match.group(3)) == 0.0:
+            raise ValueError(f"angle {text!r} divides by zero")
         value /= float(match.group(3))
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not finite")
@@ -119,8 +120,8 @@ def write_csv_artifact(path: Path, config: dict, header: list[str],
 def _config(args, **fields) -> dict:
     """Artifact header: subcommand, seed and the numeric parameters.
 
-    --threads is left out: it has no numeric effect, and artifacts must
-    be byte-identical across worker counts.
+    --threads is left out: it has no effect, and artifacts must be
+    byte-identical across its values.
     """
     return {"subcommand": args.command, "seed": args.seed, **fields}
 
@@ -175,10 +176,12 @@ def cmd_eval(args, out_dir: Path) -> int:
     arc = parse_arc(args.arc) if args.arc else FULL_CIRCLE
     count = args.count or norms.default_count(pair.n, arc)
     samples = evaluate.eval_grid(pair, arc, count,
-                                 half_offset=not args.no_offset,
-                                 threads=args.threads)
-    mean_sq = float(np.mean(np.abs(samples.values_p) ** 2))
-    residual = parallelogram_residual(pair, count)
+                                 half_offset=not args.no_offset)
+    p_sq = np.abs(samples.values_p) ** 2
+    mean_sq = float(np.mean(p_sq))
+    # |P|^2 + |Q|^2 = 2n exactly, so the residual is rounding on this grid
+    residual = float(np.max(np.abs(
+        p_sq + np.abs(samples.values_q) ** 2 - 2.0 * pair.n))) / (2.0 * pair.n)
     config = _config(args, k=args.k, arc=_arc_pair(arc), count=count,
                      half_offset=not args.no_offset)
     result = {"mean_p_squared": mean_sq,
@@ -233,7 +236,7 @@ def cmd_mahler(args, out_dir: Path) -> int:
 
 def cmd_roots(args, out_dir: Path) -> int:
     pair = generate_pair(args.k)
-    poly = pair.p if args.which == "p" else pair.q
+    poly = evaluate.pair_component(pair, args.which)
     rootset = roots.find_roots(poly, tol=args.tol, max_iter=args.max_iter,
                                seed=args.seed)
     config = _config(args, k=args.k, which=args.which, tol=args.tol,
@@ -257,7 +260,7 @@ def cmd_census(args, out_dir: Path) -> int:
         pair = generate_pair(k)
         results = []
         for component in which:
-            poly = pair.p if component == "p" else pair.q
+            poly = evaluate.pair_component(pair, component)
             rootset = roots.find_roots(poly, tol=args.tol, seed=args.seed)
             census = roots.zero_census(rootset, eps=args.eps)
             results.append({
@@ -421,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation")
+                        help="accepted (must be >= 1) but has no effect: "
+                             "every grid is evaluated in one thread")
     common.add_argument("--out", default=".",
                         help="directory for output artifacts")
 
@@ -525,8 +529,8 @@ COMMANDS = {
 }
 
 
-def _check_counts(args) -> None:
-    """Range checks of the integer flags, before any work or output."""
+def _check_flags(args) -> None:
+    """Range and combination checks of flags, before any work or output."""
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     count = getattr(args, "count", None)
@@ -541,6 +545,11 @@ def _check_counts(args) -> None:
             raise ValueError(f"--degree must be >= 2, got {args.degree}")
         if not args.coeffs and args.random < 1:
             raise ValueError("mercer needs --coeffs or --random >= 1")
+    grid_flags = ("arc", "count", "dump")
+    if args.command == "eval" and args.theta is not None and (args.no_offset or
+            any(getattr(args, flag) is not None for flag in grid_flags)):
+        raise ValueError("--arc, --count, --no-offset and --dump apply only "
+                         "to grids, not to one --theta point")
 
 
 def main(argv=None) -> int:
@@ -550,7 +559,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _check_counts(args)
+        _check_flags(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](args, out_dir)

@@ -102,13 +102,13 @@ class SpecialValues:
     expected_cross: int
 
 
-def generate_pair(k: int, *, max_k: int = MAX_PAIR_K) -> RudinShapiroPair:
+def generate_pair(k: int) -> RudinShapiroPair:
     """Build (P_k, Q_k) by the doubling recursion in O(2^k) work."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > max_k:
+    if k > MAX_PAIR_K:
         raise ResourceLimitError(
-            f"k={k} exceeds the generation limit max_k={max_k} "
+            f"k={k} exceeds the generation limit MAX_PAIR_K={MAX_PAIR_K} "
             f"(2^{k} coefficients per polynomial)")
     p = np.ones(1, dtype=np.int8)
     q = np.ones(1, dtype=np.int8)

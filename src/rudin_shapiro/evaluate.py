@@ -1,11 +1,13 @@
 """Circle evaluation of Rudin-Shapiro pairs: FFT, chirp-z, recursion, oracle.
 
-Which grid goes to which backend:
+iter_arc_values is the one dispatcher of pair grids: every grid of P_k
+or Q_k (eval_grid, the samplers of the norms, the value distribution,
+the lattice checks, the certified subarc grids) gets its backend there:
 
-- full circles: inverse FFTs of the twiddled coefficients, one per
-  interleaved sub-grid of at most GRID_MAX_COUNT points
-  (iter_circle_values, materialized by circle_values), on exact roots
-  of unity, free of angle rounding;
+- the exact full circle [0, 2 pi): inverse FFTs of the twiddled
+  coefficients, one per interleaved sub-grid of at most GRID_MAX_COUNT
+  points (iter_circle_values), on exact roots of unity, free of angle
+  rounding;
 - subarcs of count >= max(8n, 2^14) points: Bluestein's chirp-z
   transform (iter_chirp_values), streamed in blocks of about 3n points,
   one FFT/IFFT pair each;
@@ -15,9 +17,11 @@ Which grid goes to which backend:
   with k rather than with the degree; each squaring renormalizes the
   power to unit modulus.
 
-iter_arc_values applies the subarc rule, which depends only on (count,
-n).  Measured speed-up of chirp-z over the recursion (one component,
-arc 0.3..3.3, best of 5, Python 3.11, numpy 2.4, 2 cores):
+iter_circle_values and circle_values also serve coefficient-level
+callers (m a_m for Bernstein, the reversal residual, GF(2) falsifiers).
+The subarc rule depends only on (count, n).  Measured speed-up of
+chirp-z over the recursion (one component, arc 0.3..3.3, best of 5,
+Python 3.11, numpy 2.4, 2 cores):
 
      k      n   chirp-z first wins   at max(8n, 2^14)   at max(64n, 2^16)
      4     16         2^13                 2.1                3.5
@@ -47,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,7 +61,7 @@ from .core import LittlewoodPolynomial, ResourceLimitError, RudinShapiroPair
 if TYPE_CHECKING:
     from .norms import Arc
 
-#: Fixed chunk of recursion grids; thread counts do not change it.
+#: Block length of recursion grids.
 DEFAULT_CHUNK = 1 << 19
 #: Cap on materialized grids (two complex arrays of this length) and on
 #: each streamed full-circle sub-grid.
@@ -171,25 +174,19 @@ def _dd_square_complex(xh, xl, yh, yl):
     return rh, rl, ih, il
 
 
-def _pair_recursion(z: np.ndarray, k: int):
-    """Run the doubling recursion on an array of unit-circle points."""
-    p = np.ones_like(z)
-    q = np.ones_like(z)
-    w = z
-    for step in range(k):
+def eval_pair_grid(pair: RudinShapiroPair, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(P_k, Q_k) at the given angles by the recursion, O(k) vector passes."""
+    w = _unit_circle(np.asarray(thetas, dtype=np.float64))
+    p = np.ones_like(w)
+    q = np.ones_like(w)
+    for step in range(pair.k):
         wq = w * q
         np.subtract(p, wq, out=q)  # in place: two fewer chunk-sized arrays
         p += wq
-        if step != k - 1:
+        if step != pair.k - 1:
             w = w * w
             w = w / np.abs(w)
     return p, q
-
-
-def eval_pair_grid(pair: RudinShapiroPair, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(P_k, Q_k) at the given angles, O(k) vector passes."""
-    z = _unit_circle(np.asarray(thetas, dtype=np.float64))
-    return _pair_recursion(z, pair.k)
 
 
 def eval_pair_point(pair: RudinShapiroPair, point) -> tuple[complex, complex]:
@@ -364,27 +361,45 @@ def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
         yield np.fft.ifft(u * chirp)[:b] * post[:b]
 
 
+def pair_component(pair: RudinShapiroPair, component: str):
+    """P_k for "p", Q_k for "q": the one check of a component name."""
+    if component not in ("p", "q"):
+        raise ValueError(f"component must be 'p' or 'q', got {component!r}")
+    return pair.p if component == "p" else pair.q
+
+
 def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
                     beta: float, count: int, *, half_offset: bool = True):
-    """Yield S = P_k or Q_k over the arc grid in blocks, cheaper backend.
+    """Yield (index, values), values = S[index] for S = P_k or Q_k on the grid.
 
-    Chirp-z from max(8n, 2^14) points on, the recursion below (the
-    measured rule of the module docstring); the blocks concatenate to
-    the grid either way.
+    The one backend choice for pair grids (module docstring); index is a
+    slice of range(count), and the slices tile it exactly once.  The
+    exact full circle, alpha == 0.0 and beta == 2 pi, streams the
+    sub-grids of iter_circle_values as slice(r, None, stride).  Subarcs
+    of max(8n, 2^14) points on go to chirp-z, shorter ones to the
+    recursion in DEFAULT_CHUNK blocks, as consecutive slices.
     """
+    poly = pair_component(pair, component)
     n = pair.n
-    if max(CHIRP_MIN_RATIO * n, CHIRP_MIN_COUNT) <= count and \
+    if alpha == 0.0 and beta == math.tau:
+        for r, stride, values in iter_circle_values(poly.coeffs, count,
+                                                    half_offset):
+            yield slice(r, None, stride), values
+    elif max(CHIRP_MIN_RATIO * n, CHIRP_MIN_COUNT) <= count and \
             n * count <= CHIRP_MAX_PRODUCT:
-        poly = pair.p if component == "p" else pair.q
-        yield from iter_chirp_values(poly.coeffs, alpha, beta, count,
-                                     half_offset=half_offset)
+        lo = 0
+        for values in iter_chirp_values(poly.coeffs, alpha, beta, count,
+                                        half_offset=half_offset):
+            yield slice(lo, lo + values.size), values
+            lo += values.size
     else:
         pick = 0 if component == "p" else 1
         offset = 0.5 if half_offset else 0.0
         step = (beta - alpha) / count
         for lo in range(0, count, DEFAULT_CHUNK):
             j = np.arange(lo, min(lo + DEFAULT_CHUNK, count), dtype=np.float64)
-            yield eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
+            yield slice(lo, lo + j.size), \
+                eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
 
 
 def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
@@ -418,66 +433,41 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
 
 
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
-              half_offset: bool = True, threads: int = 1,
-              max_count: int = GRID_MAX_COUNT) -> GridSamples:
-    """Materialize pair values over an arc.
-
-    Work may be partitioned across threads by fixed index ranges; each
-    sample is computed independently, so the output is bit-identical
-    for any worker count.
-    """
+              half_offset: bool = True) -> GridSamples:
+    """Materialize pair values over an arc, filled from iter_arc_values."""
     if count < 2:
         raise ValueError("count must be >= 2")
-    if count > max_count:
+    if count > GRID_MAX_COUNT:
         raise ResourceLimitError(
-            f"count {count} exceeds the grid memory cap {max_count}")
-    values_p = np.empty(count, dtype=np.complex128)
-    values_q = np.empty(count, dtype=np.complex128)
-    offset = 0.5 if half_offset else 0.0
-    step = (arc.beta - arc.alpha) / count
-
-    def fill(lo: int, hi: int):
-        j = np.arange(lo, hi, dtype=np.float64)
-        z = _unit_circle(arc.alpha + (j + offset) * step)
-        values_p[lo:hi], values_q[lo:hi] = _pair_recursion(z, pair.k)
-
-    bounds = [(lo, min(lo + DEFAULT_CHUNK, count))
-              for lo in range(0, count, DEFAULT_CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    else:
-        for lo, hi in bounds:
-            fill(lo, hi)
-    return GridSamples(k=pair.k, arc=arc, count=count,
-                       values_p=values_p, values_q=values_q,
-                       half_offset=half_offset)
+            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
+    values = []
+    for component in ("p", "q"):
+        out = np.empty(count, dtype=np.complex128)
+        for index, block in iter_arc_values(pair, component, arc.alpha,
+                                            arc.beta, count,
+                                            half_offset=half_offset):
+            out[index] = block
+        values.append(out)
+    return GridSamples(k=pair.k, arc=arc, count=count, values_p=values[0],
+                       values_q=values[1], half_offset=half_offset)
 
 
 def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
     """Sampler (alpha, beta, count) -> transform(S) for S = P_k or Q_k.
 
-    Full circles stream iter_circle_values, other grids iter_arc_values,
-    into one float array, allowed the bytes of the cap's two complex
-    arrays.
+    Fills one float array from iter_arc_values, allowed the bytes of the
+    cap's two complex arrays.
     """
-    poly = pair.p if component == "p" else pair.q
+    pair_component(pair, component)  # a bad name fails here, not per grid
 
     def sampler(alpha, beta, count, half_offset=True):
         if count > 4 * GRID_MAX_COUNT:
             raise ResourceLimitError(
                 f"count {count} exceeds the sample array cap {4 * GRID_MAX_COUNT}")
         out = np.empty(count, dtype=np.float64)
-        if alpha == 0.0 and beta == math.tau:
-            for r, stride, values in iter_circle_values(poly.coeffs, count,
-                                                        half_offset):
-                out[r::stride] = transform(values)
-            return out
-        pos = 0
-        for values in iter_arc_values(pair, component, alpha, beta, count,
-                                      half_offset=half_offset):
-            out[pos:pos + values.size] = transform(values)
-            pos += values.size
+        for index, values in iter_arc_values(pair, component, alpha, beta,
+                                             count, half_offset=half_offset):
+            out[index] = transform(values)
         return out
 
     return sampler
@@ -485,8 +475,6 @@ def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
 
 def pair_modulus_sampler(pair: RudinShapiroPair, component: str = "p"):
     """Sampler (alpha, beta, count) -> |P_k| (or |Q_k|) on the midpoint grid."""
-    if component not in ("p", "q"):
-        raise ValueError("component must be 'p' or 'q'")
     return _pair_sampler(pair, component, np.abs)
 
 

@@ -244,8 +244,8 @@ def random_skew_reciprocal(m: int, rng) -> list[int]:
     return coeffs
 
 
-def circle_min_modulus(coeffs, points_per_degree: int = 64) -> float:
-    """Numerical falsifier: min |S| over a dense half-offset circle grid.
+def circle_min_modulus(coeffs) -> float:
+    """Numerical falsifier: min |S| on a half-offset grid, 64 points a degree.
 
     A certified polynomial must keep this strictly positive; a zero on
     the circle would drag it to the grid resolution.
@@ -255,6 +255,6 @@ def circle_min_modulus(coeffs, points_per_degree: int = 64) -> float:
     from . import evaluate
 
     degree = len(coeffs) - 1
-    count = max(64, points_per_degree * max(1, degree))
+    count = 64 * max(1, degree)
     vals = evaluate.circle_values(coeffs, count)
     return float(np.min(np.abs(vals)))

@@ -179,7 +179,7 @@ def _log_mean(vals: np.ndarray, spacing: float,
     keep = vals >= UNDERFLOW_FLOOR
     if exclusion_radius > 0.0:
         near = vals < 1e-9 * max(1.0, float(vals.max(initial=0.0)))
-        reach = min(int(exclusion_radius / spacing), vals.size)
+        reach = int(min(exclusion_radius / spacing, vals.size))
         if near.any():
             # a sample is hit when any near-zero lies within `reach`
             # indices; count near-zeros in the window by prefix sums

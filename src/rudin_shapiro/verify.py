@@ -31,6 +31,10 @@ MAHLER_LIMIT_RATIO = math.sqrt(2.0 / math.e)
 MIN_ARC_FACTOR = 32.0 * math.pi
 #: Midpoint cells per 1/n window of the certified subarc grid.
 CELLS_PER_WINDOW = 4
+#: Samples across each certified lattice interval.
+POINTS_PER_INTERVAL = 33
+#: Angular distance from t = 0 and t = pi left out of the modulus minimum.
+POLE_EXCLUSION = 0.01
 
 #: Fixed k-ladders for trend acceptance of asymptotic statements.
 SAFFARI_TREND_KS = (10, 12, 14, 16)
@@ -120,9 +124,8 @@ def _pair(k: int, pair: RudinShapiroPair | None) -> RudinShapiroPair:
 
 def _lattice_squared_moduli(pair: RudinShapiroPair):
     """|P|^2 and |Q|^2 at the exact n-th roots of unity (no offset)."""
-    return tuple(np.abs(evaluate.circle_values(
-        poly.coeffs, pair.n, half_offset=False)) ** 2
-        for poly in (pair.p, pair.q))
+    grid = evaluate.eval_grid(pair, FULL_CIRCLE, pair.n, half_offset=False)
+    return np.abs(grid.values_p) ** 2, np.abs(grid.values_q) ** 2
 
 
 def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
@@ -154,12 +157,11 @@ def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
         details={"worst_case": worst_component, "bound": bound})
 
 
-def check_certified_intervals(k: int, pair=None,
-                              points_per_interval: int = 33) -> InequalityReport:
+def check_certified_intervals(k: int, pair=None) -> InequalityReport:
     """Large lattice values propagate to intervals of radius gamma/n.
 
     For every lattice index j with |S(z_j)|^2 >= 2*gamma*n, samples
-    points_per_interval points across [t_j - gamma/n, t_j + gamma/n]
+    POINTS_PER_INTERVAL points across [t_j - gamma/n, t_j + gamma/n]
     and verifies |S|^2 >= gamma*n on all of them, for S = P_k and Q_k.
     Reports the minimum over all certified intervals.
     """
@@ -169,7 +171,7 @@ def check_certified_intervals(k: int, pair=None,
     n = pair.n
     radius = GAMMA / n
     rp, rq = _lattice_squared_moduli(pair)
-    offsets = np.linspace(-radius, radius, points_per_interval)
+    offsets = np.linspace(-radius, radius, POINTS_PER_INTERVAL)
     m = np.arange(n)
     overall_min = math.inf
     certified_total = 0
@@ -189,7 +191,7 @@ def check_certified_intervals(k: int, pair=None,
         name="certified_intervals", k=k, lhs=overall_min, rhs=bound,
         margin=overall_min - bound, passed=overall_min >= bound,
         details={"certified_intervals": certified_total,
-                 "points_per_interval": points_per_interval})
+                 "points_per_interval": POINTS_PER_INTERVAL})
 
 
 def bernstein_ratio(k: int, count: int | None = None,
@@ -257,7 +259,8 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     slack = (n - 1) * n * width / 2.0 + err
     thresholds = (level + slack, level, level ** 2)  # certified, sampled, unsquared
     peak, hits, sums = 0.0, np.zeros(3, int), np.zeros((len(qs), 2))
-    for p in evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta, count):
+    for _, p in evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta,
+                                         count):
         f = p.real ** 2 + p.imag ** 2
         hits += [np.count_nonzero(f >= t) for t in thresholds]
         peak = max(peak, float(f.max()))
@@ -380,12 +383,12 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
     S/sqrt(2n) covers any rectangle E inside the unit disk with measure
     2 m(E); both are measured at finite k.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     pair = _pair(k, pair)
     n = pair.n
     if count is None:
         count = max(4096, 64 * n)
+    if not 2 <= bins <= count:  # the CDF of count samples has count steps
+        raise ValueError(f"bins must be in [2, count = {count}], got {bins}")
     for rect in rectangles:
         r0, r1, i0, i1 = rect
         if not (r0 < r1 and i0 < i1):
@@ -393,12 +396,12 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         corner = math.hypot(max(abs(r0), abs(r1)), max(abs(i0), abs(i1)))
         if corner >= 1.0:
             raise ValueError(f"rectangle {rect} leaves the open unit disk")
-    poly = pair.p if component == "p" else pair.q
     u = np.empty(count)
     hits = [0] * len(rectangles)
-    for r, stride, values in evaluate.iter_circle_values(poly.coeffs, count):
+    for index, values in evaluate.iter_arc_values(pair, component, 0.0,
+                                                  math.tau, count):
         values /= math.sqrt(2.0 * n)
-        u[r::stride] = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        u[index] = np.clip(np.abs(values) ** 2, 0.0, 1.0)
         hits = [hit + np.count_nonzero((values.real >= r0) & (values.real <= r1)
                                        & (values.imag >= i0) & (values.imag <= i1))
                 for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
@@ -419,9 +422,8 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
 
 
 def min_modulus_excluding_poles(k: int, count: int | None = None,
-                                exclusion: float = 0.01, component: str = "p",
-                                pair=None) -> float:
-    """min |S| on the circle away from t = 0 and t = pi.
+                                component: str = "p", pair=None) -> float:
+    """min |S| on the circle, POLE_EXCLUSION away from t = 0 and t = pi.
 
     Evidence for the open question of where circle zeros can sit: the
     pair polynomials vanish at -1 or +1 depending on parity, and the
@@ -430,14 +432,14 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     pair = _pair(k, pair)
     if count is None:
         count = max(4096, 64 * pair.n)
-    poly = pair.p if component == "p" else pair.q
     best = math.inf
-    for r, stride, vals in evaluate.iter_circle_values(poly.coeffs, count):
-        # the bits of circle_grid(0, 2 pi, count) at j = r + stride * t
-        th = (r + 0.5 + stride * np.arange(vals.size, dtype=np.float64)) * \
+    for index, vals in evaluate.iter_arc_values(pair, component, 0.0,
+                                                math.tau, count):
+        # the bits of circle_grid(0, 2 pi, count) at the indices
+        th = (np.arange(*index.indices(count), dtype=np.float64) + 0.5) * \
             (math.tau / count)
-        away = (th > exclusion) & (np.abs(th - math.pi) > exclusion) & \
-               (math.tau - th > exclusion)
+        away = (np.minimum(th, math.tau - th) > POLE_EXCLUSION) & \
+            (np.abs(th - math.pi) > POLE_EXCLUSION)
         best = min(best, float(np.min(np.abs(vals), where=away,
                                       initial=math.inf)))
     return best
@@ -460,34 +462,32 @@ def trend_nonincreasing(values, floor: float) -> bool:
 
 
 def _trend_report(name: str, ks, distances: list, floor: float,
-                  terminal_tol: float, q: float | None = None) -> InequalityReport:
-    passed = trend_nonincreasing(distances, floor) and \
-        distances[-1] <= terminal_tol
+                  q: float | None = None) -> InequalityReport:
+    tol = TREND_TERMINAL_TOL
+    passed = trend_nonincreasing(distances, floor) and distances[-1] <= tol
     return InequalityReport(
         name=name, k=ks[-1], q=q, lhs=distances[-1],
-        rhs=terminal_tol, margin=terminal_tol - distances[-1], passed=passed,
+        rhs=tol, margin=tol - distances[-1], passed=passed,
         details={"ks": list(ks), "distances": distances, "floor": floor})
 
 
-def saffari_trend(q: float, ks=SAFFARI_TREND_KS,
-                  floor: float = SAFFARI_TREND_FLOOR,
-                  terminal_tol: float = TREND_TERMINAL_TOL) -> InequalityReport:
+def saffari_trend(q: float) -> InequalityReport:
     """|M_q ratio - 1| along the k-ladder: nonincreasing and small at the end."""
-    distances = [abs(saffari_ratio(k, q).details["ratio"] - 1.0) for k in ks]
-    return _trend_report("saffari_trend", ks, distances, floor, terminal_tol, q)
+    distances = [abs(saffari_ratio(k, q).details["ratio"] - 1.0)
+                 for k in SAFFARI_TREND_KS]
+    return _trend_report("saffari_trend", SAFFARI_TREND_KS, distances,
+                         SAFFARI_TREND_FLOOR, q)
 
 
-def mahler_asymptote_trend(ks=MAHLER_TREND_KS,
-                           floor: float = MAHLER_TREND_FLOOR,
-                           terminal_tol: float = TREND_TERMINAL_TOL) -> InequalityReport:
+def mahler_asymptote_trend() -> InequalityReport:
     """Distance of M_0/sqrt(n) to (2/e)^(1/2) along the k-ladder."""
-    distances = [mahler_asymptote_ratio(k).details["distance"] for k in ks]
-    return _trend_report("mahler_asymptote_trend", ks, distances, floor,
-                         terminal_tol)
+    distances = [mahler_asymptote_ratio(k).details["distance"]
+                 for k in MAHLER_TREND_KS]
+    return _trend_report("mahler_asymptote_trend", MAHLER_TREND_KS, distances,
+                         MAHLER_TREND_FLOOR)
 
 
-def random_arcs(k: int, how_many: int, seed: int = 0,
-                min_length: float | None = None) -> list[Arc]:
+def random_arcs(k: int, how_many: int, seed: int = 0) -> list[Arc]:
     """Seeded random arcs meeting the 32*pi/n length hypothesis.
 
     Lengths are log-uniform between the hypothesis minimum and the full
@@ -495,7 +495,7 @@ def random_arcs(k: int, how_many: int, seed: int = 0,
     are uniform.
     """
     n = 1 << k
-    lo = MIN_ARC_FACTOR / n if min_length is None else min_length
+    lo = MIN_ARC_FACTOR / n
     if lo > math.tau:
         raise ValueError(f"minimum arc length {lo:.4g} exceeds 2*pi; "
                          f"k={k} is too small for the hypothesis")

@@ -2,10 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rudin_shapiro.cli import (main, parse_angle, parse_arc, parse_k_range,
                                parse_q_list)
+from rudin_shapiro.evaluate import read_grid_dump
 
 
 def artifact_bytes(directory: Path) -> dict[str, bytes]:
@@ -37,6 +39,9 @@ class TestParsing:
             parse_angle("two pies")
         for text in ("1e400", "-1e400pi", "1e308pi", "1e308pi/0.5"):
             with pytest.raises(ValueError, match="finite"):
+                parse_angle(text)
+        for text in ("pi/0", "1/0", "-3pi/0.0", "0/.0"):
+            with pytest.raises(ValueError, match="divides by zero"):
                 parse_angle(text)
 
     def test_arc(self):
@@ -110,6 +115,16 @@ class TestExitCodes:
         ["eval", "--k", "3", "--theta", "1e308pi"],
         ["verify", "level_set", "--k", "4..5", "--arcs", "0"],
         ["verify", "moment_bounds", "--k", "2"],
+        ["eval", "--k", "3", "--theta", "pi/0"],
+        ["norm", "--k", "3", "--q", "2", "--arc", "0:1/0"],
+        ["distribution", "--k", "3", "--bins", "100000000000"],
+        ["distribution", "--k", "3", "--count", "64", "--bins", "65"],
+        ["eval", "--k", "3", "--theta", "pi/3", "--arc", "0:pi"],
+        ["eval", "--k", "3", "--theta", "pi/3", "--count", "99"],
+        ["eval", "--k", "3", "--theta", "pi/3", "--no-offset"],
+        ["eval", "--k", "3", "--theta", "pi/3", "--dump", "g.bin"],
+        ["eval", "--k", "3", "--theta", "pi/3", "--arc", "0:pi", "--count",
+         "99", "--no-offset", "--dump", "g.bin"],
     ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
             "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
             "census_eps_nan", "threads_zero", "threads_negative",
@@ -117,7 +132,11 @@ class TestExitCodes:
             "mercer_degree_1", "mercer_no_input", "eval_count_zero",
             "eval_count_one", "norm_count_one", "saffari_count_one",
             "problem55_count_one", "theta_overflow", "theta_pi_overflow",
-            "verify_no_arcs", "verify_no_admissible_arc"])
+            "verify_no_arcs", "verify_no_admissible_arc",
+            "theta_zero_denominator", "arc_zero_denominator",
+            "bins_past_default_count", "bins_past_count", "theta_with_arc",
+            "theta_with_count", "theta_with_no_offset", "theta_with_dump",
+            "theta_with_every_grid_flag"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -166,6 +185,22 @@ class TestSubcommands:
         assert payload["results"]["mean_p_squared_over_n"] == \
             pytest.approx(1.0, abs=1e-10)
         assert (tmp_path / "grid.bin").is_file()
+
+    @pytest.mark.parametrize("extra", [
+        ["--arc", "0:2pi", "--count", "4096"],
+        ["--arc", "0.3:3.3", "--count", "20000", "--no-offset"],
+        ["--arc", "0.3:3.3", "--count", "999"],
+    ], ids=["fft", "chirp", "recursion"])
+    def test_eval_reads_its_own_grid(self, extra, tmp_path, capsys):
+        # mean |P|^2 and the flatness residual come off the dumped samples
+        assert main(["eval", "--k", "8", *extra, "--dump", "grid.bin",
+                     "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "eval_k08_grid.json").read_text())
+        grid = read_grid_dump(tmp_path / "grid.bin")
+        p_sq = np.abs(grid.values_p) ** 2
+        assert result["results"]["mean_p_squared"] == float(np.mean(p_sq))
+        assert result["results"]["flatness_residual"] == float(np.max(np.abs(
+            p_sq + np.abs(grid.values_q) ** 2 - 512.0))) / 512.0
 
     def test_eval_full_lattice_mode(self, tmp_path, capsys):
         assert main(["eval", "--k", "4", "--arc", "0:2pi", "--count", "16",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rudin_shapiro import core
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
                                 conjugate_relation_residual, generate_pair,
                                 parallelogram_residual, special_values)
@@ -72,9 +73,11 @@ class TestGeneratePair:
         assert np.array_equal(pair.p.coeffs[:half], pair.q.coeffs[:half])
         assert np.array_equal(pair.p.coeffs[half:], -pair.q.coeffs[half:])
 
-    def test_generation_limit(self):
-        with pytest.raises(ResourceLimitError, match="max_k"):
-            generate_pair(7, max_k=6)
+    def test_generation_limit(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_PAIR_K", 6)
+        assert generate_pair(6).n == 64
+        with pytest.raises(ResourceLimitError, match="MAX_PAIR_K=6"):
+            generate_pair(7)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
                                     eval_horner, eval_pair_point)
 from rudin_shapiro.norms import Arc, FULL_CIRCLE
 from rudin_shapiro.reductions import pairwise_mean, pairwise_sum
-from rudin_shapiro.verify import bernstein_ratio, min_modulus_excluding_poles
+from rudin_shapiro.verify import (bernstein_ratio, min_modulus_excluding_poles,
+                                  value_distribution)
 
 TAU = math.tau
 
@@ -136,26 +137,23 @@ class TestGrids:
         mean_sq = pairwise_mean(np.abs(samples.values_p) ** 2)
         assert abs(mean_sq - pair.n) / pair.n <= 1e-10
 
-    def test_memory_cap(self):
-        with pytest.raises(ResourceLimitError):
-            eval_grid(generate_pair(2), FULL_CIRCLE, 100, max_count=64)
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 64)
+        assert eval_grid(generate_pair(2), FULL_CIRCLE, 64).count == 64
+        with pytest.raises(ResourceLimitError, match="cap 64"):
+            eval_grid(generate_pair(2), FULL_CIRCLE, 65)
 
     def test_chunks_cover_grid_exactly(self, monkeypatch):
+        # a subarc below the chirp-z crossover: recursion blocks
         pair = generate_pair(4)
-        whole = eval_grid(pair, FULL_CIRCLE, 1000).values_p
-        monkeypatch.setattr(evaluate, "DEFAULT_CHUNK", 137)
-        pieces = list(evaluate.iter_arc_values(pair, "p", 0.0, TAU, 1000))
-        assert [p.size for p in pieces] == [137] * 7 + [41]
-        assert np.array_equal(np.concatenate(pieces), whole)
-
-    def test_thread_count_bit_identical(self):
-        pair = generate_pair(8)
         arc = Arc(0.3, 5.0)
-        base = eval_grid(pair, arc, 4096, threads=1)
-        for threads in (2, 8):
-            other = eval_grid(pair, arc, 4096, threads=threads)
-            assert np.array_equal(base.values_p, other.values_p)
-            assert np.array_equal(base.values_q, other.values_q)
+        whole = eval_grid(pair, arc, 1000).values_p
+        monkeypatch.setattr(evaluate, "DEFAULT_CHUNK", 137)
+        pieces = list(evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta,
+                                               1000))
+        assert [index for index, _ in pieces] == [
+            slice(lo, min(lo + 137, 1000)) for lo in range(0, 1000, 137)]
+        assert np.array_equal(np.concatenate([v for _, v in pieces]), whole)
 
 
 EPS = np.finfo(np.float64).eps
@@ -179,6 +177,57 @@ def _chirp_grid(coeffs, alpha, beta, count, half_offset=True):
 
 def _crossover(n):
     return max(evaluate.CHIRP_MIN_RATIO * n, evaluate.CHIRP_MIN_COUNT)
+
+
+class TestArcDispatch:
+    """iter_arc_values, the one backend choice of every pair grid."""
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("count", [7, 100, 4096, 132])
+    def test_full_circle_tiles_once(self, count, half_offset, monkeypatch):
+        pair = generate_pair(5)
+        whole = evaluate.circle_values(pair.q.coeffs, count, half_offset)
+        if count == 132:  # past a cap of 64: sub-grids of stride 4
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 64)
+        expect = evaluate.iter_circle_values(pair.q.coeffs, count, half_offset)
+        hits = np.zeros(count, dtype=int)
+        got = np.empty(count, dtype=np.complex128)
+        for index, values in evaluate.iter_arc_values(
+                pair, "q", 0.0, TAU, count, half_offset=half_offset):
+            r, stride, block = next(expect)
+            assert index == slice(r, None, stride)
+            assert np.array_equal(values, block)
+            hits[index] += 1
+            got[index] = values
+        assert next(expect, None) is None
+        assert np.all(hits == 1)
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("arc, count", [
+        (FULL_CIRCLE, 4096), (Arc(0.3, 3.3), 3 * (1 << 14) + 7),
+        (Arc(0.3, 3.3), 5000)], ids=["fft", "chirp", "recursion"])
+    def test_eval_grid_matches_recursion(self, arc, count, half_offset):
+        pair = generate_pair(10)
+        n = pair.n
+        grid = eval_grid(pair, arc, count, half_offset=half_offset)
+        rp, rq = _recursion_grid(pair, count, half_offset, arc.alpha, arc.beta)
+        for values, rec in ((grid.values_p, rp), (grid.values_q, rq)):
+            assert np.max(np.abs(values - rec)) <= 10 * EPS * n ** 1.5
+
+    @pytest.mark.parametrize("entry", [
+        lambda pair: next(evaluate.iter_arc_values(pair, "x", 0.3, 1.0, 64)),
+        lambda pair: value_distribution(pair.k, component="x", pair=pair),
+        lambda pair: min_modulus_excluding_poles(pair.k, component="x",
+                                                 pair=pair),
+    ], ids=["iter_arc_values", "value_distribution", "min_modulus"])
+    def test_bad_component_rejected(self, entry):
+        with pytest.raises(ValueError, match="component must be 'p' or 'q'"):
+            entry(generate_pair(6))
+        with pytest.raises(ValueError, match="component must be 'p' or 'q'"):
+            evaluate.pair_modulus_sampler(generate_pair(6), "x")
 
 
 class TestCircleValues:
@@ -402,7 +451,10 @@ class TestChirpValues:
         cross = _crossover(pair.n)
         for count in (cross - 1, cross, 3 * cross + 5):
             blocks = list(evaluate.iter_arc_values(pair, "q", 0.4, 2.9, count))
-            got = np.concatenate(blocks)
+            assert blocks[0][0].start == 0 and blocks[-1][0].stop == count
+            assert all(a.stop == b.start for (a, _), (b, _) in
+                       zip(blocks, blocks[1:]))
+            got = np.concatenate([values for _, values in blocks])
             if count < cross:
                 expect = _recursion_grid(pair, count, True, 0.4, 2.9)[1]
             else:
@@ -418,7 +470,9 @@ class TestChirpValues:
             next(evaluate.iter_chirp_values(coeffs, 0.0, 1.0, 2 ** 52))
         # past the exact-phase limit the dispatch keeps the recursion
         pair = generate_pair(3)
-        first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0, 2 ** 50))
+        index, first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0,
+                                                     2 ** 50))
+        assert index == slice(0, evaluate.DEFAULT_CHUNK)
         j = np.arange(evaluate.DEFAULT_CHUNK, dtype=np.float64)
         assert np.array_equal(first, evaluate.eval_pair_grid(
             pair, (j + 0.5) * (1.0 / 2 ** 50))[0])

@@ -128,8 +128,8 @@ class TestLevelSetMeasure:
 
 def _squared_moduli(pair, arc, count):
     """|P|^2 on the midpoint grid, computed as the certificate computes it."""
-    p = np.concatenate(list(evaluate.iter_arc_values(
-        pair, "p", arc.alpha, arc.beta, count)))
+    p = np.concatenate([values for _, values in evaluate.iter_arc_values(
+        pair, "p", arc.alpha, arc.beta, count)])
     return p.real ** 2 + p.imag ** 2
 
 
@@ -239,9 +239,9 @@ class TestSubarcMomentBounds:
 
         def doctored(*args, **kwargs):
             blocks = honest(*args, **kwargs)
-            first = next(blocks)
+            index, first = next(blocks)
             first[0] = math.sqrt(2.0 * n * (1.0 + excess))
-            yield first
+            yield index, first
             yield from blocks
 
         monkeypatch.setattr(evaluate, "iter_arc_values", doctored)
