@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--no-offset", action="store_true",
                    help="full lattice instead of half-offset grid")
-    p.add_argument("--dump", help="binary grid dump filename")
+    p.add_argument("--dump", help="binary grid dump filename under --out")
 
     p = sub.add_parser("norm", parents=[common], help="M_q on an arc")
     p.add_argument("--k", required=True, help="k or range, e.g. 3 or 1..12")
@@ -550,6 +550,16 @@ def _check_flags(args) -> None:
             any(getattr(args, flag) is not None for flag in grid_flags)):
         raise ValueError("--arc, --count, --no-offset and --dump apply only "
                          "to grids, not to one --theta point")
+    out = Path(args.out)
+    existing = next((path for path in (out, *out.parents) if path.exists()),
+                    out)
+    if not existing.is_dir():
+        raise ValueError(f"--out {args.out}: {existing} is not a directory")
+    dump = getattr(args, "dump", None)
+    if dump is not None and (Path(dump).name != dump or dump in ("", "..")
+                             or (out / dump).is_dir()):
+        raise ValueError(f"--dump must name a file directly under --out, "
+                         f"got {dump!r}")
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Circle evaluation of Rudin-Shapiro pairs: FFT, chirp-z, recursion, oracle.
 
 iter_arc_values is the one dispatcher of pair grids: every grid of P_k
-or Q_k (eval_grid, the samplers of the norms, the value distribution,
-the lattice checks, the certified subarc grids) gets its backend there:
+or Q_k (eval_grid, the norm estimates, the value distribution, the
+lattice checks, the certified subarc grids) gets its backend there:
 
 - the exact full circle [0, 2 pi): inverse FFTs of the twiddled
   coefficients, one per interleaved sub-grid of at most GRID_MAX_COUNT
@@ -41,9 +41,8 @@ Python 3.11, numpy 2.4, 2 cores):
 Single readings on a shared machine vary by about a third.  At half
 the rule's count the ratio is 0.5 to 1.2, so the rule sits just past
 the crossover: Bluestein costs O(n log n) even for a short grid, the
-recursion O(k) per point.  Horner evaluation is kept as an independent
-cross-check oracle and for Littlewood polynomials that are not
-Rudin-Shapiro pairs.
+recursion O(k) per point.  Horner evaluation (eval_horner) is only an
+independent cross-check oracle: no grid of the package goes through it.
 """
 
 from __future__ import annotations
@@ -66,6 +65,9 @@ DEFAULT_CHUNK = 1 << 19
 #: Cap on materialized grids (two complex arrays of this length) and on
 #: each streamed full-circle sub-grid.
 GRID_MAX_COUNT = 1 << 24
+#: Cap on float sample arrays (norm grids, the value distribution): the
+#: bytes of the grid cap's two complex arrays.
+SAMPLE_MAX_COUNT = 4 * GRID_MAX_COUNT
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
 #: Subarc grids go to chirp-z from max(CHIRP_MIN_RATIO * n,
@@ -450,47 +452,6 @@ def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
         values.append(out)
     return GridSamples(k=pair.k, arc=arc, count=count, values_p=values[0],
                        values_q=values[1], half_offset=half_offset)
-
-
-def _pair_sampler(pair: RudinShapiroPair, component: str, transform):
-    """Sampler (alpha, beta, count) -> transform(S) for S = P_k or Q_k.
-
-    Fills one float array from iter_arc_values, allowed the bytes of the
-    cap's two complex arrays.
-    """
-    pair_component(pair, component)  # a bad name fails here, not per grid
-
-    def sampler(alpha, beta, count, half_offset=True):
-        if count > 4 * GRID_MAX_COUNT:
-            raise ResourceLimitError(
-                f"count {count} exceeds the sample array cap {4 * GRID_MAX_COUNT}")
-        out = np.empty(count, dtype=np.float64)
-        for index, values in iter_arc_values(pair, component, alpha, beta,
-                                             count, half_offset=half_offset):
-            out[index] = transform(values)
-        return out
-
-    return sampler
-
-
-def pair_modulus_sampler(pair: RudinShapiroPair, component: str = "p"):
-    """Sampler (alpha, beta, count) -> |P_k| (or |Q_k|) on the midpoint grid."""
-    return _pair_sampler(pair, component, np.abs)
-
-
-def littlewood_modulus_sampler(poly: LittlewoodPolynomial):
-    """Sampler built on the Horner oracle, for non-pair Littlewood inputs."""
-
-    def sampler(alpha, beta, count, half_offset=True):
-        thetas = circle_grid(alpha, beta, count, half_offset)
-        return np.abs(eval_horner(poly, thetas))
-
-    return sampler
-
-
-def flatness_defect_sampler(pair: RudinShapiroPair):
-    """Sampler for | |P_k|^2 - n |, the deviation of P from perfect flatness."""
-    return _pair_sampler(pair, "p", lambda p: np.abs(np.abs(p) ** 2 - pair.n))
 
 
 def write_grid_dump(samples: GridSamples, path) -> None:

@@ -11,6 +11,9 @@ integrands on the full circle, simple on subarcs, and the grid never
 contains z = +-1 where the pair polynomials can vanish.  Accuracy is
 measured, not assumed: every estimate is recomputed at doubled
 resolution and flagged when the relative step stays too large.
+
+Every estimator takes source = (pair, 'p' | 'q'), S = P_k or Q_k of a
+RudinShapiroPair, and fills its grids from evaluate.iter_arc_values.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate
-from .core import LittlewoodPolynomial, RudinShapiroPair
+from .core import ResourceLimitError, RudinShapiroPair
 from .reductions import pairwise_mean
 
 #: Samples with |S| below this are excluded from log integrands; the
@@ -101,38 +104,37 @@ def default_count(n: int, arc: Arc) -> int:
     return max(1024, int(math.ceil(base * arc.fraction)))
 
 
-def _resolve_source(source):
-    """Turn a polynomial, pair, (pair, 'p'|'q'), or sampler into a sampler."""
-    if callable(source):
-        return source, None
-    if isinstance(source, RudinShapiroPair):
-        return evaluate.pair_modulus_sampler(source, "p"), source.n
-    if isinstance(source, tuple) and len(source) == 2 and \
-            isinstance(source[0], RudinShapiroPair):
-        pair, component = source
-        return evaluate.pair_modulus_sampler(pair, component), pair.n
-    if isinstance(source, LittlewoodPolynomial):
-        return evaluate.littlewood_modulus_sampler(source), source.degree + 1
-    raise TypeError(f"cannot sample |S| from {type(source).__name__}")
+def _grids(source, arc: Arc, count, transform=np.abs):
+    """The count and the c-grid and 2c-grid of transform(S) on arc, drawn lazily.
 
-
-def _pick_count(count, n_hint, arc: Arc) -> int:
-    if count is not None:
-        if count < 2:
-            raise ValueError("count must be >= 2")
-        return int(count)
-    if n_hint is None:
-        raise ValueError("count is required when the source has no known degree")
-    return default_count(n_hint, arc)
-
-
-def _grids(source, arc: Arc, count):
-    """The count and the c-grid and 2c-grid of |S| on arc, drawn lazily."""
+    source is (pair, 'p' | 'q'); each grid is one float array filled
+    from evaluate.iter_arc_values, within evaluate.SAMPLE_MAX_COUNT.
+    """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
-    sampler, n_hint = _resolve_source(source)
-    count = _pick_count(count, n_hint, arc)
-    return count, (sampler(arc.alpha, arc.beta, c) for c in (count, 2 * count))
+    if not (isinstance(source, tuple) and len(source) == 2 and
+            isinstance(source[0], RudinShapiroPair)):
+        raise TypeError("source must be (pair, 'p' | 'q'), got "
+                        f"{type(source).__name__}")
+    pair, component = source
+    evaluate.pair_component(pair, component)  # a bad name fails before any grid
+    if count is None:
+        count = default_count(pair.n, arc)
+    elif count < 2:
+        raise ValueError("count must be >= 2")
+    count = int(count)
+    if 2 * count > evaluate.SAMPLE_MAX_COUNT:
+        raise ResourceLimitError(f"count {2 * count} exceeds the sample array "
+                                 f"cap {evaluate.SAMPLE_MAX_COUNT}")
+
+    def grid(c: int) -> np.ndarray:
+        out = np.empty(c, dtype=np.float64)
+        for index, values in evaluate.iter_arc_values(pair, component,
+                                                      arc.alpha, arc.beta, c):
+            out[index] = transform(values)
+        return out
+
+    return count, (grid(c) for c in (count, 2 * count))
 
 
 def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate]:
@@ -250,8 +252,8 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     so near-zero samples are handled exactly as in mahler_arc; callers
     typically report value / sqrt(n).
     """
-    count, grids = _grids(evaluate.flatness_defect_sampler(pair), FULL_CIRCLE,
-                          _pick_count(count, pair.n, FULL_CIRCLE))
+    count, grids = _grids((pair, "p"), FULL_CIRCLE, count,
+                          lambda p: np.abs(np.abs(p) ** 2 - pair.n))
     return _mahler_estimate(grids, FULL_CIRCLE, count, 0.0)
 
 

@@ -200,13 +200,13 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
                    converged=converged)
 
 
-def jensen_mahler(rootset: RootSet,
-                  leading_coefficient_magnitude: float = 1.0) -> float:
-    """Mahler measure |c| * prod max(1, |z_j|) from a computed root set.
+def jensen_mahler(rootset: RootSet) -> float:
+    """Mahler measure prod max(1, |z_j|) from a computed root set.
 
-    The product runs in log space so degree-2^14 inputs cannot
-    overflow.  Refuses flagged root sets: a bad root silently skews the
-    product.
+    Jensen's formula for a leading coefficient of modulus 1, as in every
+    Littlewood polynomial.  The product runs in log space so degree-2^14
+    inputs cannot overflow.  Refuses flagged root sets: a bad root
+    silently skews the product.
     """
     if rootset.flags.any():
         bad = int(rootset.flags.sum())
@@ -214,8 +214,7 @@ def jensen_mahler(rootset: RootSet,
             f"{bad} root(s) exceed residual tolerance {rootset.tolerance}; "
             "refusing to build a Mahler measure from unconverged roots")
     moduli = np.abs(rootset.roots)
-    return float(leading_coefficient_magnitude *
-                 math.exp(np.sum(np.log(np.maximum(1.0, moduli)))))
+    return float(math.exp(np.sum(np.log(np.maximum(1.0, moduli)))))
 
 
 def zero_census(rootset: RootSet, eps: float = 1e-4) -> ZeroCensus:

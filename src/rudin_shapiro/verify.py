@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate, norms
-from .core import RudinShapiroPair, generate_pair
+from .core import ResourceLimitError, RudinShapiroPair, generate_pair
 from .norms import Arc, FULL_CIRCLE
 
 #: The lattice constant sin^2(pi/8); satisfies 2*gamma = 1 - cos(pi/4).
@@ -396,6 +396,9 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         corner = math.hypot(max(abs(r0), abs(r1)), max(abs(i0), abs(i1)))
         if corner >= 1.0:
             raise ValueError(f"rectangle {rect} leaves the open unit disk")
+    if count > evaluate.SAMPLE_MAX_COUNT:
+        raise ResourceLimitError(f"count {count} exceeds the sample array "
+                                 f"cap {evaluate.SAMPLE_MAX_COUNT}")
     u = np.empty(count)
     hits = [0] * len(rectangles)
     for index, values in evaluate.iter_arc_values(pair, component, 0.0,

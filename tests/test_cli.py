@@ -75,10 +75,13 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
 
     def test_sampler_memory_guard_is_exit_3(self, tmp_path, capsys):
-        assert main(["norm", "--k", "4", "--q", "2", "--count",
-                     "100000000000", "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("resource limit:") and err.count("\n") == 1
+        for argv in (["norm", "--k", "4", "--q", "2", "--count",
+                      "100000000000"],
+                     ["distribution", "--k", "3", "--count", "1000000000000"]):
+            assert main(argv + ["--out", str(tmp_path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("resource limit:") and err.count("\n") == 1
+            assert not list(tmp_path.iterdir())
 
     def test_full_circle_count_past_cap_needs_its_stride(self, tmp_path,
                                                          capsys):
@@ -162,6 +165,25 @@ class TestExitCodes:
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, out", [
+        (["generate", "--k", "3"], "taken.bin"),
+        (["generate", "--k", "3"], "taken.bin/sub"),
+        (["eval", "--k", "3", "--dump", "sub/g.bin"], "new"),
+        (["eval", "--k", "3", "--dump", "../g.bin"], "new"),
+        (["eval", "--k", "3", "--dump", ".."], "new"),
+        (["eval", "--k", "3", "--dump", "taken_dir"], "."),
+    ], ids=["out_is_file", "out_under_file", "dump_nested", "dump_parent",
+            "dump_dotdot", "dump_is_dir"])
+    def test_unwritable_artifact_path_is_usage_error(self, argv, out, tmp_path,
+                                                     capsys):
+        (tmp_path / "taken.bin").write_bytes(b"")
+        (tmp_path / "taken_dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSubcommands:

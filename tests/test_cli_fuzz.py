@@ -5,17 +5,20 @@ Whatever the arguments, a subcommand ends with an exit code in
 check) comes only from subcommands that have a gated verdict.  Sizes
 stay small: k <= 6 apart from values the generation guard refuses at
 once, mercer degrees <= 64, and no trend check, since those run fixed
-k-ladders up to 16.
+k-ladders up to 16.  --out and --dump are drawn too: a new directory,
+a nested one with missing parents, an existing file, a name under a
+file; exit 2 writes no file.
 """
 
 import contextlib
 import io
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rudin_shapiro.cli import EXIT_CHECK_FAILED, main
+from rudin_shapiro.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
 
 GATED = {"generate", "roots", "census", "verify", "saffari", "mercer"}
 
@@ -50,6 +53,13 @@ WHICH = _mostly(st.sampled_from(["p", "q", "both"]), st.just("x"))
 CHECK = _mostly(st.sampled_from(["lattice_pair", "intervals", "bernstein",
                                  "level_set", "moment_bounds", "saffari",
                                  "subarc_mahler"]), st.just("bogus"))
+# paths relative to a fresh directory holding the file taken.bin and the
+# directory taken_dir; --dump names a file under --out
+GOOD_OUT = ["", "new", "new/nested/out"]
+BAD_OUT = ["taken.bin", "taken.bin/sub"]
+OUT = _mostly(st.sampled_from(GOOD_OUT), st.sampled_from(BAD_OUT))
+DUMP = st.sampled_from(["grid.bin", "taken.bin", "sub/grid.bin",
+                        "../grid.bin", "taken_dir", "..", ".", ""])
 COEFFS = _mostly(st.sampled_from(["1,1,-1", "1,1,1,-1", "1,-1,1", "1,0,1",
                                   "3,1,-3", "1", "1,1,1,1,-1"]),
                  st.sampled_from(["1,", ",", "x", ""]))
@@ -73,7 +83,7 @@ SUBCOMMANDS = {
     "generate": ([], {"--k": K}, {}),
     "eval": ([], {"--k": K}, {"--theta": ANGLE, "--arc": ARC,
                               "--count": COUNT, "--no-offset": None,
-                              "--dump": st.just("grid.bin")}),
+                              "--dump": DUMP}),
     "norm": ([], {"--k": K_RANGE, "--q": Q_LIST},
              {"--arc": ARC, "--count": COUNT, "--which": WHICH}),
     "mahler": ([], {"--k": K_RANGE}, {"--arc": ARC, "--count": COUNT,
@@ -108,14 +118,35 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=150)
-@given(argv=argvs())
-def test_cli_exits_cleanly(argv):
+def _exits_cleanly(argv, out):
+    """Run argv with --out under a fresh directory; check the exit contract."""
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, \
+    with tempfile.TemporaryDirectory() as root, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        status = main(argv + ["--out", out])
+        root = Path(root)
+        (root / "taken.bin").write_bytes(b"")
+        (root / "taken_dir").mkdir()
+        before = {path for path in root.rglob("*") if path.is_file()}
+        status = main(argv + ["--out", str(root / out)])
+        written = {path for path in root.rglob("*") if path.is_file()} - before
+    argv = argv + ["--out", out]
     assert status in (0, 1, 2, 3), (argv, status)
     assert "Traceback" not in err.getvalue(), argv
     assert status != EXIT_CHECK_FAILED or argv[0] in GATED, argv
+    assert status != EXIT_USAGE or not written, (argv, written)
+
+
+@settings(max_examples=150)
+@given(argv=argvs(), out=OUT)
+def test_cli_exits_cleanly(argv, out):
+    _exits_cleanly(argv, out)
+
+
+@settings(max_examples=30)
+@given(command=st.sampled_from(["generate", "eval"]), dump=DUMP,
+       out=st.sampled_from(GOOD_OUT + BAD_OUT))
+def test_artifact_paths_exit_cleanly(command, dump, out):
+    # few argvs of the fuzz above reach an eval grid with --dump
+    argv = [command, "--k", "3"]
+    _exits_cleanly(argv + ["--dump", dump] if command == "eval" else argv, out)

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rudin_shapiro import evaluate
+from rudin_shapiro import evaluate, norms
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
                                 conjugate_relation_residual, generate_pair,
                                 parallelogram_residual)
 from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
                                     eval_horner, eval_pair_point)
-from rudin_shapiro.norms import Arc, FULL_CIRCLE
+from rudin_shapiro.norms import (Arc, FULL_CIRCLE, flatness_defect_mahler,
+                                 mq_arc, mq_arcs)
 from rudin_shapiro.reductions import pairwise_mean, pairwise_sum
 from rudin_shapiro.verify import (bernstein_ratio, min_modulus_excluding_poles,
                                   value_distribution)
@@ -222,12 +223,11 @@ class TestArcDispatch:
         lambda pair: value_distribution(pair.k, component="x", pair=pair),
         lambda pair: min_modulus_excluding_poles(pair.k, component="x",
                                                  pair=pair),
-    ], ids=["iter_arc_values", "value_distribution", "min_modulus"])
+        lambda pair: mq_arc((pair, "x"), FULL_CIRCLE, 2.0),
+    ], ids=["iter_arc_values", "value_distribution", "min_modulus", "mq_arc"])
     def test_bad_component_rejected(self, entry):
         with pytest.raises(ValueError, match="component must be 'p' or 'q'"):
             entry(generate_pair(6))
-        with pytest.raises(ValueError, match="component must be 'p' or 'q'"):
-            evaluate.pair_modulus_sampler(generate_pair(6), "x")
 
 
 class TestCircleValues:
@@ -299,30 +299,18 @@ class TestCircleValues:
 
 
 class TestSamplers:
-    def test_full_circle_and_subarc_paths(self):
-        pair = generate_pair(9)
-        count = 3000
-        sampler = evaluate.pair_modulus_sampler(pair, "q")
-        _rp, rq = _recursion_grid(pair, count, True)
-        # full circle: FFT; measured 2.2 * eps * n^1.5 from the recursion
-        assert np.max(np.abs(sampler(0.0, TAU, count) - np.abs(rq))) <= \
-            10 * EPS * pair.n ** 1.5
-        # subarc: the recursion itself
-        thetas = circle_grid(0.5, 2.0, count)
-        assert np.array_equal(sampler(0.5, 2.0, count),
-                              np.abs(evaluate.eval_pair_grid(pair, thetas)[1]))
-        # subarc past the dispatch crossover: chirp-z itself
-        count = _crossover(pair.n) + 99
-        assert np.array_equal(sampler(0.5, 2.0, count), np.abs(
-            _chirp_grid(pair.q.coeffs, 0.5, 2.0, count)))
+    """The norm grids' sample array cap, checked before any allocation."""
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, TAU), (0.5, 2.0)])
     def test_memory_guard(self, alpha, beta):
         pair = generate_pair(4)
-        for sampler in (evaluate.pair_modulus_sampler(pair),
-                        evaluate.flatness_defect_sampler(pair)):
-            with pytest.raises(ResourceLimitError):
-                sampler(alpha, beta, 10 ** 11)
+        # the 2c-grid of count = cap / 2 is one sample past the cap
+        count = evaluate.SAMPLE_MAX_COUNT // 2 + 1
+        with pytest.raises(ResourceLimitError, match="sample array cap"):
+            mq_arc((pair, "p"), Arc(alpha, beta), 2.0, count)
+        if alpha == 0.0:
+            with pytest.raises(ResourceLimitError, match="sample array cap"):
+                flatness_defect_mahler(pair, count)
 
 
 def _chirp_tol(n):
@@ -479,7 +467,7 @@ class TestChirpValues:
 
 
 def _streamed_reductions(pair, count, sample_count):
-    """Every consumer of iter_circle_values; samplers at sample_count."""
+    """Every consumer of iter_circle_values; norm estimates at sample_count."""
     k, n = pair.k, pair.n
     return {
         "min_modulus_p": min_modulus_excluding_poles(k, count, pair=pair),
@@ -488,10 +476,8 @@ def _streamed_reductions(pair, count, sample_count):
         "bernstein": bernstein_ratio(k, count, pair=pair).lhs,
         "parallelogram": parallelogram_residual(pair, count),
         "conjugate": conjugate_relation_residual(pair, count)[1],
-        "modulus": evaluate.pair_modulus_sampler(pair, "q")(
-            0.0, TAU, sample_count),
-        "flatness_lattice": evaluate.flatness_defect_sampler(pair)(
-            0.0, TAU, sample_count, False),
+        "mq": mq_arcs((pair, "q"), FULL_CIRCLE, [1.0, 4.0], sample_count),
+        "flatness": flatness_defect_mahler(pair, sample_count),
     }
 
 
@@ -513,9 +499,13 @@ def _materialized_reductions(pair, count):
         "parallelogram": float(np.max(np.abs(
             np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
         "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
-        "modulus": np.abs(q),
-        "flatness_lattice": np.abs(np.abs(evaluate.circle_values(
-            pair.p.coeffs, count, False)) ** 2 - n),
+        "mq": norms._mq_estimates(
+            [np.abs(q), np.abs(evaluate.circle_values(pair.q.coeffs,
+                                                      2 * count))],
+            [1.0, 4.0], count),
+        "flatness": norms._mahler_estimate(
+            [np.abs(np.abs(evaluate.circle_values(pair.p.coeffs, c)) ** 2 - n)
+             for c in (count, 2 * count)], FULL_CIRCLE, count, 0.0),
     }
 
 
@@ -555,7 +545,7 @@ class TestStreamedCircle:
         pair = generate_pair(k)
         n = pair.n
         count = mult * n
-        # the samplers' own limit is four times the cap
+        # norm grids of count and 2 count points, both past the cap
         sample_count = 4 * int(cap * n)
         expect = _streamed_reductions(pair, count, sample_count)
         monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", int(cap * n))
@@ -571,10 +561,14 @@ class TestStreamedCircle:
         assert abs(got["bernstein"] - expect["bernstein"]) <= \
             10 * EPS * n ** 2.5
         assert got["parallelogram"] <= tol / n ** 0.5
-        assert np.max(np.abs(got["modulus"] - expect["modulus"])) <= tol
-        # | |P|^2 - n | moves by 2 |P| dP <= 2 sqrt(2n) tol
-        assert np.max(np.abs(got["flatness_lattice"] -
-                             expect["flatness_lattice"])) <= 3 * n ** 0.5 * tol
+        # M_q with q >= 1 is a norm: it moves by at most the largest dS
+        for est, ref in zip(got["mq"], expect["mq"]):
+            assert abs(est.value - ref.value) <= tol
+            assert abs(est.refined_value - ref.refined_value) <= tol
+        # log | |P|^2 - n | moves by 2 |P| dS / | |P|^2 - n |: measured
+        # 9e-16 relative on these grids, none of whose samples is near zero
+        assert got["flatness"].value == pytest.approx(
+            expect["flatness"].value, rel=tol)
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rudin_shapiro import evaluate
-from rudin_shapiro.core import LittlewoodPolynomial, generate_pair
+from rudin_shapiro.core import generate_pair
 from rudin_shapiro.evaluate import eval_pair_point
 from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
                                  flatness_defect_mahler, mahler_arc, mq_arc,
@@ -15,6 +15,22 @@ from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
                                  rel_step_tolerance)
 
 TAU = math.tau
+ONE = (generate_pair(0), "p")      # P_0 = 1
+ONE_PLUS_Z = (generate_pair(1), "p")  # P_1 = 1 + z
+
+
+def _grid_spy(monkeypatch):
+    """Record (component, alpha, beta, count, half_offset) of every grid."""
+    calls = []
+    stream = evaluate.iter_arc_values
+
+    def spy(pair, component, alpha, beta, count, *, half_offset=True):
+        calls.append((component, alpha, beta, count, half_offset))
+        return stream(pair, component, alpha, beta, count,
+                      half_offset=half_offset)
+
+    monkeypatch.setattr(evaluate, "iter_arc_values", spy)
+    return calls
 
 
 class TestArc:
@@ -41,10 +57,9 @@ class TestMqArc:
         assert not est.flagged
 
     def test_constant_polynomial_any_arc_any_q(self):
-        poly = LittlewoodPolynomial([1])
         for arc in (FULL_CIRCLE, Arc(0.3, 1.1)):
             for q in (0.5, 1.0, 3.0):
-                est = mq_arc(poly, arc, q, count=512)
+                est = mq_arc(ONE, arc, q, count=512)
                 assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_m4_ratio_p12(self):
@@ -63,10 +78,16 @@ class TestMqArc:
         with pytest.raises(ValueError):
             mq_arc((generate_pair(2), "p"), (0.0, 1.0), 2.0)
 
-    def test_count_required_for_bare_sampler(self):
-        sampler = lambda a, b, c, half_offset=True: np.ones(c)
-        with pytest.raises(ValueError, match="count"):
-            mq_arc(sampler, FULL_CIRCLE, 1.0)
+    def test_rejects_non_pair_sources(self):
+        pair = generate_pair(3)
+        for source in (pair.p, pair, lambda a, b, c: np.ones(c),
+                       ("p", pair), (pair, "p", 1)):
+            for estimate in (lambda: mq_arc(source, FULL_CIRCLE, 1.0, 64),
+                             lambda: mahler_arc(source, FULL_CIRCLE, 64),
+                             lambda: mq_limit_diagnostic(
+                                 source, FULL_CIRCLE, [1.0], 64)):
+                with pytest.raises(TypeError, match=r"\(pair, 'p' \| 'q'\)"):
+                    estimate()
 
     def test_upper_bound_from_flatness(self):
         # |P| <= sqrt(2n) pointwise, so M_q^q <= (2n)^(q/2) always
@@ -102,18 +123,13 @@ class TestMqArcs:
         assert mq_arcs(source, arc, [q1, q2], count) == \
             [mq_arc(source, arc, q1, count), mq_arc(source, arc, q2, count)]
 
-    def test_one_c_grid_and_one_2c_grid(self):
-        pair = generate_pair(9)
-        inner = evaluate.pair_modulus_sampler(pair, "p")
-        calls = []
-
-        def spy(alpha, beta, count, half_offset=True):
-            calls.append((alpha, beta, count, half_offset))
-            return inner(alpha, beta, count, half_offset)
-
+    def test_one_c_grid_and_one_2c_grid(self, monkeypatch):
+        calls = _grid_spy(monkeypatch)
         arc = Arc(0.5, 3.5)
-        ests = mq_arcs(spy, arc, [0.25, 1.0, 2.0, 4.0], count=5000)
-        assert calls == [(0.5, 3.5, 5000, True), (0.5, 3.5, 10000, True)]
+        ests = mq_arcs((generate_pair(9), "p"), arc, [0.25, 1.0, 2.0, 4.0],
+                       count=5000)
+        assert calls == [("p", 0.5, 3.5, 5000, True),
+                         ("p", 0.5, 3.5, 10000, True)]
         assert [est.q for est in ests] == [0.25, 1.0, 2.0, 4.0]
         assert all(est.count == 5000 for est in ests)
 
@@ -126,11 +142,11 @@ class TestMqArcs:
 class TestMahlerArc:
     def test_one_plus_z_full_circle(self):
         # Jensen: the only root sits on the circle, so M_0 = 1
-        est = mahler_arc(LittlewoodPolynomial([1, 1]), FULL_CIRCLE, count=1 << 15)
+        est = mahler_arc(ONE_PLUS_Z, FULL_CIRCLE, count=1 << 15)
         assert est.value == pytest.approx(1.0, abs=2e-4)
 
     def test_constant(self):
-        est = mahler_arc(LittlewoodPolynomial([1]), Arc(1.0, 2.5), count=512)
+        est = mahler_arc(ONE, Arc(1.0, 2.5), count=512)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_p16_ratio_near_limit(self):
@@ -165,8 +181,8 @@ class TestMahlerArc:
 
 class TestLimitDiagnostic:
     def test_constant_all_ones(self):
-        ests = mq_limit_diagnostic(LittlewoodPolynomial([1]), FULL_CIRCLE,
-                                   (1.0, 0.5, 0.25), count=256)
+        ests = mq_limit_diagnostic(ONE, FULL_CIRCLE, (1.0, 0.5, 0.25),
+                                   count=256)
         assert len(ests) == 4
         for est in ests:
             assert est.value == pytest.approx(1.0, abs=1e-12)
@@ -188,28 +204,20 @@ class TestLimitDiagnostic:
 
     def test_rejects_nonmonotone_q(self):
         with pytest.raises(ValueError):
-            mq_limit_diagnostic(LittlewoodPolynomial([1]), FULL_CIRCLE,
-                                (1.0, 2.0), count=128)
+            mq_limit_diagnostic(ONE, FULL_CIRCLE, (1.0, 2.0), count=128)
 
     @pytest.mark.parametrize("qs", [(math.inf, 1.0), (1.0, math.nan),
                                     (1.0, 0.0), ()])
     def test_rejects_bad_exponents(self, qs):
         with pytest.raises(ValueError):
-            mq_limit_diagnostic(LittlewoodPolynomial([1]), FULL_CIRCLE,
-                                qs, count=128)
+            mq_limit_diagnostic(ONE, FULL_CIRCLE, qs, count=128)
 
-    def test_one_c_grid_and_one_2c_grid(self):
+    def test_one_c_grid_and_one_2c_grid(self, monkeypatch):
         pair = generate_pair(9)
-        inner = evaluate.pair_modulus_sampler(pair, "p")
-        counts = []
-
-        def spy(alpha, beta, count, half_offset=True):
-            counts.append(count)
-            return inner(alpha, beta, count, half_offset)
-
+        calls = _grid_spy(monkeypatch)
         arc = Arc(0.0, 1.0)
-        ests = mq_limit_diagnostic(spy, arc, [2, 1, 0.5], count=4096)
-        assert counts == [4096, 8192]
+        ests = mq_limit_diagnostic((pair, "p"), arc, [2, 1, 0.5], count=4096)
+        assert [call[3] for call in calls] == [4096, 8192]
         # the same estimates as separate M_q and M_0 calls, bit for bit
         assert ests == mq_arcs((pair, "p"), arc, [2.0, 1.0, 0.5], 4096) + \
             [mahler_arc((pair, "p"), arc, 4096)]
@@ -217,16 +225,16 @@ class TestLimitDiagnostic:
 
 class TestPowerMeanMonotonicity:
     @settings(max_examples=25)
-    @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=24),
+    @given(st.integers(0, 6), st.sampled_from(["p", "q"]),
            st.floats(min_value=0.1, max_value=2.0),
            st.floats(min_value=0.05, max_value=3.0),
            st.floats(min_value=1.05, max_value=3.0))
-    def test_mq_nondecreasing_in_q(self, coeffs, alpha, q1, factor):
-        poly = LittlewoodPolynomial(coeffs)
+    def test_mq_nondecreasing_in_q(self, k, component, alpha, q1, factor):
+        source = (generate_pair(k), component)
         arc = Arc(alpha, alpha + 1.3)
         q2 = q1 * factor
-        est1 = mq_arc(poly, arc, q1, count=2048)
-        est2 = mq_arc(poly, arc, q2, count=2048)
+        est1 = mq_arc(source, arc, q1, count=2048)
+        est2 = mq_arc(source, arc, q2, count=2048)
         tol = est1.rel_step + est2.rel_step + 1e-9
         assert est1.value <= est2.value * (1 + tol)
 
