@@ -14,6 +14,7 @@ Exit status: 0 all gated checks passed, 1 a gated check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -568,17 +569,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    out_dir = Path(args.out)  # made below; on exit 2 or 3 removed if empty
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         _check_flags(args)
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](args, out_dir)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        code = EXIT_RESOURCE
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    for path in made:  # deepest first
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    return code
 
 
 def entrypoint() -> None:

@@ -5,9 +5,9 @@ or Q_k (eval_grid, the norm estimates, the value distribution, the
 lattice checks, the certified subarc grids) gets its backend there:
 
 - the exact full circle [0, 2 pi): inverse FFTs of the twiddled
-  coefficients, one per interleaved sub-grid of at most GRID_MAX_COUNT
-  points (iter_circle_values), on exact roots of unity, free of angle
-  rounding;
+  coefficients, one per interleaved sub-grid of min(count, MIN_FFT) to
+  GRID_MAX_COUNT points (iter_circle_values), on exact roots of unity,
+  free of angle rounding (half-offset grids mirror half of them);
 - subarcs of count >= max(8n, 2^14) points: Bluestein's chirp-z
   transform (iter_chirp_values), streamed in blocks of about 3n points,
   one FFT/IFFT pair each;
@@ -76,8 +76,8 @@ HORNER_MAX_DEGREE = 1 << 20
 CHIRP_MIN_RATIO = 8
 CHIRP_MIN_COUNT = 1 << 14
 CHIRP_MAX_PRODUCT = 1 << 52
-#: Smallest chirp-z FFT: shorter blocks cost more in numpy calls than in flops.
-CHIRP_MIN_FFT = 1 << 12
+#: Smallest chirp-z FFT and full-circle sub-grid: shorter costs more in calls.
+MIN_FFT = 1 << 12
 #: 2 pi minus its double: (math.tau, _TAU_LO) is 2 pi to about 106 bits.
 _TAU_LO = 2.4492935982947064e-16
 
@@ -256,23 +256,28 @@ def eval_horner(poly, point):
 def iter_circle_values(coeffs, count: int, half_offset: bool = True):
     """Yield (r, stride, values), values[t] = S(z_{r + stride t}), r < stride.
 
-    S(z) = sum_m a_m z^m and z_j = exp(2 pi i (j + off) / count), with
-    off = 1/2 on the half-offset grid and 0 on the lattice.  Each
-    sub-grid j = r + stride * t is one inverse FFT of length count /
+    S(z) = sum_m a_m z^m with real a_m and z_j = exp(2 pi i (j + off) /
+    count), with off = 1/2 on the half-offset grid and 0 on the lattice.
+    Each sub-grid j = r + stride * t is one inverse FFT of length count /
     stride of a_m exp(2 pi i m (r + off) / count).  The stride is the
     largest power of two up to 64 that keeps the sub-grid at least
-    a.size long, raised to the smallest power of two that brings it to
-    at most GRID_MAX_COUNT points; a count past the cap must be a
-    multiple of that stride.  On a sub-grid shorter than a.size, a folds
-    modulo its length L with the sub-grid's constant z^L = exp(2 pi i
-    (r + off) / stride), which is exactly -1 or 1 when stride = 1.
+    max(a.size, MIN_FFT) long, raised to the smallest power of two that
+    brings it to at most GRID_MAX_COUNT points; a count past the cap must be
+    a multiple of that stride.  On a sub-grid shorter than a.size, a folds
+    modulo its length L with the sub-grid's constant z^L = exp(2 pi i (r +
+    off) / stride), which is exactly -1 or 1 when stride = 1.  On the
+    half-offset grid conj z_j = z_{count-1-j}, so sub-grid stride - 1 - r is
+    conj(values[::-1]) of sub-grid r < stride / 2, formed before and yielded
+    after it: the consumer may change the original in place.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     a = np.asarray(coeffs)
+    if np.iscomplexobj(a):
+        raise ValueError("circle grids need real coefficients")
     # FFT scratch stays near the degree, and short grids stay few
-    stride = max(math.gcd(count, 64,
-                          1 << max(0, (int(count) // a.size).bit_length() - 1)),
+    stride = max(math.gcd(count, 64, 1 << max(
+        0, (int(count) // max(a.size, MIN_FFT)).bit_length() - 1)),
                  1 << (-(-count // GRID_MAX_COUNT) - 1).bit_length())
     if count % stride:
         raise ResourceLimitError(f"count {count} past the grid cap is not "
@@ -287,14 +292,19 @@ def iter_circle_values(coeffs, count: int, half_offset: bool = True):
     # advancing the twiddles one factor per grid drifts < 5e-15 in 64 grids
     step = np.exp(2j * np.pi / count * np.arange(length))
     twiddle = np.exp(2j * np.pi * offset / count * np.arange(length))
-    for r in range(stride):
+    mirror = half_offset and stride > 1
+    for r in range(stride // 2 if mirror else stride):
         if complex_fold:
             turn = np.exp(2j * np.pi * (r + offset) / stride)
             folded = np.zeros(length, dtype=np.complex128)
             for row in rows[::-1]:  # Horner in z^L over the rows
                 folded *= turn
                 folded += row
-        yield r, stride, np.fft.ifft(folded * twiddle, norm="forward")
+        values = np.fft.ifft(folded * twiddle, norm="forward")
+        twin = np.conj(values[::-1]) if mirror else None
+        yield r, stride, values
+        if mirror:
+            yield stride - 1 - r, stride, twin
         twiddle *= step
 
 
@@ -344,7 +354,7 @@ def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
                          "range, past which the integer phases lose exactness")
     g = (beta - alpha) / count / 2.0
     s = 1 if half_offset else 0
-    size = 1 << (max(4 * n, CHIRP_MIN_FFT) - 1).bit_length()
+    size = 1 << (max(4 * n, MIN_FFT) - 1).bit_length()
     if count < size - n + 1:  # one short block
         size = 1 << (n + count - 2).bit_length()  # >= n + count - 1
     block = min(count, size - n + 1)
@@ -409,7 +419,7 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
 
     S = P_k or Q_k, S^_j is the value yielded for any count and either
     backend, and t_j = alpha + (j + off) L / count the exact grid angle.
-    Let u = 2^-53, T = |alpha| + |beta| and N = max(4n, CHIRP_MIN_FFT),
+    Let u = 2^-53, T = |alpha| + |beta| and N = max(4n, MIN_FFT),
     the longest chirp-z FFT, and use |S| <= sqrt(2n) (flatness).
     - Angles.  The recursion evaluates at fl(alpha + (j + off) fl(L /
       count)) reduced by fl(2 pi), within (5T + 10) u of t_j; chirp-z at
@@ -429,7 +439,7 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
     Both totals are below the 256 u sqrt(N) n (log2 N + T) returned; the
     factor also covers the radix-4 passes of numpy's FFT.
     """
-    size = max(4 * pair.n, CHIRP_MIN_FFT)
+    size = max(4 * pair.n, MIN_FFT)
     return 2.0 ** -45 * math.sqrt(size) * pair.n * (
         math.log2(size) + abs(alpha) + abs(beta))
 

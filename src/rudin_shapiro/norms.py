@@ -13,7 +13,10 @@ measured, not assumed: every estimate is recomputed at doubled
 resolution and flagged when the relative step stays too large.
 
 Every estimator takes source = (pair, 'p' | 'q'), S = P_k or Q_k of a
-RudinShapiroPair, and fills its grids from evaluate.iter_arc_values.
+RudinShapiroPair, and reduces the blocks of evaluate.iter_arc_values to
+power sums, log sums and exclusion counts, combined pairwise: no sample
+array is stored, except by a positive exclusion radius, which needs
+neighbours.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import evaluate
 from .core import ResourceLimitError, RudinShapiroPair
-from .reductions import pairwise_mean
+from .reductions import pairwise_sum
 
 #: Samples with |S| below this are excluded from log integrands; the
 #: logarithm of a denormal would only inject noise.
@@ -105,10 +108,10 @@ def default_count(n: int, arc: Arc) -> int:
 
 
 def _grids(source, arc: Arc, count, transform=np.abs):
-    """The count and the c-grid and 2c-grid of transform(S) on arc, drawn lazily.
+    """The count, and the c-grid and 2c-grid of transform(S) on arc, drawn lazily.
 
-    source is (pair, 'p' | 'q'); each grid is one float array filled
-    from evaluate.iter_arc_values, within evaluate.SAMPLE_MAX_COUNT.
+    source is (pair, 'p' | 'q'); each grid yields (index, transform(values))
+    per block of evaluate.iter_arc_values, and no grid is stored.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
@@ -127,14 +130,29 @@ def _grids(source, arc: Arc, count, transform=np.abs):
         raise ResourceLimitError(f"count {2 * count} exceeds the sample array "
                                  f"cap {evaluate.SAMPLE_MAX_COUNT}")
 
-    def grid(c: int) -> np.ndarray:
-        out = np.empty(c, dtype=np.float64)
+    def grid(c: int):
         for index, values in evaluate.iter_arc_values(pair, component,
                                                       arc.alpha, arc.beta, c):
-            out[index] = transform(values)
-        return out
+            yield index, transform(values)
 
     return count, (grid(c) for c in (count, 2 * count))
+
+
+def _block_sums(grid, qs, logs: bool = False) -> list:
+    """Sums over one grid, from block partials combined by pairwise_sum.
+
+    Per q sum |S|^q; with logs also sum log|S| over |S| >= UNDERFLOW_FLOOR
+    and the count of the other samples.
+    """
+    rows = []
+    for _, vals in grid:
+        row = [pairwise_sum(vals ** q) for q in qs]
+        if logs:
+            keep = vals >= UNDERFLOW_FLOOR
+            row += [pairwise_sum(np.log(vals[keep])),
+                    vals.size - np.count_nonzero(keep)]
+        rows.append(row)
+    return [pairwise_sum(column) for column in zip(*rows)]
 
 
 def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate]:
@@ -150,14 +168,15 @@ def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate
         raise ValueError("M_q needs finite exponents q > 0; "
                          "use mahler_arc for q = 0")
     count, grids = _grids(source, arc, count)
-    return _mq_estimates(grids, qs, count)
+    return _mq_estimates([_block_sums(grid, qs) for grid in grids], qs, count)
 
 
-def _mq_estimates(grids, qs, count: int) -> list[NormEstimate]:
-    value_rows = ([pairwise_mean(vals ** q) ** (1.0 / q) for q in qs]
-                  for vals in grids)
+def _mq_estimates(sums, qs, count: int) -> list[NormEstimate]:
+    """M_q from the power sums of the c-grid and of the 2c-grid, per q."""
     out = []
-    for q, value, refined in zip(qs, *value_rows):
+    for q, total, refined_total in zip(qs, *sums):
+        value = (total / count) ** (1.0 / q)
+        refined = (refined_total / (2 * count)) ** (1.0 / q)
         rel_step = abs(value - refined) / max(value, 1e-300)
         out.append(NormEstimate(q=q, value=value, count=count,
                                 refined_value=refined, rel_step=rel_step,
@@ -170,38 +189,32 @@ def mq_arc(source, arc: Arc, q: float, count: int | None = None) -> NormEstimate
     return mq_arcs(source, arc, [q], count)[0]
 
 
-def _log_mean(vals: np.ndarray, spacing: float,
-              exclusion_radius: float) -> tuple[float, int]:
-    """Mean of log|S| over included samples, plus the exclusion count.
+def _log_sum(vals: np.ndarray, spacing: float,
+             exclusion_radius: float) -> tuple[float, int]:
+    """Sum of log|S| over one whole grid's kept samples, and the excluded count.
 
-    Excludes underflow-floor samples always; with a positive radius,
-    also every sample within that angular distance of a detected
-    near-zero (a sample below 1e-9 * max(1, max|S|)).
+    Excludes underflow-floor samples and every sample within angular
+    distance exclusion_radius of a detected near-zero (a sample below
+    1e-9 * max(1, max|S|)); the one reduction that needs neighbours.
     """
     keep = vals >= UNDERFLOW_FLOOR
-    if exclusion_radius > 0.0:
-        near = vals < 1e-9 * max(1.0, float(vals.max(initial=0.0)))
-        reach = int(min(exclusion_radius / spacing, vals.size))
-        if near.any():
-            # a sample is hit when any near-zero lies within `reach`
-            # indices; count near-zeros in the window by prefix sums
-            prefix = np.concatenate([[0], np.cumsum(near)])
-            lo = np.maximum(np.arange(vals.size) - reach, 0)
-            hi = np.minimum(np.arange(vals.size) + reach + 1, vals.size)
-            keep &= prefix[hi] == prefix[lo]
-    excluded = int(vals.size - keep.sum())
-    if excluded == vals.size:
-        return -math.inf, excluded
-    return pairwise_mean(np.log(vals[keep])), excluded
+    near = vals < 1e-9 * max(1.0, float(vals.max(initial=0.0)))
+    reach = int(min(exclusion_radius / spacing, vals.size))
+    if near.any():
+        # a sample is hit when any near-zero lies within `reach`
+        # indices; count near-zeros in the window by prefix sums
+        prefix = np.concatenate([[0], np.cumsum(near)])
+        lo = np.maximum(np.arange(vals.size) - reach, 0)
+        hi = np.minimum(np.arange(vals.size) + reach + 1, vals.size)
+        keep &= prefix[hi] == prefix[lo]
+    return pairwise_sum(np.log(vals[keep])), int(vals.size - keep.sum())
 
 
-def _mahler_estimate(grids, arc: Arc, count: int,
-                     exclusion_radius: float) -> NormEstimate:
-    def one(vals: np.ndarray, c: int) -> tuple[float, int]:
-        mean_log, excluded = _log_mean(vals, arc.length / c, exclusion_radius)
-        return math.exp(mean_log) if mean_log > -math.inf else 0.0, excluded
-
-    (value, excluded), (refined, excluded2) = map(one, grids, (count, 2 * count))
+def _mahler_estimate(logs, count: int) -> NormEstimate:
+    """M_0 from (sum of log|S|, excluded) of the c-grid and of the 2c-grid."""
+    (value, excluded), (refined, excluded2) = (
+        (math.exp(log_sum / (c - ex)) if ex < c else 0.0, int(ex))
+        for (log_sum, ex), c in zip(logs, (count, 2 * count)))
     if excluded == count and excluded2 == 2 * count:
         return NormEstimate(q=0.0, value=0.0, count=count, refined_value=0.0,
                             rel_step=0.0, excluded=excluded, flagged=True,
@@ -223,7 +236,16 @@ def mahler_arc(source, arc: Arc, count: int | None = None,
     if not 0 <= exclusion_radius < math.inf:
         raise ValueError("exclusion_radius must be finite and >= 0")
     count, grids = _grids(source, arc, count)
-    return _mahler_estimate(grids, arc, count, exclusion_radius)
+    if exclusion_radius == 0.0:
+        return _mahler_estimate([_block_sums(grid, (), logs=True)
+                                 for grid in grids], count)
+    logs = []
+    for grid, c in zip(grids, (count, 2 * count)):
+        vals = np.empty(c)
+        for index, block in grid:
+            vals[index] = block
+        logs.append(_log_sum(vals, arc.length / c, exclusion_radius))
+    return _mahler_estimate(logs, count)
 
 
 def mq_limit_diagnostic(source, arc: Arc, q_list,
@@ -232,16 +254,17 @@ def mq_limit_diagnostic(source, arc: Arc, q_list,
 
     Power-mean monotonicity makes the values nonincreasing along the
     ladder up to quadrature tolerance, and they approach the final M_0
-    entry; callers assert both.  Every entry shares the c and 2c grids.
+    entry; callers assert both.  One pass over the c-grid and one over
+    the 2c-grid reduce every entry.
     """
     qs = [float(q) for q in q_list]
     if not qs or not all(0 < q < math.inf for q in qs) or \
             any(b >= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q_list must be strictly decreasing positive reals")
     count, grids = _grids(source, arc, count)
-    grids = list(grids)
-    return _mq_estimates(grids, qs, count) + \
-        [_mahler_estimate(grids, arc, count, 0.0)]
+    sums = [_block_sums(grid, qs, logs=True) for grid in grids]
+    return _mq_estimates(sums, qs, count) + \
+        [_mahler_estimate([row[len(qs):] for row in sums], count)]
 
 
 def flatness_defect_mahler(pair: RudinShapiroPair,
@@ -254,7 +277,8 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     """
     count, grids = _grids((pair, "p"), FULL_CIRCLE, count,
                           lambda p: np.abs(np.abs(p) ** 2 - pair.n))
-    return _mahler_estimate(grids, FULL_CIRCLE, count, 0.0)
+    return _mahler_estimate([_block_sums(grid, (), logs=True)
+                             for grid in grids], count)
 
 
 NORM_TABLE_COLUMNS = ["k", "alpha", "beta", "q", "value", "count",

@@ -1,8 +1,8 @@
 """Deterministic pairwise reductions for quadrature sums.
 
-Every integral in the package is a mean over grid samples.  Summing in
-a fixed binary tree makes the result independent of how the evaluation
-work was chunked or threaded, and keeps rounding error at the
+Every integral in the package is a mean over grid samples.  Summing
+each block of a grid, then the block sums, in fixed binary trees makes
+the result depend on the grid alone, and keeps rounding error at the
 O(log n) level of pairwise summation.
 """
 
@@ -26,8 +26,6 @@ def pairwise_sum(values) -> float:
     size = 1 << (n - 1).bit_length()
     if size != n:
         v = np.concatenate([v, np.zeros(size - n)])
-    else:
-        v = v.copy()
     while v.size > 1:
         v = v[0::2] + v[1::2]
     return float(v[0])

@@ -399,12 +399,14 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
     if count > evaluate.SAMPLE_MAX_COUNT:
         raise ResourceLimitError(f"count {count} exceeds the sample array "
                                  f"cap {evaluate.SAMPLE_MAX_COUNT}")
-    u = np.empty(count)
+    u = np.empty(count)  # in block order: sorted before use
+    lo = 0
     hits = [0] * len(rectangles)
-    for index, values in evaluate.iter_arc_values(pair, component, 0.0,
-                                                  math.tau, count):
+    for _, values in evaluate.iter_arc_values(pair, component, 0.0, math.tau,
+                                              count):
         values /= math.sqrt(2.0 * n)
-        u[index] = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        u[lo:lo + values.size] = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        lo += values.size
         hits = [hit + np.count_nonzero((values.real >= r0) & (values.real <= r1)
                                        & (values.imag >= i0) & (values.imag <= i1))
                 for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]

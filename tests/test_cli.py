@@ -83,6 +83,17 @@ class TestExitCodes:
             assert err.startswith("resource limit:") and err.count("\n") == 1
             assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--k", "3", "--q", "2", "--count", "40000000"],
+        ["distribution", "--k", "3", "--count", "1000000000000"]],
+        ids=["norm", "distribution"])
+    @pytest.mark.parametrize("out", ["new", "new/nested"])
+    def test_refusal_leaves_no_new_out_directory(self, argv, out, tmp_path,
+                                                 capsys):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit:")
+        assert not list(tmp_path.iterdir())
+
     def test_full_circle_count_past_cap_needs_its_stride(self, tmp_path,
                                                          capsys):
         # past 2^24 points a full circle streams sub-grids of stride 2,

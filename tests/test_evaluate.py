@@ -203,7 +203,10 @@ class TestArcDispatch:
             got[index] = values
         assert next(expect, None) is None
         assert np.all(hits == 1)
-        assert np.array_equal(got, whole)
+        if count == 132:  # stride 4 past the cap, one whole FFT within it
+            assert np.max(np.abs(got - whole)) <= 10 * EPS * pair.n ** 1.5
+        else:
+            assert np.array_equal(got, whole)
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
@@ -482,7 +485,11 @@ def _streamed_reductions(pair, count, sample_count):
 
 
 def _materialized_reductions(pair, count):
-    """The same quantities from whole circle_values grids."""
+    """The same quantities from whole circle_values grids.
+
+    The norm estimates run their block reducer on sub-grids cut from
+    the materialized grids.
+    """
     n = pair.n
     p = evaluate.circle_values(pair.p.coeffs, count)
     q = evaluate.circle_values(pair.q.coeffs, count)
@@ -492,6 +499,7 @@ def _materialized_reductions(pair, count):
                                    count)
     th = circle_grid(0.0, TAU, count)
     away = (th > 0.01) & (np.abs(th - math.pi) > 0.01) & (TAU - th > 0.01)
+    qs = [1.0, 4.0]
     return {
         "min_modulus_p": np.min(np.abs(p), where=away, initial=math.inf),
         "min_modulus_q": np.min(np.abs(q), where=away, initial=math.inf),
@@ -500,13 +508,24 @@ def _materialized_reductions(pair, count):
             np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
         "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
         "mq": norms._mq_estimates(
-            [np.abs(q), np.abs(evaluate.circle_values(pair.q.coeffs,
-                                                      2 * count))],
-            [1.0, 4.0], count),
+            [norms._block_sums(_cut_blocks(
+                np.abs(evaluate.circle_values(pair.q.coeffs, c)), n), qs)
+             for c in (count, 2 * count)], qs, count),
         "flatness": norms._mahler_estimate(
-            [np.abs(np.abs(evaluate.circle_values(pair.p.coeffs, c)) ** 2 - n)
-             for c in (count, 2 * count)], FULL_CIRCLE, count, 0.0),
+            [norms._block_sums(_cut_blocks(np.abs(np.abs(
+                evaluate.circle_values(pair.p.coeffs, c)) ** 2 - n), n), (),
+                logs=True) for c in (count, 2 * count)], count),
     }
+
+
+def _cut_blocks(whole, n):
+    """A materialized grid cut into the sub-grids iter_circle_values yields.
+
+    The indices come from the stream, in its order; the values are the
+    materialized grid's.
+    """
+    return [(slice(r, None, stride), whole[r::stride]) for r, stride, _ in
+            evaluate.iter_circle_values(np.ones(n), whole.size)]
 
 
 def _block_spy(monkeypatch):
@@ -587,6 +606,70 @@ class TestStreamedCircle:
             oracle = eval_horner(pair.q, circle_grid(0.0, TAU, count,
                                                      half_offset)[i])
             assert np.max(np.abs(values[i] - oracle)) <= 10 * EPS * n ** 1.5
+
+    @pytest.mark.parametrize("k, count, cap, stride", [
+        (5, 4096, None, 1), (10, 64 * 4096, None, 64),
+        (12, 16 * 4096, None, 16), (8, 16 * 256, 512, 8),
+        (8, 64 * 256, 64, 256)],
+        ids=["stride1", "stride64", "stride16", "past_cap", "folded"])
+    def test_mirror_twins(self, k, count, cap, stride, monkeypatch):
+        # the half-offset grid's sub-grid stride - 1 - r is the mirror
+        # conj(values[::-1]) of sub-grid r, yielded right after it
+        pair = generate_pair(k)
+        n = pair.n
+        if cap is not None:
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        blocks = list(evaluate.iter_circle_values(pair.p.coeffs, count))
+        assert all(block[1] == stride for block in blocks)
+        assert sorted(r for r, _, _ in blocks) == list(range(stride))
+        pairs = zip(blocks[0::2], blocks[1::2]) if stride > 1 else []
+        for (r, _, values), (twin_r, _, twin) in pairs:
+            assert r < stride // 2 and twin_r == stride - 1 - r
+            assert np.array_equal(twin, np.conj(values[::-1]))
+        # both halves against the Horner oracle
+        thetas = circle_grid(0.0, TAU, count)
+        halves = set()
+        for r, _, values in blocks:
+            t = np.unique(np.linspace(0, values.size - 1, 8).astype(int))
+            oracle = eval_horner(pair.p, thetas[r::stride][t])
+            assert np.max(np.abs(values[t] - oracle)) <= 10 * EPS * n ** 1.5
+            halves.add(2 * r < stride)
+        assert halves == ({True, False} if stride > 1 else {True})
+
+    def test_mirror_survives_in_place_consumer(self):
+        # value_distribution divides each block in place; the twin that
+        # follows must still be the mirror of the undivided original
+        pair = generate_pair(10)
+        count = 16 * pair.n
+        whole = evaluate.circle_values(pair.q.coeffs, count)
+        got = np.empty(count, dtype=np.complex128)
+        for r, stride, values in evaluate.iter_circle_values(pair.q.coeffs,
+                                                             count):
+            got[r::stride] = values
+            values /= 3.0
+        assert stride == 4
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("k", [0, 3, 8, 12, 14])
+    def test_no_tiny_sub_grids(self, k, monkeypatch):
+        # within the cap every sub-grid has min(count, MIN_FFT) points or
+        # more; past the cap sub-grids may be shorter
+        n = generate_pair(k).n
+        coeffs = np.ones(n)
+        for count in sorted({n // 2 + 2, 2 * n + 1, 1000, 4096, 6144,
+                             16 * n, 64 * n, 200 * n}):
+            sizes = [v.size for _, _, v in
+                     evaluate.iter_circle_values(coeffs, count)]
+            assert min(sizes) >= min(count, evaluate.MIN_FFT)
+            assert sum(sizes) == count
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 1024)
+        sizes = [v.size for _, _, v in
+                 evaluate.iter_circle_values(coeffs, 64 * 1024)]
+        assert max(sizes) <= 1024 < evaluate.MIN_FFT
+
+    def test_complex_coefficients_refused(self):
+        with pytest.raises(ValueError, match="real coefficients"):
+            next(evaluate.iter_circle_values(np.array([1.0, 1j]), 64))
 
     def test_past_cap_count_needs_the_stride(self, monkeypatch):
         coeffs = generate_pair(3).p.coeffs

@@ -13,6 +13,7 @@ from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
                                  flatness_defect_mahler, mahler_arc, mq_arc,
                                  mq_arcs, mq_limit_diagnostic,
                                  rel_step_tolerance)
+from rudin_shapiro.reductions import pairwise_sum
 
 TAU = math.tau
 ONE = (generate_pair(0), "p")      # P_0 = 1
@@ -162,6 +163,23 @@ class TestMahlerArc:
                              exclusion_radius=0.02)
         assert widened.excluded >= base.excluded
         assert widened.value == pytest.approx(base.value, rel=0.05)
+
+    def test_exclusion_radius_reduces_the_whole_grid(self):
+        # the one reduction with neighbours: P_1 = 1 + z vanishes at the
+        # middle sample of the odd 4097-point grid, and radius 0.01 drops
+        # it and 6 samples each side; the kept logs of the grid-ordered
+        # array go through one pairwise tree
+        est = mahler_arc(ONE_PLUS_Z, FULL_CIRCLE, count=4097,
+                         exclusion_radius=0.01)
+        expect = []
+        for c in (4097, 8194):
+            vals = np.abs(evaluate.circle_values(np.ones(2), c))
+            keep = np.abs(np.arange(c) - 2048) > 6 if c == 4097 else \
+                np.ones(c, dtype=bool)
+            expect.append(math.exp(pairwise_sum(np.log(vals[keep])) /
+                                   np.count_nonzero(keep)))
+        assert est.excluded == 13
+        assert (est.value, est.refined_value) == tuple(expect)
 
     def test_negative_exclusion_rejected(self):
         with pytest.raises(ValueError):

@@ -314,12 +314,13 @@ class TestValueDistribution:
         assert q_report.sup_distance_to_uniform == pytest.approx(
             p_report.sup_distance_to_uniform, abs=1e-3)
 
-    @pytest.mark.parametrize("k", [8, 12])
+    @pytest.mark.parametrize("k", [3, 8, 12])
     def test_streamed_equals_materialized(self, k):
-        # the computation on one materialized grid, as it stood before
+        # the computation on one materialized grid, as it stood before;
+        # the stream fills its sort buffer in block order (stride 1, 4, 64)
         report = value_distribution(k, bins=32)
         pair = generate_pair(k)
-        count = 64 * pair.n
+        count = max(4096, 64 * pair.n)
         normalized = evaluate.circle_values(pair.p.coeffs, count)
         normalized /= math.sqrt(2.0 * pair.n)
         u = np.clip(np.abs(normalized) ** 2, 0.0, 1.0)
