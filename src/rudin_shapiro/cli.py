@@ -221,15 +221,14 @@ def cmd_mahler(args, out_dir: Path) -> int:
     rows = []
     for k in parse_k_range(args.k):
         pair = generate_pair(k)
-        est = norms.mahler_arc((pair, args.which), arc, args.count,
-                               exclusion_radius=args.exclusion_radius)
+        est = norms.mahler_arc((pair, args.which), arc, args.count)
         rows.append([k, arc.alpha, arc.beta, 0.0, est.value, est.count,
                      est.rel_step, est.flagged])
         print(f"k={k} M_0={est.value:.9g} M_0/sqrt(n)="
               f"{est.value / math.sqrt(pair.n):.9g} excluded={est.excluded} "
               f"flagged={est.flagged}")
     config = _config(args, k=args.k, arc=_arc_pair(arc), count=args.count,
-                     exclusion_radius=args.exclusion_radius, which=args.which)
+                     which=args.which)
     write_csv_artifact(out_dir / "mahler.csv", config,
                        norms.NORM_TABLE_COLUMNS, rows)
     return EXIT_OK
@@ -460,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--arc")
     p.add_argument("--count", type=int)
-    p.add_argument("--exclusion-radius", type=float, default=0.0)
     p.add_argument("--which", choices=("p", "q"), default="p")
 
     p = sub.add_parser("roots", parents=[common],

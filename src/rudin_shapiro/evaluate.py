@@ -48,6 +48,8 @@ independent cross-check oracle: no grid of the package goes through it.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import math
 import struct
 from dataclasses import dataclass
@@ -65,9 +67,6 @@ DEFAULT_CHUNK = 1 << 19
 #: Cap on materialized grids (two complex arrays of this length) and on
 #: each streamed full-circle sub-grid.
 GRID_MAX_COUNT = 1 << 24
-#: Cap on float sample arrays (norm grids, the value distribution): the
-#: bytes of the grid cap's two complex arrays.
-SAMPLE_MAX_COUNT = 4 * GRID_MAX_COUNT
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
 #: Subarc grids go to chirp-z from max(CHIRP_MIN_RATIO * n,
@@ -83,6 +82,14 @@ _TAU_LO = 2.4492935982947064e-16
 
 GRID_DUMP_MAGIC = b"RSGRID"
 GRID_DUMP_VERSION = 1
+
+# Streamed grids free a few sub-grid arrays per block; under glibc's
+# dynamic thresholds the heap top then goes back to the system, and each
+# block faults in fresh pages (half the time of a k = 16 full circle).
+# Fix them where that rule ends: heap below 32 MiB, trim past 64 MiB.
+with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 @dataclass(frozen=True)

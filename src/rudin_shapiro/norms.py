@@ -15,8 +15,7 @@ resolution and flagged when the relative step stays too large.
 Every estimator takes source = (pair, 'p' | 'q'), S = P_k or Q_k of a
 RudinShapiroPair, and reduces the blocks of evaluate.iter_arc_values to
 power sums, log sums and exclusion counts, combined pairwise: no sample
-array is stored, except by a positive exclusion radius, which needs
-neighbours.
+array is stored, and memory follows the sub-grid cap of the backend.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate
-from .core import ResourceLimitError, RudinShapiroPair
+from .core import RudinShapiroPair
 from .reductions import pairwise_sum
 
 #: Samples with |S| below this are excluded from log integrands; the
@@ -111,7 +110,8 @@ def _grids(source, arc: Arc, count, transform=np.abs):
     """The count, and the c-grid and 2c-grid of transform(S) on arc, drawn lazily.
 
     source is (pair, 'p' | 'q'); each grid yields (index, transform(values))
-    per block of evaluate.iter_arc_values, and no grid is stored.
+    per block of evaluate.iter_arc_values, and no grid is stored.  A full
+    circle count that its sub-grid stride does not divide fails at once.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
@@ -126,9 +126,6 @@ def _grids(source, arc: Arc, count, transform=np.abs):
     elif count < 2:
         raise ValueError("count must be >= 2")
     count = int(count)
-    if 2 * count > evaluate.SAMPLE_MAX_COUNT:
-        raise ResourceLimitError(f"count {2 * count} exceeds the sample array "
-                                 f"cap {evaluate.SAMPLE_MAX_COUNT}")
 
     def grid(c: int):
         for index, values in evaluate.iter_arc_values(pair, component,
@@ -189,27 +186,6 @@ def mq_arc(source, arc: Arc, q: float, count: int | None = None) -> NormEstimate
     return mq_arcs(source, arc, [q], count)[0]
 
 
-def _log_sum(vals: np.ndarray, spacing: float,
-             exclusion_radius: float) -> tuple[float, int]:
-    """Sum of log|S| over one whole grid's kept samples, and the excluded count.
-
-    Excludes underflow-floor samples and every sample within angular
-    distance exclusion_radius of a detected near-zero (a sample below
-    1e-9 * max(1, max|S|)); the one reduction that needs neighbours.
-    """
-    keep = vals >= UNDERFLOW_FLOOR
-    near = vals < 1e-9 * max(1.0, float(vals.max(initial=0.0)))
-    reach = int(min(exclusion_radius / spacing, vals.size))
-    if near.any():
-        # a sample is hit when any near-zero lies within `reach`
-        # indices; count near-zeros in the window by prefix sums
-        prefix = np.concatenate([[0], np.cumsum(near)])
-        lo = np.maximum(np.arange(vals.size) - reach, 0)
-        hi = np.minimum(np.arange(vals.size) + reach + 1, vals.size)
-        keep &= prefix[hi] == prefix[lo]
-    return pairwise_sum(np.log(vals[keep])), int(vals.size - keep.sum())
-
-
 def _mahler_estimate(logs, count: int) -> NormEstimate:
     """M_0 from (sum of log|S|, excluded) of the c-grid and of the 2c-grid."""
     (value, excluded), (refined, excluded2) = (
@@ -230,22 +206,11 @@ def _mahler_estimate(logs, count: int) -> NormEstimate:
                         note=note)
 
 
-def mahler_arc(source, arc: Arc, count: int | None = None,
-               exclusion_radius: float = 0.0) -> NormEstimate:
+def mahler_arc(source, arc: Arc, count: int | None = None) -> NormEstimate:
     """Midpoint estimate of the Mahler measure M_0(S, [alpha, beta])."""
-    if not 0 <= exclusion_radius < math.inf:
-        raise ValueError("exclusion_radius must be finite and >= 0")
     count, grids = _grids(source, arc, count)
-    if exclusion_radius == 0.0:
-        return _mahler_estimate([_block_sums(grid, (), logs=True)
-                                 for grid in grids], count)
-    logs = []
-    for grid, c in zip(grids, (count, 2 * count)):
-        vals = np.empty(c)
-        for index, block in grid:
-            vals[index] = block
-        logs.append(_log_sum(vals, arc.length / c, exclusion_radius))
-    return _mahler_estimate(logs, count)
+    return _mahler_estimate([_block_sums(grid, (), logs=True)
+                             for grid in grids], count)
 
 
 def mq_limit_diagnostic(source, arc: Arc, q_list,

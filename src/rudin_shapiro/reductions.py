@@ -30,9 +30,3 @@ def pairwise_sum(values) -> float:
         v = v[0::2] + v[1::2]
     return float(v[0])
 
-
-def pairwise_mean(values) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("mean of empty sample set")
-    return pairwise_sum(v) / v.size

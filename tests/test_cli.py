@@ -75,8 +75,9 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
 
     def test_sampler_memory_guard_is_exit_3(self, tmp_path, capsys):
-        for argv in (["norm", "--k", "4", "--q", "2", "--count",
-                      "100000000000"],
+        # past 2^24 points a full circle streams sub-grids of stride 4
+        # (40000001) or 65536 (10^12), so neither count can be tiled
+        for argv in (["norm", "--k", "4", "--q", "2", "--count", "40000001"],
                      ["distribution", "--k", "3", "--count", "1000000000000"]):
             assert main(argv + ["--out", str(tmp_path)]) == 3
             err = capsys.readouterr().err
@@ -84,7 +85,7 @@ class TestExitCodes:
             assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
-        ["norm", "--k", "3", "--q", "2", "--count", "40000000"],
+        ["norm", "--k", "3", "--q", "2", "--count", "40000001"],
         ["distribution", "--k", "3", "--count", "1000000000000"]],
         ids=["norm", "distribution"])
     @pytest.mark.parametrize("out", ["new", "new/nested"])
@@ -108,7 +109,6 @@ class TestExitCodes:
         ["norm", "--k", "4", "--q", "inf"],
         ["norm", "--k", "4", "--q", "2,nan"],
         ["norm", "--k", "5..3", "--q", "2"],
-        ["mahler", "--k", "4", "--exclusion-radius", "nan"],
         ["roots", "--k", "3", "--tol", "-1"],
         ["roots", "--k", "3", "--max-iter", "0"],
         ["census", "--k", "3", "--tol", "nan"],
@@ -139,9 +139,9 @@ class TestExitCodes:
         ["eval", "--k", "3", "--theta", "pi/3", "--dump", "g.bin"],
         ["eval", "--k", "3", "--theta", "pi/3", "--arc", "0:pi", "--count",
          "99", "--no-offset", "--dump", "g.bin"],
-    ], ids=["q_inf", "q_nan", "empty_k_range", "exclusion_radius_nan",
-            "roots_tol_negative", "roots_max_iter_zero", "census_tol_nan",
-            "census_eps_nan", "threads_zero", "threads_negative",
+    ], ids=["q_inf", "q_nan", "empty_k_range", "roots_tol_negative",
+            "roots_max_iter_zero", "census_tol_nan", "census_eps_nan",
+            "threads_zero", "threads_negative",
             "mercer_random_negative", "falsify_negative", "arcs_negative",
             "mercer_degree_1", "mercer_no_input", "eval_count_zero",
             "eval_count_one", "norm_count_one", "saffari_count_one",
@@ -172,7 +172,8 @@ class TestExitCodes:
         ["generate", "--k", "4", "--cache-dir", "x"],
         ["generate", "--k", "4", "--write-cache"],
         ["bench", "--k", "3"],
-    ], ids=["format", "cache_dir", "write_cache", "bench"])
+        ["mahler", "--k", "4", "--exclusion-radius", "0.01"],
+    ], ids=["format", "cache_dir", "write_cache", "bench", "exclusion_radius"])
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())

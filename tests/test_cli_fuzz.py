@@ -87,7 +87,6 @@ SUBCOMMANDS = {
     "norm": ([], {"--k": K_RANGE, "--q": Q_LIST},
              {"--arc": ARC, "--count": COUNT, "--which": WHICH}),
     "mahler": ([], {"--k": K_RANGE}, {"--arc": ARC, "--count": COUNT,
-                                      "--exclusion-radius": REAL,
                                       "--which": WHICH}),
     "roots": ([], {"--k": K}, {"--which": WHICH, "--tol": REAL,
                                "--max-iter": SMALL}),

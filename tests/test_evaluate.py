@@ -15,7 +15,7 @@ from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
                                     eval_horner, eval_pair_point)
 from rudin_shapiro.norms import (Arc, FULL_CIRCLE, flatness_defect_mahler,
                                  mq_arc, mq_arcs)
-from rudin_shapiro.reductions import pairwise_mean, pairwise_sum
+from rudin_shapiro.reductions import pairwise_sum
 from rudin_shapiro.verify import (bernstein_ratio, min_modulus_excluding_poles,
                                   value_distribution)
 
@@ -128,14 +128,14 @@ class TestGrids:
     def test_lattice_parseval_k3(self):
         # 64 > 2n - 1 = 15 points integrate |P_3|^2 exactly: mean = n = 8
         samples = eval_grid(generate_pair(3), FULL_CIRCLE, 64)
-        mean_sq = pairwise_mean(np.abs(samples.values_p) ** 2)
+        mean_sq = pairwise_sum(np.abs(samples.values_p) ** 2) / 64
         assert mean_sq == pytest.approx(8.0, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 4, 7, 10])
     def test_grid_mean_parseval(self, k):
         pair = generate_pair(k)
         samples = eval_grid(pair, FULL_CIRCLE, 2 * pair.n + 8)
-        mean_sq = pairwise_mean(np.abs(samples.values_p) ** 2)
+        mean_sq = pairwise_sum(np.abs(samples.values_p) ** 2) / samples.count
         assert abs(mean_sq - pair.n) / pair.n <= 1e-10
 
     def test_memory_cap(self, monkeypatch):
@@ -301,19 +301,24 @@ class TestCircleValues:
             evaluate.circle_values(coeffs, evaluate.GRID_MAX_COUNT + 1)
 
 
-class TestSamplers:
-    """The norm grids' sample array cap, checked before any allocation."""
+class TestPastCapRefusal:
+    """Past GRID_MAX_COUNT a full-circle count must be a multiple of its
+    sub-grid stride; one that is not is refused before any transform."""
 
-    @pytest.mark.parametrize("alpha, beta", [(0.0, TAU), (0.5, 2.0)])
-    def test_memory_guard(self, alpha, beta):
-        pair = generate_pair(4)
-        # the 2c-grid of count = cap / 2 is one sample past the cap
-        count = evaluate.SAMPLE_MAX_COUNT // 2 + 1
-        with pytest.raises(ResourceLimitError, match="sample array cap"):
-            mq_arc((pair, "p"), Arc(alpha, beta), 2.0, count)
-        if alpha == 0.0:
-            with pytest.raises(ResourceLimitError, match="sample array cap"):
-                flatness_defect_mahler(pair, count)
+    @pytest.mark.parametrize("entry", [
+        lambda pair, count: mq_arc((pair, "p"), FULL_CIRCLE, 2.0, count),
+        lambda pair, count: flatness_defect_mahler(pair, count),
+        lambda pair, count: value_distribution(pair.k, count=count,
+                                               pair=pair),
+    ], ids=["norm", "flatness", "distribution"])
+    def test_refused_before_any_ifft(self, entry, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.fft, "ifft",
+                            lambda *args, **kwargs: calls.append(args))
+        # stride 2 for the c-grid, so an odd count cannot be tiled
+        with pytest.raises(ResourceLimitError, match="stride 2"):
+            entry(generate_pair(4), evaluate.GRID_MAX_COUNT + 1)
+        assert calls == []
 
 
 def _chirp_tol(n):
@@ -711,13 +716,6 @@ class TestReductions:
     def test_sum_independent_of_padding_boundary(self):
         values = np.arange(1, 130, dtype=np.float64)
         assert pairwise_sum(values) == pytest.approx(values.sum())
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=300))
-    def test_mean_within_float_tolerance(self, values):
-        arr = np.asarray(values)
-        assert pairwise_mean(arr) == pytest.approx(
-            math.fsum(values) / len(values), abs=1e-6)
 
     def test_empty_sum_is_zero(self):
         assert pairwise_sum(np.array([])) == 0.0

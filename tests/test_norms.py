@@ -13,7 +13,6 @@ from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
                                  flatness_defect_mahler, mahler_arc, mq_arc,
                                  mq_arcs, mq_limit_diagnostic,
                                  rel_step_tolerance)
-from rudin_shapiro.reductions import pairwise_sum
 
 TAU = math.tau
 ONE = (generate_pair(0), "p")      # P_0 = 1
@@ -64,12 +63,12 @@ class TestMqArc:
                 assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_m4_ratio_p12(self):
-        # finite-k value of M_4^4 relative to its limit 4^(k+1)/3; the
-        # dense-grid reference (64n points) gives 0.9999388
+        # finite-k value of M_4^4 relative to its limit 4^(k+1)/3: the
+        # exact moment (4^13 - 2^12)/3 makes it 1 - 2^-14
         pair = generate_pair(12)
         est = mq_arc((pair, "p"), FULL_CIRCLE, 4.0)
         ratio = est.value ** 4 / (4 ** 13 / 3)
-        assert ratio == pytest.approx(0.9999388, abs=1e-4)
+        assert ratio == pytest.approx(1.0 - 2.0 ** -14, rel=1e-13)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -109,6 +108,41 @@ class TestMqArc:
         est = mq_arc((pair, "p"), arc, q, count=1 << 14)
         assert est.value == pytest.approx(expected, rel=1e-7)
         assert abserr < 1e-8
+
+
+def _m4(k):
+    """(1/2pi) int |P_k|^4 = (1/2pi) int |Q_k|^4, exactly."""
+    return (4 ** (k + 1) - (-2) ** k) // 3
+
+
+def _m6(k):
+    """(1/2pi) int |P_k|^6 = (1/2pi) int |Q_k|^6, exactly."""
+    return 2 * 8 ** k - (-4) ** k
+
+
+class TestExactEvenMoments:
+    @pytest.mark.parametrize("k", range(13))
+    def test_closed_forms_equal_integer_moments(self, k):
+        # the mean of |S|^(2j) is the sum of the squared coefficients of
+        # S^j, an integer computed exactly in int64
+        pair = generate_pair(k)
+        for poly in (pair.p, pair.q):
+            a = poly.coeffs.astype(np.int64)
+            square = np.convolve(a, a)
+            cube = np.convolve(square, a)
+            assert int(np.sum(square ** 2)) == _m4(k)
+            assert int(np.sum(cube ** 2)) == _m6(k)
+
+    @pytest.mark.parametrize("k", [10, 14])
+    @pytest.mark.parametrize("component", ["p", "q"])
+    def test_full_circle_quadrature_matches(self, k, component):
+        # the midpoint rule on more than q(n - 1)/2 points is exact for
+        # even q, up to rounding
+        m4, m6 = mq_arcs((generate_pair(k), component), FULL_CIRCLE, [4, 6])
+        for est, exact in ((m4, _m4(k)), (m6, _m6(k))):
+            assert est.value ** est.q == pytest.approx(exact, rel=1e-13)
+            assert est.refined_value ** est.q == \
+                pytest.approx(exact, rel=1e-13)
 
 
 class TestMqArcs:
@@ -155,36 +189,6 @@ class TestMahlerArc:
         est = mahler_arc((pair, "p"), FULL_CIRCLE)
         assert est.value / math.sqrt(pair.n) == \
             pytest.approx(math.sqrt(2 / math.e), abs=0.05)
-
-    def test_exclusion_radius_drops_near_zero_samples(self):
-        pair = generate_pair(3)
-        base = mahler_arc((pair, "p"), FULL_CIRCLE, count=4096)
-        widened = mahler_arc((pair, "p"), FULL_CIRCLE, count=4096,
-                             exclusion_radius=0.02)
-        assert widened.excluded >= base.excluded
-        assert widened.value == pytest.approx(base.value, rel=0.05)
-
-    def test_exclusion_radius_reduces_the_whole_grid(self):
-        # the one reduction with neighbours: P_1 = 1 + z vanishes at the
-        # middle sample of the odd 4097-point grid, and radius 0.01 drops
-        # it and 6 samples each side; the kept logs of the grid-ordered
-        # array go through one pairwise tree
-        est = mahler_arc(ONE_PLUS_Z, FULL_CIRCLE, count=4097,
-                         exclusion_radius=0.01)
-        expect = []
-        for c in (4097, 8194):
-            vals = np.abs(evaluate.circle_values(np.ones(2), c))
-            keep = np.abs(np.arange(c) - 2048) > 6 if c == 4097 else \
-                np.ones(c, dtype=bool)
-            expect.append(math.exp(pairwise_sum(np.log(vals[keep])) /
-                                   np.count_nonzero(keep)))
-        assert est.excluded == 13
-        assert (est.value, est.refined_value) == tuple(expect)
-
-    def test_negative_exclusion_rejected(self):
-        with pytest.raises(ValueError):
-            mahler_arc((generate_pair(2), "p"), FULL_CIRCLE,
-                       exclusion_radius=-1.0)
 
     def test_subarc_against_adaptive_quadrature(self):
         pair = generate_pair(4)

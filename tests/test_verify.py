@@ -10,7 +10,8 @@ from rudin_shapiro.core import generate_pair
 from rudin_shapiro.evaluate import eval_horner
 from rudin_shapiro.norms import Arc, FULL_CIRCLE, mq_arc
 from rudin_shapiro.verify import (DEFAULT_RECTANGLES, GAMMA,
-                                  MAHLER_LIMIT_RATIO, bernstein_ratio,
+                                  KOLMOGOROV_BINS, MAHLER_LIMIT_RATIO,
+                                  bernstein_ratio,
                                   check_certified_intervals,
                                   check_lattice_pair_bound,
                                   check_level_set_measure,
@@ -316,8 +317,8 @@ class TestValueDistribution:
 
     @pytest.mark.parametrize("k", [3, 8, 12])
     def test_streamed_equals_materialized(self, k):
-        # the computation on one materialized grid, as it stood before;
-        # the stream fills its sort buffer in block order (stride 1, 4, 64)
+        # the stream adds up per-block counts (stride 1, 4, 64); here the
+        # same quantities come from one materialized, sorted grid
         report = value_distribution(k, bins=32)
         pair = generate_pair(k)
         count = max(4096, 64 * pair.n)
@@ -325,8 +326,19 @@ class TestValueDistribution:
         normalized /= math.sqrt(2.0 * pair.n)
         u = np.clip(np.abs(normalized) ** 2, 0.0, 1.0)
         u.sort()
+        # the bracket's upper end from C_i = #{u < i/B}, bit for bit
+        edges = np.arange(KOLMOGOROV_BINS + 1) / KOLMOGOROV_BINS
+        below = np.searchsorted(u, edges, side="left")
+        cdf_lo = below / count
+        bracket = float(max(np.max(cdf_lo[1:] - edges[:-1]),
+                            np.max(edges[1:] - cdf_lo[:-1])))
+        assert report.sup_distance_to_uniform == bracket
+        # and it brackets the exact Kolmogorov distance of the sample
         grid = np.arange(1, count + 1, dtype=np.float64) / count
-        sup = float(max(np.max(u - (grid - 1.0 / count)), np.max(grid - u)))
+        exact = float(max(np.max(u - (grid - 1.0 / count)), np.max(grid - u)))
+        heaviest = np.max(np.diff(np.append(below, count))) / count
+        assert exact <= report.sup_distance_to_uniform <= \
+            exact + heaviest + 2.0 ** -16
         hist, _ = np.histogram(u, bins=32, range=(0.0, 1.0))
         rect_tests = []
         for rect in DEFAULT_RECTANGLES:
@@ -335,7 +347,6 @@ class TestValueDistribution:
                      (normalized.imag >= i0) & (normalized.imag <= i1)
             empirical = math.tau * float(np.count_nonzero(inside)) / count
             rect_tests.append((rect, empirical, 2.0 * (r1 - r0) * (i1 - i0)))
-        assert report.sup_distance_to_uniform == sup
         assert np.array_equal(report.empirical_cdf, np.cumsum(hist) / count)
         assert report.rectangle_tests == rect_tests
 
