@@ -10,7 +10,7 @@ about 2 sqrt(degree) numpy steps.
 
 Real-zero counts are also exact, independent of any floating-point
 solver: the remainder sequence of (P, P') runs modulo batches of
-word-size primes in lockstep (one int64 array, primes x coefficients),
+word-size primes in lockstep (one uint64 array, primes x coefficients),
 the principal subresultant coefficients follow from its leading
 coefficients and degrees (Brown & Traub 1971), CRT lifts them exactly
 past the Hadamard bound, and the signed Sturm-Habicht sequence counts
@@ -28,7 +28,7 @@ from .core import LittlewoodPolynomial, ResourceLimitError
 
 #: A sweep costs (moving roots) x degree; early sweeps move all of them.
 MAX_ABERTH_DEGREE = 1 << 14
-#: An exact real-zero count at degree 2047 takes about 50 s on one core;
+#: An exact real-zero count at degree 2047 takes about 32 s on one core;
 #: the cost grows about 8x per doubling of the degree.
 MAX_STURM_DEGREE = 1 << 11
 
@@ -239,10 +239,10 @@ def zero_census(rootset: RootSet, eps: float = 1e-4) -> ZeroCensus:
 # Exact real-zero counting (multimodular Sturm-Habicht sequence).
 # ---------------------------------------------------------------------------
 
-#: Moduli are primes below 2^31: a product of two residues is below
-#: 2^62, so one such product minus two others stays inside int64.
+#: Moduli are primes below 2^31: residues in [0, p) are uint64, each
+#: product of two is below 2^62, and a sum of three is below 2^64.
 _PRIME_BOUND = 1 << 31
-#: Primes x coefficients in one lockstep batch (16 MiB per int64 array).
+#: Primes x coefficients in one lockstep batch (16 MiB per uint64 array).
 _BATCH_ELEMENTS = 1 << 21
 #: Primes below _PRIME_BOUND in descending order, extended on demand.
 _prime_table = np.empty(0, dtype=np.int64)
@@ -274,7 +274,7 @@ def _primes(count: int) -> np.ndarray:
 
 def _pow_mod(base: np.ndarray, exponent, mod: np.ndarray) -> np.ndarray:
     """base^exponent mod `mod` elementwise by square and multiply."""
-    exponent = np.broadcast_to(np.asarray(exponent, dtype=np.int64),
+    exponent = np.broadcast_to(np.asarray(exponent, dtype=base.dtype),
                                base.shape).copy()
     result = np.ones_like(base)
     base = base % mod
@@ -290,7 +290,8 @@ def _remainder_sequence(p_res: np.ndarray, primes: np.ndarray):
     """Euclidean remainder sequence of (P, P') modulo each prime at once.
 
     p_res holds P's ascending coefficients mod each prime, one column per
-    prime.  Every step is fraction-free, lc(B) A - lc(A) x^s B, so G_i
+    prime, as uint64 residues in [0, p), with p - x standing for -x.
+    Every step is fraction-free, lc(B) A - lc(A) x^s B, so G_i
     = lam_i F_i where F_i is the remainder sequence over the field and
     lam_i a tracked scale.  A prime whose next degree falls below the
     batch maximum divides a principal subresultant coefficient of P and
@@ -304,7 +305,7 @@ def _remainder_sequence(p_res: np.ndarray, primes: np.ndarray):
     """
     d = len(p_res) - 1
     a = p_res[::-1].copy()
-    b = p_res[:0:-1] * (np.arange(d, 0, -1)[:, None] % primes) % primes
+    b = p_res[:0:-1] * np.arange(d, 0, -1, dtype=np.uint64)[:, None] % primes
     # a, b and the next remainder r are leading rows of a_store, b_store
     # and r_store; spare is the store no live array uses
     a_store, b_store = a, b
@@ -320,20 +321,20 @@ def _remainder_sequence(p_res: np.ndarray, primes: np.ndarray):
         na, nb = degrees[-2], degrees[-1]
         if na - nb == 1:
             # both eliminations in one pass: g^2 A - (q1 x + q0) B
-            q1 = g * a[0] % primes
-            q0 = (g * a[1] - a[0] * b[1]) % primes
+            q1 = primes - g * a[0] % primes
+            q0 = primes - (g * a[1] + a[0] * (primes - b[1])) % primes
             scale = g * g % primes
             r_store = spare
             r = np.multiply(a[2:], scale, out=r_store[:nb])
-            r[:-1] -= np.multiply(b[2:], q1, out=work[:nb - 1])
-            r -= np.multiply(b[1:], q0, out=work[:nb])
+            r[:-1] += np.multiply(b[2:], q1, out=work[:nb - 1])
+            r += np.multiply(b[1:], q0, out=work[:nb])
             np.remainder(r, primes, out=r)
         else:
             r = a
             for _ in range(na - nb + 1):
-                lead = r[0]
+                lead = primes - r[0]
                 r = r * g
-                r[:nb + 1] -= lead * b
+                r[:nb + 1] += lead * b
                 r_store = r % primes
                 r = r_store[1:]
             scale = _pow_mod(g, na - nb + 1, primes)
@@ -348,7 +349,7 @@ def _remainder_sequence(p_res: np.ndarray, primes: np.ndarray):
                         primes, a, b, r, scale, values, den_steps, g,
                         a_scale, b_scale, num, den))
                 a_store, b_store, r_store = a, b, r
-                work = np.empty((d + 1, len(primes)), dtype=np.int64)
+                work = np.empty((d + 1, len(primes)), dtype=primes.dtype)
             r = r[shift.min():]
             if not len(r):  # gcd(P, P') = B, of degree nb
                 break
@@ -433,13 +434,15 @@ def _subresultant_sequence(coeffs: list[int]) -> tuple[list[int], list[int]]:
     while math.prod(kept) ** 2 <= bound_sq:
         missing = (d - 1) * log_p + d * log_dp + 2 - sum(map(math.log2, kept))
         want = max(1, min(math.ceil(missing / 30.9) + 1, cap))
-        batch = _primes(used + want)[used:]
+        batch = _primes(used + want)[used:].astype(np.uint64)
         used += want
         batch = batch[[(d * lc) % p != 0 for p in batch.tolist()]]
         if not batch.size:
             continue
-        p_res = (values[:, None] % batch.astype(values.dtype)).astype(
-            np.int64, copy=False)
+        # a residue of a positive modulus is nonnegative: the cast is exact
+        p_res = np.remainder(values[:, None], batch.astype(values.dtype),
+                             out=np.empty((d + 1, batch.size), np.uint64),
+                             casting="unsafe")
         batch, batch_degrees, batch_res = _remainder_sequence(p_res, batch)
         if batch_degrees > degrees:
             kept, degrees, residues = [], batch_degrees, []
@@ -480,12 +483,16 @@ def real_zero_count_exact(poly) -> int:
     sRes_q, add eps_{p-q} sign(sRes_p sRes_q) when p - q is odd
     (Gonzalez-Vega, Lombardi, Recio & Roy 1989).  Defective steps and a
     nontrivial gcd(P, P') need no special case.  No floating point
-    touches the signs.
+    touches the signs.  Non-integer coefficients raise ValueError.
     """
-    if isinstance(poly, LittlewoodPolynomial):
-        coeffs = [int(c) for c in poly.coeffs]
-    else:
-        coeffs = [int(c) for c in poly]
+    raw = list(poly.coeffs if isinstance(poly, LittlewoodPolynomial)
+               else poly)
+    try:
+        coeffs = [int(c) for c in raw]
+    except (OverflowError, TypeError, ValueError):  # inf, complex, nan
+        coeffs = None
+    if coeffs != raw:
+        raise ValueError("real_zero_count_exact needs integer coefficients")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     degree = len(coeffs) - 1

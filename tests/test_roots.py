@@ -504,6 +504,71 @@ class TestExactRealZeroCount:
         assert kept and 11 not in kept
         assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
 
+    @pytest.mark.parametrize("cap", [1, 8])
+    def test_multi_batch_matches_single_batch(self, monkeypatch, cap):
+        # With the unlucky 11 first, a one-prime batch returns the shorter
+        # degree sequence, and the next batch must reset the kept primes.
+        inputs = [[2, -1, 3, 3, 2, -2, 1], generate_pair(5).p.coeffs.tolist(),
+                  [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]]
+        expected = [roots_mod._subresultant_sequence(c) for c in inputs]
+        table = np.concatenate(([11], roots_mod._primes(64)))
+        monkeypatch.setattr(roots_mod, "_prime_table", table)
+        batches, lifted, counts = [], [], []
+        sequence, lift = (roots_mod._remainder_sequence,
+                          roots_mod._chinese_remainder)
+
+        def sequence_spy(p_res, primes):
+            batches.append(primes.tolist())
+            return sequence(p_res, primes)
+
+        def lift_spy(residues, primes, bits):
+            lifted.append(primes.tolist())
+            return lift(residues, primes, bits)
+        monkeypatch.setattr(roots_mod, "_remainder_sequence", sequence_spy)
+        monkeypatch.setattr(roots_mod, "_chinese_remainder", lift_spy)
+        for coeffs, want in zip(inputs, expected):
+            monkeypatch.setattr(roots_mod, "_BATCH_ELEMENTS",
+                                cap * len(coeffs))
+            batches.clear()
+            assert roots_mod._subresultant_sequence(coeffs) == want
+            assert batches[0][0] == 11
+            assert max(map(len, batches)) <= cap
+            counts.append(len(batches))
+        # P_5 and the big coefficients need more than eight primes
+        assert min(counts[1:]) > 1
+        # lifted[0] comes from the unlucky input: 11 was dropped either
+        # inside its batch (cap 8) or with its whole batch (cap 1)
+        assert 11 not in lifted[0]
+
+    @pytest.mark.parametrize("d", range(1, 65))
+    def test_residues_at_the_top_of_the_word(self, d):
+        # all coefficients -1: every residue of P is p - 1 on the largest
+        # primes below 2^31.  -(x^(d+1) - 1)/(x - 1) has one real zero, -1,
+        # for odd d and none for even d.
+        coeffs = [-1] * (d + 1)
+        assert real_zero_count_exact(coeffs) == d % 2
+        if d <= 8:
+            degrees, pscs = roots_mod._subresultant_sequence(coeffs)
+            by_index = dict(zip(degrees, pscs))
+            for j in range(d - 1):
+                assert by_index.get(j, 0) == sylvester_psc(coeffs, j)
+        primes = roots_mod._primes(4).astype(np.uint64)
+        kept, _, values = roots_mod._remainder_sequence(
+            np.tile(primes - 1, (d + 1, 1)), primes)
+        assert kept.dtype == values.dtype == np.uint64
+        assert (values < kept).all()
+
+    @pytest.mark.parametrize("coeffs", [
+        [-0.5, 0, 1], [1, 0.25, 1], [math.nan, 1], [1, math.inf],
+        [-math.inf, 0, 1], np.array([-0.5, 0.0, 1.0]), [Fraction(1, 2), 1]])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            real_zero_count_exact(coeffs)
+
+    def test_integral_floats_are_counted(self):
+        assert real_zero_count_exact([-1.0, 0.0, 1.0]) == 2
+        assert real_zero_count_exact(np.array([-2.0, 0.0, 1.0])) == 2
+
     def test_degree_guard(self):
         with pytest.raises(ResourceLimitError, match="census"):
             real_zero_count_exact(generate_pair(12).p)
