@@ -24,7 +24,7 @@ from .verify import (GAMMA, MAHLER_LIMIT_RATIO, DistributionReport,
                      check_certified_intervals, check_lattice_pair_bound,
                      check_level_set_measure, check_subarc_moment_bounds,
                      mahler_asymptote_ratio, mahler_asymptote_trend,
-                     run_verification, saffari_ratio, saffari_trend,
-                     subarc_mahler_ratio, value_distribution)
+                     run_verification, saffari_ratio, saffari_ratios,
+                     saffari_trend, subarc_mahler_ratio, value_distribution)
 
 __version__ = "0.1.0"

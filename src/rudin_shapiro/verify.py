@@ -104,9 +104,10 @@ class InequalityReport:
 class DistributionReport:
     """Empirical distribution of |P_k|^2 / (2n) against the uniform law.
 
-    empirical_cdf is sampled at `bins` equally spaced thresholds in
-    (0, 1].  sup_distance_to_uniform is the upper end of a bracket on
-    the Kolmogorov distance of the sample to the uniform CDF, read off a
+    empirical_cdf is sampled at `bins` equally spaced thresholds in (0,
+    1], u = |P_k|^2/(2n) going to bin floor(u * bins) (u = 1 to the last).
+    sup_distance_to_uniform is the upper end of a bracket on the
+    Kolmogorov distance of the sample to the uniform CDF, read off a
     KOLMOGOROV_BINS-bin histogram: at least the exact distance, and at
     most the heaviest fine bin's mass + 2^-16 above it.  rectangle_tests
     pairs the measure of {t : P_k(e^it)/sqrt(2n) in E} with its limit
@@ -314,30 +315,33 @@ def check_subarc_moment_bounds(k: int, arc: Arc, q: float,
     return _subarc_reports(k, arc, _pair(k, pair), (q,))[1][0]
 
 
-def saffari_ratio(k: int, q: float, count: int | None = None,
-                  pair=None) -> InequalityReport:
-    """Full-circle M_q against its limit value sqrt(2n) / (q/2+1)^(1/q).
+def saffari_ratios(k: int, qs, count: int | None = None,
+                   pair=None) -> list[InequalityReport]:
+    """Full-circle M_q(P_k) against sqrt(2n) / (q/2+1)^(1/q), one report per q.
 
-    Also reports the P-vs-Q discrepancy, which is zero up to quadrature
-    because |Q_k| on the circle is |P_k| shifted by pi.  At q = 2 both
-    the norm and the limit value equal sqrt(n) exactly, so the ratio is
+    One c-grid and one 2c-grid serve every q (norms.mq_arcs).  Q_k needs no
+    grid: |Q_k(e^it)| = |P_k(-e^it)|, as conjugate_relation_residual checks.
+    At q = 2 the norm and the limit both equal sqrt(n), so the ratio is
     gated at 1e-8; other exponents are trend material, not gates.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
     pair = _pair(k, pair)
-    n = pair.n
-    est_p = norms.mq_arc((pair, "p"), FULL_CIRCLE, q, count)
-    est_q = norms.mq_arc((pair, "q"), FULL_CIRCLE, q, count)
-    limit_value = math.sqrt(2.0 * n) / (q / 2.0 + 1.0) ** (1.0 / q)
-    ratio = est_p.value / limit_value
-    discrepancy = abs(est_p.value - est_q.value)
-    passed = abs(ratio - 1.0) <= 1e-8 if q == 2.0 else True
-    return InequalityReport(
-        name="saffari_ratio", k=k, q=q, lhs=est_p.value, rhs=limit_value,
-        margin=-(abs(ratio - 1.0)), passed=passed,
-        details={"ratio": ratio, "pq_discrepancy": discrepancy,
-                 "count": est_p.count, "rel_step": est_p.rel_step})
+    reports = []
+    for est in norms.mq_arcs((pair, "p"), FULL_CIRCLE, qs, count):
+        q = est.q
+        limit_value = math.sqrt(2.0 * pair.n) / (q / 2.0 + 1.0) ** (1.0 / q)
+        ratio = est.value / limit_value
+        reports.append(InequalityReport(
+            name="saffari_ratio", k=k, q=q, lhs=est.value, rhs=limit_value,
+            margin=-abs(ratio - 1.0), passed=q != 2.0 or abs(ratio - 1.0) <= 1e-8,
+            details={"ratio": ratio, "count": est.count,
+                     "rel_step": est.rel_step}))
+    return reports
+
+
+def saffari_ratio(k: int, q: float, count: int | None = None,
+                  pair=None) -> InequalityReport:
+    """saffari_ratios for one q, bit for bit (gate 4 calls it per q)."""
+    return saffari_ratios(k, [q], count, pair)[0]
 
 
 def mahler_asymptote_ratio(k: int, count: int | None = None,
@@ -346,18 +350,14 @@ def mahler_asymptote_ratio(k: int, count: int | None = None,
     if k < 4:
         raise ValueError("the asymptote ratio is meaningful for k >= 4")
     pair = _pair(k, pair)
-    sqrt_n = math.sqrt(pair.n)
-    est_p = norms.mahler_arc((pair, "p"), FULL_CIRCLE, count)
-    est_q = norms.mahler_arc((pair, "q"), FULL_CIRCLE, count)
-    ratio_p = est_p.value / sqrt_n
-    ratio_q = est_q.value / sqrt_n
-    dist = abs(ratio_p - MAHLER_LIMIT_RATIO)
+    est = norms.mahler_arc((pair, "p"), FULL_CIRCLE, count)
+    ratio = est.value / math.sqrt(pair.n)
+    dist = abs(ratio - MAHLER_LIMIT_RATIO)
     return InequalityReport(
-        name="mahler_asymptote_ratio", k=k, lhs=ratio_p,
+        name="mahler_asymptote_ratio", k=k, lhs=ratio,
         rhs=MAHLER_LIMIT_RATIO, margin=-dist, passed=True,
-        details={"distance": dist, "ratio_q": ratio_q,
-                 "distance_q": abs(ratio_q - MAHLER_LIMIT_RATIO),
-                 "count": est_p.count, "rel_step": est_p.rel_step})
+        details={"distance": dist, "count": est.count,
+                 "rel_step": est.rel_step})
 
 
 def subarc_mahler_ratio(k: int, arc: Arc, count: int | None = None,
@@ -405,24 +405,28 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
         if corner >= 1.0:
             raise ValueError(f"rectangle {rect} leaves the open unit disk")
     fine = np.zeros(KOLMOGOROV_BINS + 1, dtype=np.int64)  # the last holds u = 1
-    hist = np.zeros(bins, dtype=np.int64)
+    hist = np.zeros(bins + 1, dtype=np.int64)  # the last holds u = 1
     hits = [0] * len(rectangles)
+    scale = 1.0 / math.sqrt(2.0 * n)  # complex / real in numpy: same bits
     for _, values in evaluate.iter_arc_values(pair, component, 0.0, math.tau,
                                               count):
-        values /= math.sqrt(2.0 * n)
-        u = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        # contiguous parts: the strided .real/.imag views cost twice as much
+        re, im = values.real * scale, values.imag * scale
+        hits = [hit + np.count_nonzero((re >= r0) & (re <= r1)
+                                       & (im >= i0) & (im <= i1))
+                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
+        u = np.minimum(re * re + im * im, 1.0)
+        del re, im  # only u stays live into the bincounts and the next block
         fine += np.bincount((u * KOLMOGOROV_BINS).astype(np.intp),
                             minlength=KOLMOGOROV_BINS + 1)
-        hist += np.histogram(u, bins=bins, range=(0.0, 1.0))[0]
-        hits = [hit + np.count_nonzero((values.real >= r0) & (values.real <= r1)
-                                       & (values.imag >= i0) & (values.imag <= i1))
-                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
+        hist += np.bincount((u * bins).astype(np.intp), minlength=bins + 1)
+    hist[bins - 1] += hist[bins]
     # on [i/B, (i+1)/B) the empirical CDF lies in [C_i, C_{i+1}], with
     # C_i = #{u < i/B} / count: the upper end of the Kolmogorov bracket
     below = np.concatenate([[0], np.cumsum(fine[:-1])]) / count
     edges = np.arange(KOLMOGOROV_BINS + 1) / KOLMOGOROV_BINS
     sup = max(np.max(below[1:] - edges[:-1]), np.max(edges[1:] - below[:-1]))
-    cdf = np.cumsum(hist) / count
+    cdf = np.cumsum(hist[:bins]) / count
     rect_tests = [(rect, math.tau * int(hit) / count,
                    2.0 * (rect[1] - rect[0]) * (rect[3] - rect[2]))
                   for rect, hit in zip(rectangles, hits)]
@@ -481,12 +485,13 @@ def _trend_report(name: str, ks, distances: list, floor: float,
         details={"ks": list(ks), "distances": distances, "floor": floor})
 
 
-def saffari_trend(q: float) -> InequalityReport:
-    """|M_q ratio - 1| along the k-ladder: nonincreasing and small at the end."""
-    distances = [abs(saffari_ratio(k, q).details["ratio"] - 1.0)
-                 for k in SAFFARI_TREND_KS]
-    return _trend_report("saffari_trend", SAFFARI_TREND_KS, distances,
-                         SAFFARI_TREND_FLOOR, q)
+def saffari_trend(qs) -> list[InequalityReport]:
+    """One trend report per q of |M_q ratio - 1| along the k-ladder."""
+    ladder = zip(*[saffari_ratios(k, qs) for k in SAFFARI_TREND_KS])
+    return [_trend_report("saffari_trend", SAFFARI_TREND_KS,
+                          [abs(r.details["ratio"] - 1.0) for r in reports],
+                          SAFFARI_TREND_FLOOR, reports[0].q)
+            for reports in ladder]
 
 
 def mahler_asymptote_trend() -> InequalityReport:
@@ -566,8 +571,7 @@ def run_verification(names, ks, n_arcs: int = 8, qs=(0.25, 1.0, 2.0, 4.0),
         if "saffari" in selected:
             reports.append(saffari_ratio(k, 2.0, pair=pair))
     if "saffari_trend" in selected:
-        for q in (1.0, 4.0, 6.0):
-            reports.append(saffari_trend(q))
+        reports += saffari_trend((1.0, 4.0, 6.0))
     if "mahler_trend" in selected:
         reports.append(mahler_asymptote_trend())
     reports.sort(key=lambda r: (r.name, r.k,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rudin_shapiro import evaluate
+from rudin_shapiro import evaluate, verify
+from rudin_shapiro.cli import main
 from rudin_shapiro.core import generate_pair
 from rudin_shapiro.evaluate import eval_horner
-from rudin_shapiro.norms import Arc, FULL_CIRCLE, mq_arc
+from rudin_shapiro.norms import Arc, FULL_CIRCLE, mahler_arc, mq_arc
 from rudin_shapiro.verify import (DEFAULT_RECTANGLES, GAMMA,
                                   KOLMOGOROV_BINS, MAHLER_LIMIT_RATIO,
                                   bernstein_ratio,
@@ -18,6 +20,7 @@ from rudin_shapiro.verify import (DEFAULT_RECTANGLES, GAMMA,
                                   check_subarc_moment_bounds,
                                   mahler_asymptote_ratio, min_modulus_excluding_poles,
                                   random_arcs, run_verification, saffari_ratio,
+                                  saffari_ratios,
                                   subarc_mahler_ratio, trend_nonincreasing,
                                   value_distribution)
 
@@ -259,12 +262,62 @@ class TestSaffariRatio:
         assert abs(report.details["ratio"] - 1.0) <= 1e-8
 
     def test_p_q_discrepancy_vanishes(self):
-        report = saffari_ratio(8, 1.0)
-        assert report.details["pq_discrepancy"] <= 1e-8
+        # |Q_k(e^it)| = |P_k(-e^it)|, so saffari_ratio estimates P alone;
+        # rounding apart, the half-offset grids give Q the same M_q
+        pair = generate_pair(8)
+        est_p = mq_arc((pair, "p"), FULL_CIRCLE, 1.0)
+        est_q = mq_arc((pair, "q"), FULL_CIRCLE, 1.0)
+        assert abs(est_p.value - est_q.value) <= 1e-12 * est_p.value <= 1e-8
 
     def test_q4_k12_close_to_limit(self):
         report = saffari_ratio(12, 4.0)
         assert abs(report.details["ratio"] - 1.0) <= 0.01
+
+    def test_shared_grids_equal_one_q_calls(self):
+        reports = saffari_ratios(8, [1, 2.0, 4.0, 6.0])
+        assert [r.q for r in reports] == [1.0, 2.0, 4.0, 6.0]
+        for report in reports:
+            single = saffari_ratio(8, report.q)
+            # every field and detail, floats in shortest repr: bit for bit
+            assert json.dumps(report.to_json_dict()) == \
+                json.dumps(single.to_json_dict())
+
+    def test_trend_reports_every_exponent(self, monkeypatch):
+        monkeypatch.setattr(verify, "SAFFARI_TREND_KS", (6, 8))
+        reports = verify.saffari_trend((1.0, 4.0))
+        assert [r.q for r in reports] == [1.0, 4.0]
+        for report in reports:
+            assert report.details["ks"] == [6, 8]
+            assert report.details["distances"] == [
+                abs(saffari_ratio(k, report.q).details["ratio"] - 1.0)
+                for k in (6, 8)]
+
+
+class TestOnePassPerGrid:
+    """Full-circle passes, counted where evaluate.iter_circle_values starts."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = []
+        stream = evaluate.iter_circle_values
+
+        def counted(coeffs, count, half_offset=True):
+            counts.append(count)
+            return stream(coeffs, count, half_offset)
+
+        monkeypatch.setattr(evaluate, "iter_circle_values", counted)
+        return counts
+
+    def test_saffari_every_exponent_on_two_grids(self, passes, tmp_path,
+                                                 capsys):
+        # one c-grid and one 2c-grid of P_8 (c = 16n = 4096) for all q
+        assert main(["saffari", "--k", "8", "--q", "1,2,4,6",
+                     "--out", str(tmp_path)]) == 0
+        assert passes == [4096, 8192]
+
+    def test_mahler_asymptote_on_two_grids(self, passes):
+        mahler_asymptote_ratio(8)
+        assert passes == [4096, 8192]
 
 
 class TestTrendAcceptance:
@@ -357,14 +410,40 @@ class TestValueDistribution:
         assert distances[-1] <= 0.05
 
 
+class TestValueDistributionOracle:
+    @pytest.mark.parametrize("k", [8, 10])
+    @pytest.mark.parametrize("bins", [64, 32, 50, 7])
+    def test_matches_materialized_histogram(self, k, bins):
+        # the stream bins floor(u * bins) per block and counts rectangles
+        # on contiguous copies; the oracle runs np.histogram and the
+        # strided .real/.imag views over one materialized grid
+        report = value_distribution(k, bins=bins)
+        pair = generate_pair(k)
+        count = 64 * pair.n
+        values = evaluate.eval_grid(pair, FULL_CIRCLE, count).values_p / \
+            math.sqrt(2.0 * pair.n)
+        u = np.clip(np.abs(values) ** 2, 0.0, 1.0)
+        hist, _ = np.histogram(u, bins=bins, range=(0.0, 1.0))
+        assert np.array_equal(report.empirical_cdf, np.cumsum(hist) / count)
+        hits = [np.count_nonzero((values.real >= r0) & (values.real <= r1) &
+                                 (values.imag >= i0) & (values.imag <= i1))
+                for r0, r1, i0, i1 in DEFAULT_RECTANGLES]
+        assert [empirical for _, empirical, _ in report.rectangle_tests] == \
+            [TAU * int(hit) / count for hit in hits]
+
+
 class TestMahlerAsymptote:
     def test_k8_within_tolerance(self):
         report = mahler_asymptote_ratio(8)
         assert report.details["distance"] <= 0.05
 
     def test_q_component_matches_p(self):
-        report = mahler_asymptote_ratio(10)
-        assert report.details["ratio_q"] == pytest.approx(report.lhs, rel=1e-3)
+        pair = generate_pair(10)
+        est_p = mahler_arc((pair, "p"), FULL_CIRCLE)
+        est_q = mahler_arc((pair, "q"), FULL_CIRCLE)
+        assert est_q.value == pytest.approx(est_p.value, rel=1e-12)
+        assert est_p.value / math.sqrt(pair.n) == \
+            mahler_asymptote_ratio(10, pair=pair).lhs
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
