@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import math
 import re
@@ -413,7 +412,6 @@ def cmd_problem55(args, out_dir: Path) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,

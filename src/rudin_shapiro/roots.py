@@ -38,8 +38,9 @@ class RootSet:
     """All roots of one polynomial with per-root quality measures.
 
     residuals are Newton-step magnitudes |S(z)| / max(|S'(z)|, tiny),
-    i.e. first-order distances from z to the true root; roots whose
-    residual exceeds the tolerance are flagged rather than dropped.
+    i.e. first-order distances from z to the true root (for an m-fold
+    zero, of S^(m-1)); roots whose residual exceeds the tolerance are
+    flagged rather than dropped.
     """
 
     roots: np.ndarray
@@ -133,6 +134,39 @@ def _newton_ratio(blocks, blocks_rev, d, x):
     return ratio
 
 
+def _center_clusters(c, x, residuals, radius=1e-4):
+    """Move each cluster of m > 1 roots onto the m-fold zero it splits from.
+
+    Rounding spreads an m-fold zero over about eps^(1/m), all at |S| of
+    rounding level, so the cluster's mean can sit far off the zero.  The
+    zero is simple for S^(m-1), so Newton finds it from the mean; it is
+    kept, with the last step as residual, only where S is at rounding level.
+    """
+    order = np.argsort(x.real, kind="stable")
+    xs, label = x[order], np.arange(len(x))
+    for s in range(1, len(x)):  # pairs within radius, by real part
+        near = xs.real[s:] - xs.real[:-s] <= radius
+        if not near.any():
+            break
+        for i in np.flatnonzero(near & (np.abs(xs[s:] - xs[:-s]) <= radius)):
+            label[label == label[order[i + s]]] = label[order[i]]
+    values, counts = np.unique(label, return_counts=True)
+    for members in (np.flatnonzero(label == v) for v in values[counts > 1]):
+        high = c[::-1]  # S^(m-1), highest power first
+        for _ in members[1:]:
+            high = high[:-1] * np.arange(len(high) - 1, 0, -1)
+        slope = high[:-1] * np.arange(len(high) - 1, 0, -1)
+        z = x[members].mean()
+        with np.errstate(all="ignore"):  # a failed step is NaN, not kept
+            for _ in range(8):  # quadratic from about eps^(1/m)
+                step = np.polyval(high, z) / np.polyval(slope, z)
+                z -= step
+            level = (abs(np.polyval(c[::-1], z))
+                     / np.polyval(np.abs(c[::-1]), abs(z)))
+        if level <= 8 * len(c) * np.finfo(float).eps:
+            x[members], residuals[members] = z, abs(step)
+
+
 def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
                seed: int = 0) -> RootSet:
     """All complex roots by Aberth-Ehrlich simultaneous refinement.
@@ -141,8 +175,10 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
     phases (roots cluster near the unit circle), refines every root
     jointly with no deflation, and always verifies residuals of all
     roots.  A root whose capped step has |delta| / (1 + |z|) < tol is
-    frozen, yet still repels the moving ones.  On non-convergence the
-    partial result is returned with flags set, never silently.
+    frozen, yet still repels the moving ones.  A multiple zero, which
+    rounding splits into a cluster, is returned m times at one point.
+    On non-convergence the partial result is returned with flags set,
+    never silently.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -194,6 +230,7 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
             break
 
     residuals = np.abs(_newton_ratio(blocks, blocks_rev, degree, x))
+    _center_clusters(c, x, residuals)
     flags = residuals > tol
     return RootSet(roots=x, residuals=residuals, flags=flags, tolerance=tol,
                    degree=degree, seed=seed, iterations=iterations,

@@ -20,8 +20,8 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def _clusters(roots, radius=1e-4):
     """Roots grouped within radius of a group's first root.
 
-    A root finder returns an m-fold zero as a cluster of m simple roots,
-    about eps^(1/m) wide.
+    Rounding splits an m-fold zero into a cluster of m simple roots
+    about eps^(1/m) wide (np.roots returns them so).
     """
     clusters = []
     for root in roots:
@@ -233,24 +233,35 @@ class TestFindRoots:
         rootset = find_roots(LittlewoodPolynomial(coeffs))
         if rootset.flags.any():
             return
-        # A multiple zero comes back as a cluster whose mean can sit 2.5e-7
-        # off the axis (the triple zero above: Aberth stops once |p| is at
-        # rounding level, anywhere within eps^(1/3)).  An m-fold zero is a
-        # simple zero of p^(m-1): Newton on it from the cluster mean
-        # centers each cluster; a cluster of one stays as found.
-        poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-        centers = []
-        for cluster in _clusters(rootset.roots):
-            z = np.mean(cluster)
-            if len(cluster) > 1:
-                derivative = poly.deriv(len(cluster) - 1)
-                for _ in range(8):
-                    z -= derivative(z) / derivative.deriv()(z)
-            centers.append(z)
-        centers = np.array(centers)
-        # every conjugate center must be close to some center
-        gaps = np.abs(np.conj(centers)[:, None] - centers[None, :]).min(axis=1)
+        # Compare the means of roots grouped within 1e-4: a multiple zero
+        # split into points eps^(1/m) apart that are not conjugate pairs
+        # still has a conjugate-symmetric mean once find_roots centers it.
+        means = np.array([np.mean(c) for c in _clusters(rootset.roots)])
+        # every conjugate mean must be close to some mean
+        gaps = np.abs(np.conj(means)[:, None] - means[None, :]).min(axis=1)
         assert float(gaps.max()) <= 1e-7
+
+    @pytest.mark.parametrize("coeffs, zeros", [
+        ([-1, 1, 1, -1, 1, -1, -1, 1], {1.0: 3, -1.0: 2}),
+        # Thue-Morse: (1 - z)(1 - z^2)(1 - z^4)(1 - z^8)
+        ([1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1],
+         {1.0: 4, -1.0: 3, 1j: 2, -1j: 2})])
+    def test_multiple_zero_returned_whole(self, coeffs, zeros):
+        rootset = find_roots(LittlewoodPolynomial(coeffs))
+        assert not rootset.flags.any()
+        for zero, multiplicity in zeros.items():
+            near = rootset.roots[np.abs(rootset.roots - zero) <= 1e-4]
+            assert len(near) == multiplicity
+            assert float(np.abs(near - zero).max()) <= 1e-12
+
+    def test_distinct_close_roots_kept(self):
+        # (z - 1)(z - 1 - 1e-5): two simple roots inside one 1e-4 cluster
+        rootset = find_roots([1 + 1e-5, -(2 + 1e-5), 1.0])
+        found = np.sort(rootset.roots.real)
+        assert not rootset.flags.any()
+        # each root is ill-conditioned to about eps / 1e-5; one merged
+        # double root would sit 5e-6 off both
+        assert found == pytest.approx([1.0, 1.0 + 1e-5], abs=1e-9)
 
     @settings(max_examples=15)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=32))
