@@ -17,9 +17,14 @@ lattice checks, the certified subarc grids) gets its backend there:
   with k rather than with the degree; each squaring renormalizes the
   power to unit modulus.
 
-iter_circle_values and circle_values also serve coefficient-level
-callers (m a_m for Bernstein, the reversal residual, GF(2) falsifiers).
-The subarc rule depends only on (count, n).  Measured speed-up of
+Consumers of |S| alone read |S|^2 as a real series instead: on the
+full circle iter_circle_squares takes one irfft per sub-grid of the exact
+autocorrelation (autocorrelation), within an a priori bound given there,
+for the norms, the flatness defect, the modulus minimum and Bernstein's
+check (iter_arc_squares dispatches, squaring complex blocks on subarcs).
+The complex stream serves what needs S itself: the value distribution,
+the residuals, the lattice checks, eval_grid, the certified subarcs and
+GF(2) falsifiers.  The subarc rule depends only on (count, n).  Measured speed-up of
 chirp-z over the recursion (one component, arc 0.3..3.3, best of 5,
 Python 3.11, numpy 2.4, 2 cores):
 
@@ -260,6 +265,53 @@ def eval_horner(poly, point):
     return complex(acc[0]) if scalar else acc
 
 
+def _circle_stride(size: int, count: int) -> int:
+    """The sub-grid stride of iter_circle_values for size coefficients."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    # FFT scratch stays near the degree, and short grids stay few
+    stride = max(math.gcd(count, 64, 1 << max(
+        0, (int(count) // max(size, MIN_FFT)).bit_length() - 1)),
+                 1 << (-(-count // GRID_MAX_COUNT) - 1).bit_length())
+    if count % stride:
+        raise ResourceLimitError(f"count {count} past the grid cap is not "
+                                 f"a multiple of the stride {stride}")
+    return stride
+
+
+def _circle_inputs(coeffs, count: int, half_offset: bool = True):
+    """Yield (r, stride, f): sub-grid r of iter_circle_values is ifft(f).
+
+    f is a, folded modulo L = count / stride, times the sub-grid's
+    twiddles; mirrored sub-grids (r >= stride / 2 on the half-offset grid)
+    are left to the caller.
+    """
+    a = np.asarray(coeffs)
+    if np.iscomplexobj(a):
+        raise ValueError("circle grids need real coefficients")
+    stride = _circle_stride(a.size, count)
+    length = count // stride
+    offset, sign = (0.5, -1.0) if half_offset else (0.0, 1.0)
+    rows = np.pad(a, (0, -a.size % length)).reshape(-1, length)
+    complex_fold = stride > 1 and len(rows) > 1  # only past the cap
+    if not complex_fold:
+        folded = rows[0::2].sum(axis=0, dtype=np.float64) + \
+            sign * rows[1::2].sum(axis=0, dtype=np.float64)  # exact sums
+    # one exp, squared into the step; the twiddles drift < 1.2e-14 in 64 grids
+    half = np.exp(1j * np.pi / count * np.arange(length))
+    step = half * half
+    twiddle = half if half_offset else np.ones(length, dtype=np.complex128)
+    for r in range(stride // 2 if half_offset and stride > 1 else stride):
+        if complex_fold:
+            turn = np.exp(2j * np.pi * (r + offset) / stride)
+            folded = np.zeros(length, dtype=np.complex128)
+            for row in rows[::-1]:  # Horner in z^L over the rows
+                folded *= turn
+                folded += row
+        yield r, stride, folded * twiddle
+        twiddle *= step
+
+
 def iter_circle_values(coeffs, count: int, half_offset: bool = True):
     """Yield (r, stride, values), values[t] = S(z_{r + stride t}), r < stride.
 
@@ -277,43 +329,75 @@ def iter_circle_values(coeffs, count: int, half_offset: bool = True):
     conj(values[::-1]) of sub-grid r < stride / 2, formed before and yielded
     after it: the consumer may change the original in place.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a = np.asarray(coeffs)
-    if np.iscomplexobj(a):
-        raise ValueError("circle grids need real coefficients")
-    # FFT scratch stays near the degree, and short grids stay few
-    stride = max(math.gcd(count, 64, 1 << max(
-        0, (int(count) // max(a.size, MIN_FFT)).bit_length() - 1)),
-                 1 << (-(-count // GRID_MAX_COUNT) - 1).bit_length())
-    if count % stride:
-        raise ResourceLimitError(f"count {count} past the grid cap is not "
-                                 f"a multiple of the stride {stride}")
-    length = count // stride
-    offset, sign = (0.5, -1.0) if half_offset else (0.0, 1.0)
-    rows = np.pad(a, (0, -a.size % length)).reshape(-1, length)
-    complex_fold = stride > 1 and len(rows) > 1  # only past the cap
-    if not complex_fold:
-        folded = rows[0::2].sum(axis=0, dtype=np.float64) + \
-            sign * rows[1::2].sum(axis=0, dtype=np.float64)  # exact sums
-    # one exp, squared into the step; the twiddles drift < 1.2e-14 in 64 grids
-    half = np.exp(1j * np.pi / count * np.arange(length))
-    step = half * half
-    twiddle = half if half_offset else np.ones(length, dtype=np.complex128)
-    mirror = half_offset and stride > 1
-    for r in range(stride // 2 if mirror else stride):
-        if complex_fold:
-            turn = np.exp(2j * np.pi * (r + offset) / stride)
-            folded = np.zeros(length, dtype=np.complex128)
-            for row in rows[::-1]:  # Horner in z^L over the rows
-                folded *= turn
-                folded += row
-        values = np.fft.ifft(folded * twiddle, norm="forward")
+    for r, stride, f in _circle_inputs(coeffs, count, half_offset):
+        values = np.fft.ifft(f, norm="forward")
+        mirror = half_offset and stride > 1
         twin = np.conj(values[::-1]) if mirror else None
         yield r, stride, values
         if mirror:
             yield stride - 1 - r, stride, twin
-        twiddle *= step
+
+
+def autocorrelation(coeffs) -> np.ndarray:
+    """c_l = sum_m a_m a_{m+l} (0 <= l < n) of integer a_m, exactly.
+
+    |S(e^it)|^2 = sum over |l| < n of c_|l| e^{ilt}.  An rfft of length 2n,
+    the power spectrum and an irfft, rounded; ValueError if a value sits
+    more than 1/4 from its integer (|c_l| <= n: far from it at k <= 26).
+    """
+    a = np.asarray(coeffs)
+    spectrum = np.fft.rfft(a, 2 * a.size)
+    c = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, 2 * a.size)[:a.size]
+    exact = np.rint(c)
+    if np.any(np.abs(c - exact) > 0.25):
+        raise ValueError("autocorrelation residual above 1/4: the "
+                         "coefficients must be integers")
+    return exact
+
+
+def _even_spectrum(f: np.ndarray) -> np.ndarray:
+    """f_m + conj(f_-m) over f's head, m <= L / 2: irfft of it is 2 Re ifft(f)."""
+    head = f[:f.size // 2 + 1]
+    head[0] += np.conj(head[0])
+    head[1:] += np.conj(f[:-head.size:-1])
+    return head
+
+
+def iter_circle_squares(c, count: int, *, slope: bool = False):
+    """Yield (r, stride, R), R[t] = |S(z_{r + stride t})|^2, half-offset grid.
+
+    c = autocorrelation(coefficients of S).  R(t) = sum over |l| < n of
+    c_|l| e^{ilt} is real: with f = _circle_inputs(c) (the grid, stride
+    rule and fold of iter_circle_values), one irfft of length L = count /
+    stride of f_m + conj(f_-m) - c_0 [m = 0] gives R, at half the cost of a
+    complex transform.  R is even, so sub-grid stride - 1 - r is R[::-1], a
+    read-only view yielded right after sub-grid r < stride / 2.  With
+    slope, R' = dR/dt (coefficients i l c_l, one more fold and irfft) ends
+    each tuple; the twin's is -R'[::-1].
+
+    Error: with rho = ceil(n / L) folded rows and u = 2^-53, every value
+    is within eps = 2^-48 sqrt(n + L) ||c||_2 (log2 L + stride + 2 rho + 3)
+    of the exact R (of R' with l c_l for c_l).  The twiddles and the fold
+    are good to 16 (stride + 2 rho + 2) u relative, the irfft adds 7u
+    log2 L in the 2-norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 24.2), the spectrum has 2-norm <= 3 sqrt(rho)
+    ||c||_2, and a length-L inverse DFT scales 2-norms by sqrt(L).  For +-1
+    coefficients with |S| <= sqrt(2n) the same argument puts |S|^2 from
+    iter_circle_values within 3 eps of R, and 2 Re(conj(S) i z S') (z S'
+    from m a_m) within 3 n eps of R'.
+    """
+    streams = [_circle_inputs(c, count)]
+    if slope:
+        streams.append(_circle_inputs(np.arange(c.size) * c, count))
+    for (r, stride, f), *slopes in zip(*streams):
+        f[0] -= c[0] / 2  # the spectrum's 2 Re f_0 then takes c_0 once
+        blocks = [np.fft.irfft(_even_spectrum(h), h.size, norm="forward")
+                  for h in [f] + [1j * g for _, _, g in slopes]]
+        blocks[0].flags.writeable = False  # its twin is a view
+        yield r, stride, *blocks
+        if stride > 1:
+            yield stride - 1 - r, stride, blocks[0][::-1], \
+                *(-block[::-1] for block in blocks[1:])
 
 
 def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
@@ -420,6 +504,29 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
             j = np.arange(lo, min(lo + DEFAULT_CHUNK, count), dtype=np.float64)
             yield slice(lo, lo + j.size), \
                 eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
+
+
+def iter_arc_squares(pair: RudinShapiroPair, component: str, alpha: float,
+                     beta: float, counts):
+    """Yield per count the blocks (index, R = |S[index]|^2) of iter_arc_values' grid.
+
+    The exact full circle reads iter_circle_squares, every count checked
+    by the stride rule before the one autocorrelation they share;
+    subarcs square the complex blocks, re^2 + im^2.
+    """
+    if alpha == 0.0 and beta == math.tau:
+        coeffs = pair_component(pair, component).coeffs
+        for count in counts:
+            _circle_stride(coeffs.size, count)  # refused before any transform
+        c = autocorrelation(coeffs)
+        for count in counts:
+            yield ((slice(r, None, stride), sq) for r, stride, sq in
+                   iter_circle_squares(c, count))
+    else:
+        for count in counts:
+            yield ((index, values.real ** 2 + values.imag ** 2)
+                   for index, values in iter_arc_values(pair, component,
+                                                        alpha, beta, count))
 
 
 def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:

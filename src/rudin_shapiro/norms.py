@@ -13,9 +13,9 @@ measured, not assumed: every estimate is recomputed at doubled
 resolution and flagged when the relative step stays too large.
 
 Every estimator takes source = (pair, 'p' | 'q'), S = P_k or Q_k of a
-RudinShapiroPair, and reduces the blocks of evaluate.iter_arc_values to
-power sums, log sums and exclusion counts, combined pairwise: no sample
-array is stored, and memory follows the sub-grid cap of the backend.
+RudinShapiroPair, and reduces blocks of R = |S|^2 (evaluate.iter_arc_squares)
+to sums of R^(q/2) and log(R) / 2 and exclusion counts, combined pairwise:
+no sample array is stored, and memory follows the sub-grid cap.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from . import evaluate
 from .core import RudinShapiroPair
 from .reductions import pairwise_sum
 
-#: Samples with |S| below this are excluded from log integrands; the
-#: logarithm of a denormal would only inject noise.
+#: Samples with R = |S|^2 below this, negative R included, are excluded
+#: from log integrands; the logarithm of a denormal would only inject noise.
 UNDERFLOW_FLOOR = 1e-300
 
 #: Flag an estimate if more than this fraction of log samples was excluded.
@@ -106,12 +106,12 @@ def default_count(n: int, arc: Arc) -> int:
     return max(1024, int(math.ceil(base * arc.fraction)))
 
 
-def _grids(source, arc: Arc, count, transform=np.abs):
-    """The count, and the c-grid and 2c-grid of transform(S) on arc, drawn lazily.
+def _grids(source, arc: Arc, count):
+    """The count, and the c-grid and 2c-grid of R = |S|^2 on arc, drawn lazily.
 
-    source is (pair, 'p' | 'q'); each grid yields (index, transform(values))
-    per block of evaluate.iter_arc_values, and no grid is stored.  A full
-    circle count that its sub-grid stride does not divide fails at once.
+    source is (pair, 'p' | 'q'); each grid yields (index, R) per block of
+    evaluate.iter_arc_squares, and no grid is stored.  A full circle
+    count that its sub-grid stride does not divide fails at once.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
@@ -126,28 +126,30 @@ def _grids(source, arc: Arc, count, transform=np.abs):
     elif count < 2:
         raise ValueError("count must be >= 2")
     count = int(count)
-
-    def grid(c: int):
-        for index, values in evaluate.iter_arc_values(pair, component,
-                                                      arc.alpha, arc.beta, c):
-            yield index, transform(values)
-
-    return count, (grid(c) for c in (count, 2 * count))
+    return count, evaluate.iter_arc_squares(pair, component, arc.alpha,
+                                            arc.beta, (count, 2 * count))
 
 
 def _block_sums(grid, qs, logs: bool = False) -> list:
-    """Sums over one grid, from block partials combined by pairwise_sum.
+    """Sums over one grid of R = |S|^2, from block partials combined by pairwise_sum.
 
-    Per q sum |S|^q; with logs also sum log|S| over |S| >= UNDERFLOW_FLOOR
-    and the count of the other samples.
+    Per q sum max(R, 0)^(q/2); with logs also sum log(R) / 2 over R >=
+    UNDERFLOW_FLOOR and count the other samples.  A full-circle twin (r >=
+    stride / 2) is the block before it reversed and takes its sums: the
+    same bits for power-of-two lengths, where pairwise_sum is symmetric.
     """
     rows = []
-    for _, vals in grid:
-        row = [pairwise_sum(vals ** q) for q in qs]
+    for index, sq in grid:
+        if index.step and 2 * index.start >= index.step:
+            rows.append(rows[-1])
+            continue
+        sq = np.maximum(sq, 0.0)
+        row = [pairwise_sum(sq * sq * sq if q == 6.0 else sq ** (q / 2.0))
+               for q in qs]
         if logs:
-            keep = vals >= UNDERFLOW_FLOOR
-            row += [pairwise_sum(np.log(vals[keep])),
-                    vals.size - np.count_nonzero(keep)]
+            keep = sq >= UNDERFLOW_FLOOR
+            row += [0.5 * pairwise_sum(np.log(sq[keep])),
+                    sq.size - np.count_nonzero(keep)]
         rows.append(row)
     return [pairwise_sum(column) for column in zip(*rows)]
 
@@ -240,9 +242,9 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     so near-zero samples are handled exactly as in mahler_arc; callers
     typically report value / sqrt(n).
     """
-    count, grids = _grids((pair, "p"), FULL_CIRCLE, count,
-                          lambda p: np.abs(np.abs(p) ** 2 - pair.n))
-    return _mahler_estimate([_block_sums(grid, (), logs=True)
+    count, grids = _grids((pair, "p"), FULL_CIRCLE, count)
+    return _mahler_estimate([_block_sums(((index, (sq - pair.n) ** 2)
+                                          for index, sq in grid), (), logs=True)
                              for grid in grids], count)
 
 

@@ -209,9 +209,8 @@ def bernstein_ratio(k: int, count: int | None = None,
 
     R(t) = |P_k(e^it)|^2 has degree n - 1, so max |R'| <= ((n-1)/2) max R
     (the factor for nonnegative trigonometric polynomials is half the
-    classical one).  R' comes from the exact product rule with z P'(z),
-    the polynomial with coefficients m * a_m, streamed on the same
-    sub-grids as P.
+    classical one).  R and R' come from the autocorrelation c_l, read on
+    sub-grids r < stride / 2 (the twins mirror them).
     """
     pair = _pair(k, pair)
     n = pair.n
@@ -219,16 +218,12 @@ def bernstein_ratio(k: int, count: int | None = None,
         count = max(64, 16 * n)
     if count < 16 * n and k > 0:
         raise ValueError("bernstein ratio needs count >= 16n to resolve R'")
-    coeffs = pair.p.coeffs
-    blocks = zip(evaluate.iter_circle_values(coeffs, count),
-                 evaluate.iter_circle_values(coeffs * np.arange(n), count))
     max_r = max_dr = 0.0
-    for (*_, p), (*_, zdp) in blocks:
-        r = np.abs(p) ** 2
-        # d/dt |P(e^it)|^2 = 2 Re( conj(P) * i z P'(z) )
-        dr = 2.0 * np.real(np.conj(p) * 1j * zdp)
-        max_r = max(max_r, float(r.max()))
-        max_dr = max(max_dr, float(np.abs(dr).max()))
+    for r, stride, sq, slope in evaluate.iter_circle_squares(
+            evaluate.autocorrelation(pair.p.coeffs), count, slope=True):
+        if 2 * r < stride:
+            max_r = max(max_r, float(sq.max()))
+            max_dr = max(max_dr, float(np.abs(slope).max()))
     allowed = 0.5 * (n - 1) * max_r
     ratio = 0.0 if max_dr == 0.0 else max_dr / allowed
     return InequalityReport(
@@ -442,21 +437,26 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     Evidence for the open question of where circle zeros can sit: the
     pair polynomials vanish at -1 or +1 depending on parity, and the
     conjecture is that nothing else on the circle comes close to zero.
+    Sample j is left out when |j + 1/2 - m count / 2| <= POLE_EXCLUSION
+    count / (2 pi), m = 0, 1, 2: ranges as symmetric as the mirror twins,
+    so only sub-grids r < stride / 2 of |S|^2 are read.
     """
     pair = _pair(k, pair)
     if count is None:
         count = max(4096, 64 * pair.n)
+    edge = POLE_EXCLUSION * count / math.tau
+    ends = math.floor(edge + 0.5)  # left out next to t = 0 and next to 2 pi
+    cuts = (ends, math.ceil((count - 1) / 2 - edge),
+            math.floor((count - 1) / 2 + edge) + 1, count - ends)
     best = math.inf
-    for index, vals in evaluate.iter_arc_values(pair, component, 0.0,
-                                                math.tau, count):
-        # the bits of circle_grid(0, 2 pi, count) at the indices
-        th = (np.arange(*index.indices(count), dtype=np.float64) + 0.5) * \
-            (math.tau / count)
-        away = (np.minimum(th, math.tau - th) > POLE_EXCLUSION) & \
-            (np.abs(th - math.pi) > POLE_EXCLUSION)
-        best = min(best, float(np.min(np.abs(vals), where=away,
-                                      initial=math.inf)))
-    return best
+    for r, stride, sq in evaluate.iter_circle_squares(evaluate.autocorrelation(
+            evaluate.pair_component(pair, component).coeffs), count):
+        if 2 * r < stride:
+            t = [-((r - j) // stride) for j in cuts]  # first t with r + stride t >= j
+            for lo, hi in zip(t[0::2], t[1::2]):
+                if lo < hi:
+                    best = min(best, float(sq[lo:hi].min()))
+    return math.sqrt(max(best, 0.0))
 
 
 def trend_nonincreasing(values, floor: float) -> bool:

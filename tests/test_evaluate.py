@@ -313,8 +313,9 @@ class TestPastCapRefusal:
     ], ids=["norm", "flatness", "distribution"])
     def test_refused_before_any_ifft(self, entry, monkeypatch):
         calls = []
-        monkeypatch.setattr(np.fft, "ifft",
-                            lambda *args, **kwargs: calls.append(args))
+        for name in ("ifft", "rfft", "irfft"):  # complex and squares streams
+            monkeypatch.setattr(np.fft, name,
+                                lambda *args, **kwargs: calls.append(args))
         # stride 2 for the c-grid, so an odd count cannot be tiled
         with pytest.raises(ResourceLimitError, match="stride 2"):
             entry(generate_pair(4), evaluate.GRID_MAX_COUNT + 1)
@@ -489,16 +490,27 @@ def _streamed_reductions(pair, count, sample_count):
     }
 
 
-def _materialized_reductions(pair, count):
-    """The same quantities from whole circle_values grids.
+def _squares_grid(coeffs, count, slope=False):
+    """iter_circle_squares materialized: R, or (R, R') with slope."""
+    grids = np.empty((2 if slope else 1, count))
+    for r, stride, *blocks in evaluate.iter_circle_squares(
+            evaluate.autocorrelation(coeffs), count, slope=slope):
+        grids[:, r::stride] = blocks
+    return grids if slope else grids[0]
 
-    The norm estimates run their block reducer on sub-grids cut from
-    the materialized grids.
+
+def _materialized_reductions(pair, count):
+    """The same quantities from whole grids.
+
+    Moduli come from materialized iter_circle_squares grids, the residuals
+    from circle_values grids.  The norm estimates run their block reducer
+    on sub-grids cut from the materialized grids.
     """
     n = pair.n
     p = evaluate.circle_values(pair.p.coeffs, count)
     q = evaluate.circle_values(pair.q.coeffs, count)
-    zdp = evaluate.circle_values(pair.p.coeffs * np.arange(n), count)
+    sq_p, slope_p = _squares_grid(pair.p.coeffs, count, slope=True)
+    sq_q = _squares_grid(pair.q.coeffs, count)
     signs = np.where(np.arange(n) % 2 == 0, 1, -1)
     p_neg = evaluate.circle_values(signs * pair.p.coeffs.astype(np.int64),
                                    count)
@@ -506,44 +518,47 @@ def _materialized_reductions(pair, count):
     away = (th > 0.01) & (np.abs(th - math.pi) > 0.01) & (TAU - th > 0.01)
     qs = [1.0, 4.0]
     return {
-        "min_modulus_p": np.min(np.abs(p), where=away, initial=math.inf),
-        "min_modulus_q": np.min(np.abs(q), where=away, initial=math.inf),
-        "bernstein": np.max(np.abs(2.0 * np.real(np.conj(p) * 1j * zdp))),
+        "min_modulus_p": math.sqrt(np.min(sq_p, where=away, initial=math.inf)),
+        "min_modulus_q": math.sqrt(np.min(sq_q, where=away, initial=math.inf)),
+        "bernstein": np.max(np.abs(slope_p)),
         "parallelogram": float(np.max(np.abs(
             np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
         "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
         "mq": norms._mq_estimates(
             [norms._block_sums(_cut_blocks(
-                np.abs(evaluate.circle_values(pair.q.coeffs, c)), n), qs)
+                _squares_grid(pair.q.coeffs, c), n), qs)
              for c in (count, 2 * count)], qs, count),
         "flatness": norms._mahler_estimate(
-            [norms._block_sums(_cut_blocks(np.abs(np.abs(
-                evaluate.circle_values(pair.p.coeffs, c)) ** 2 - n), n), (),
+            [norms._block_sums(_cut_blocks(
+                (_squares_grid(pair.p.coeffs, c) - n) ** 2, n), (),
                 logs=True) for c in (count, 2 * count)], count),
     }
 
 
 def _cut_blocks(whole, n):
-    """A materialized grid cut into the sub-grids iter_circle_values yields.
+    """A materialized grid cut into the sub-grids iter_circle_squares yields.
 
     The indices come from the stream, in its order; the values are the
     materialized grid's.
     """
     return [(slice(r, None, stride), whole[r::stride]) for r, stride, _ in
-            evaluate.iter_circle_values(np.ones(n), whole.size)]
+            evaluate.iter_circle_squares(np.ones(n), whole.size)]
 
 
 def _block_spy(monkeypatch):
-    """Record the size of every block iter_circle_values yields."""
+    """Record the size of every block iter_circle_values or
+    iter_circle_squares yields."""
     sizes = []
-    stream = evaluate.iter_circle_values
 
-    def spy(coeffs, count, half_offset=True):
-        for r, stride, values in stream(coeffs, count, half_offset):
-            sizes.append(values.size)
-            yield r, stride, values
+    def spied(stream):
+        def spy(coeffs, count, *args, **kwargs):
+            for r, stride, *blocks in stream(coeffs, count, *args, **kwargs):
+                sizes.append(blocks[0].size)
+                yield r, stride, *blocks
+        return spy
 
-    monkeypatch.setattr(evaluate, "iter_circle_values", spy)
+    for name in ("iter_circle_values", "iter_circle_squares"):
+        monkeypatch.setattr(evaluate, name, spied(getattr(evaluate, name)))
     return sizes
 
 
@@ -683,6 +698,193 @@ class TestStreamedCircle:
         with pytest.raises(ResourceLimitError, match="stride 4"):
             next(evaluate.iter_circle_values(coeffs, 129))
         assert len(list(evaluate.iter_circle_values(coeffs, 132))) == 4
+
+
+def _square_bound(coeffs, count, slope=False):
+    """eps of iter_circle_squares' docstring: the a priori bound on R, or R'."""
+    n = len(coeffs)
+    c = evaluate.autocorrelation(coeffs) * (np.arange(n) if slope else 1)
+    stride = evaluate._circle_stride(n, count)
+    length = count // stride
+    rho = -(-n // length)
+    return 2.0 ** -48 * math.sqrt(n + length) * float(np.linalg.norm(c)) * (
+        math.log2(length) + stride + 2 * rho + 3)
+
+
+# (k, count, cap): the geometries of test_mirror_twins (stride 1, 64, 16,
+# past the cap, folded), then those of test_past_cap_matches_horner
+SQUARE_GEOMETRIES = [
+    (5, 4096, None), (10, 64 * 4096, None), (12, 16 * 4096, None),
+    (8, 16 * 256, 512), (8, 64 * 256, 64),
+    (5, 16 * 32, 8), (5, 64 * 32, 8), (8, 16 * 256, 64), (8, 16 * 256, 1024),
+    (8, 64 * 256, 1024)]
+
+
+class TestAutocorrelation:
+    @pytest.mark.parametrize("k", range(13))
+    def test_rudin_shapiro_pairs(self, k):
+        pair = generate_pair(k)
+        for poly in (pair.p, pair.q):
+            a = poly.coeffs.astype(np.int64)
+            assert np.array_equal(evaluate.autocorrelation(poly.coeffs),
+                                  np.correlate(a, a, "full")[a.size - 1:])
+
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=700))
+    def test_random_signs(self, signs):
+        a = np.array(signs, dtype=np.int64)
+        assert np.array_equal(evaluate.autocorrelation(a),
+                              np.correlate(a, a, "full")[a.size - 1:])
+
+    def test_rounding_guard(self, monkeypatch):
+        with pytest.raises(ValueError, match="residual"):
+            evaluate.autocorrelation([0.5, 0.5])  # c = (0.5, 0.25)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args, **kwargs: irfft(*args, **kwargs) + 0.3)
+        with pytest.raises(ValueError, match="residual"):
+            evaluate.autocorrelation(generate_pair(5).p.coeffs)
+
+
+class TestCircleSquares:
+    """iter_circle_squares against the complex stream and the Horner oracle."""
+
+    @pytest.mark.parametrize("k, count, cap", SQUARE_GEOMETRIES)
+    def test_matches_complex_stream_and_horner(self, k, count, cap,
+                                               monkeypatch):
+        pair = generate_pair(k)
+        n = pair.n
+        if cap is not None:
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        values = list(evaluate.iter_circle_values(pair.p.coeffs, count))
+        squares = list(evaluate.iter_circle_squares(
+            evaluate.autocorrelation(pair.p.coeffs), count))
+        # the same sub-grids in the same order: one stride rule and mirror
+        assert [block[:2] for block in squares] == \
+            [block[:2] for block in values]
+        if cap is not None:
+            assert max(block.size for _, _, block in squares) <= cap
+        eps = _square_bound(pair.p.coeffs, count)
+        whole = np.empty(count)
+        for (r, stride, sq), (_, _, v) in zip(squares, values):
+            assert sq.size * stride == count
+            # |S|^2 of the complex stream is within 3 eps of R (docstring)
+            assert np.max(np.abs(sq - np.abs(v) ** 2)) <= 4 * eps
+            whole[r::stride] = sq
+        i = np.unique(np.linspace(0, count - 1, 64).astype(int))
+        oracle = np.abs(eval_horner(pair.p, circle_grid(0.0, TAU, count)[i]))
+        # the oracle's float angles are off by < 4 eps_64 2 pi, and |R'| <=
+        # (n - 1) n (bernstein_ratio)
+        assert np.max(np.abs(whole[i] - oracle ** 2)) <= \
+            eps + 8 * EPS * TAU * n * n
+
+    @pytest.mark.parametrize("k, count, cap", SQUARE_GEOMETRIES)
+    def test_twins_and_slopes(self, k, count, cap, monkeypatch):
+        pair = generate_pair(k)
+        n = pair.n
+        if cap is not None:
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        blocks = list(evaluate.iter_circle_squares(
+            evaluate.autocorrelation(pair.q.coeffs), count, slope=True))
+        stride = blocks[0][1]
+        assert sorted(r for r, *_ in blocks) == list(range(stride))
+        for (r, _, sq, ds), (twin_r, _, twin, twin_ds) in \
+                zip(blocks[0::2], blocks[1::2]) if stride > 1 else []:
+            assert r < stride // 2 and twin_r == stride - 1 - r
+            assert np.array_equal(twin, sq[::-1]) and \
+                np.shares_memory(twin, sq)
+            assert np.array_equal(twin_ds, -ds[::-1])
+        # R' = -2 sum_l l c_l sin(l t) at sampled points, each angle reduced
+        # exactly: l t_j = pi (l (2j + 1) mod 2 count) / count
+        c = evaluate.autocorrelation(pair.q.coeffs)
+        weights = np.arange(n) * c
+        tol = _square_bound(pair.q.coeffs, count, slope=True) + \
+            16 * EPS * TAU * np.sum(np.abs(weights))
+        for r, stride, sq, ds in blocks:
+            t = np.unique(np.linspace(0, sq.size - 1, 4).astype(int))
+            j = r + stride * t
+            turns = np.outer(2 * j + 1, np.arange(n)) % (2 * count)
+            exact = -2.0 * np.sin(math.pi / count * turns) @ weights
+            assert np.max(np.abs(ds[t] - exact)) <= tol
+
+    def test_past_cap_refused_before_any_transform(self, monkeypatch):
+        c = evaluate.autocorrelation(generate_pair(3).p.coeffs)
+        calls = []
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name,
+                                lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 64)
+        # 129 points need sub-grids of stride 4
+        with pytest.raises(ResourceLimitError, match="stride 4"):
+            next(evaluate.iter_circle_squares(c, 129))
+        assert calls == []
+
+    def test_squares_are_read_only(self):
+        # a twin is a view of its original: no consumer may write either
+        for _, _, sq in evaluate.iter_circle_squares(
+                evaluate.autocorrelation(generate_pair(10).p.coeffs), 16 * 1024):
+            with pytest.raises(ValueError, match="read-only"):
+                sq[0] = 0.0
+
+
+def _complex_path(pair, count):
+    """Every modulus-only consumer on iter_circle_values: per-point arrays.
+
+    |S| of P_k, the flatness integrand | |P|^2 - n |, the angles and
+    2 Re(conj(P) i z P'), z P' streamed from the coefficients m a_m.
+    """
+    n = pair.n
+    mod = np.empty(count)
+    slope = np.empty(count)
+    for (r, stride, p), (_, _, zdp) in zip(
+            evaluate.iter_circle_values(pair.p.coeffs, count),
+            evaluate.iter_circle_values(pair.p.coeffs * np.arange(n), count)):
+        mod[r::stride] = np.abs(p)
+        slope[r::stride] = 2.0 * np.real(np.conj(p) * 1j * zdp)
+    return mod, slope
+
+
+class TestSquaresMatchComplexPath:
+    """The moduli consumers within the documented bound of the complex path."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_consumers(self, k):
+        pair = generate_pair(k)
+        n = pair.n
+        count = max(4096, 16 * n)
+        bound = 4 * _square_bound(pair.p.coeffs, count)  # R and |S|^2: eps + 3 eps
+        mod, slope = _complex_path(pair, count)
+        sq = mod * mod
+        slack = 4 * math.log2(count) * EPS  # summation rounding, relative
+        # M_q^q, q >= 2: R^(q/2) moves by <= (q/2) (2n + B)^(q/2 - 1) B
+        ests = mq_arcs((pair, "p"), FULL_CIRCLE, [1.0, 2.0, 4.0, 6.0], count)
+        for est in ests[1:]:
+            q = est.q
+            ref = np.mean(mod ** q)
+            tol = q / 2 * (2 * n + bound) ** (q / 2 - 1) * bound
+            assert abs(est.value ** q - ref) <= tol + slack * ref, q
+        # M_1: |sqrt(a) - sqrt(b)| <= min(sqrt(B), B / sqrt(b))
+        ref = np.mean(mod)
+        tol = np.mean(np.minimum(math.sqrt(bound), bound / mod))
+        assert abs(ests[0].value - ref) <= tol + slack * ref
+        # M_0 and flatness: log x moves by <= B / (x - B) where x > B
+        for est, x in ((norms.mahler_arc((pair, "p"), FULL_CIRCLE, count), sq),
+                       (flatness_defect_mahler(pair, count), np.abs(sq - n))):
+            ref = np.mean(np.log(x)) / (2 if x is sq else 1)
+            moved = np.where(x > bound, bound / np.maximum(x - bound, 1e-300),
+                             np.inf) / (2 if x is sq else 1)
+            assert abs(math.log(est.value) - ref) <= \
+                np.mean(moved) + slack * (abs(ref) + 1)
+        # min modulus: min R moves by <= B, its root by <= B / (sum of roots)
+        th = circle_grid(0.0, TAU, count)
+        away = (th > 0.01) & (np.abs(th - math.pi) > 0.01) & (TAU - th > 0.01)
+        ref = np.min(mod, where=away, initial=math.inf)
+        got = min_modulus_excluding_poles(k, count, pair=pair)
+        assert abs(got - ref) <= bound / (got + ref)
+        # Bernstein: R' within eps' (squares) + 3 n eps (product rule)
+        got = bernstein_ratio(k, count, pair=pair).lhs
+        assert abs(got - np.max(np.abs(slope))) <= \
+            _square_bound(pair.p.coeffs, count, slope=True) + 3 * n * bound / 4
 
 
 class TestGridDump:

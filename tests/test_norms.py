@@ -20,16 +20,15 @@ ONE_PLUS_Z = (generate_pair(1), "p")  # P_1 = 1 + z
 
 
 def _grid_spy(monkeypatch):
-    """Record (component, alpha, beta, count, half_offset) of every grid."""
+    """Record (component, alpha, beta, counts) of every call for |S|^2 grids."""
     calls = []
-    stream = evaluate.iter_arc_values
+    stream = evaluate.iter_arc_squares
 
-    def spy(pair, component, alpha, beta, count, *, half_offset=True):
-        calls.append((component, alpha, beta, count, half_offset))
-        return stream(pair, component, alpha, beta, count,
-                      half_offset=half_offset)
+    def spy(pair, component, alpha, beta, counts):
+        calls.append((component, alpha, beta, tuple(counts)))
+        return stream(pair, component, alpha, beta, counts)
 
-    monkeypatch.setattr(evaluate, "iter_arc_values", spy)
+    monkeypatch.setattr(evaluate, "iter_arc_squares", spy)
     return calls
 
 
@@ -163,8 +162,7 @@ class TestMqArcs:
         arc = Arc(0.5, 3.5)
         ests = mq_arcs((generate_pair(9), "p"), arc, [0.25, 1.0, 2.0, 4.0],
                        count=5000)
-        assert calls == [("p", 0.5, 3.5, 5000, True),
-                         ("p", 0.5, 3.5, 10000, True)]
+        assert calls == [("p", 0.5, 3.5, (5000, 10000))]
         assert [est.q for est in ests] == [0.25, 1.0, 2.0, 4.0]
         assert all(est.count == 5000 for est in ests)
 
@@ -239,7 +237,7 @@ class TestLimitDiagnostic:
         calls = _grid_spy(monkeypatch)
         arc = Arc(0.0, 1.0)
         ests = mq_limit_diagnostic((pair, "p"), arc, [2, 1, 0.5], count=4096)
-        assert [call[3] for call in calls] == [4096, 8192]
+        assert [call[3] for call in calls] == [(4096, 8192)]
         # the same estimates as separate M_q and M_0 calls, bit for bit
         assert ests == mq_arcs((pair, "p"), arc, [2.0, 1.0, 0.5], 4096) + \
             [mahler_arc((pair, "p"), arc, 4096)]

@@ -294,18 +294,18 @@ class TestSaffariRatio:
 
 
 class TestOnePassPerGrid:
-    """Full-circle passes, counted where evaluate.iter_circle_values starts."""
+    """Full-circle passes, counted where evaluate.iter_circle_squares starts."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         counts = []
-        stream = evaluate.iter_circle_values
+        stream = evaluate.iter_circle_squares
 
-        def counted(coeffs, count, half_offset=True):
+        def counted(coeffs, count, **kwargs):
             counts.append(count)
-            return stream(coeffs, count, half_offset)
+            return stream(coeffs, count, **kwargs)
 
-        monkeypatch.setattr(evaluate, "iter_circle_values", counted)
+        monkeypatch.setattr(evaluate, "iter_circle_squares", counted)
         return counts
 
     def test_saffari_every_exponent_on_two_grids(self, passes, tmp_path,
@@ -520,3 +520,24 @@ class TestDrivers:
         # near-zeros do occur (the open question is whether they vanish)
         value = min_modulus_excluding_poles(8)
         assert value > 1e-3
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_min_modulus_equals_masked_brute_force(self, k):
+        # the three excluded index ranges against the angle masks of one
+        # materialized squares grid, bit for bit
+        pair = generate_pair(k)
+        n = pair.n
+        for count in (16 * n, 64 * n, 16 * n + 1):
+            th = evaluate.circle_grid(0.0, TAU, count)
+            away = (np.minimum(th, TAU - th) > verify.POLE_EXCLUSION) & \
+                (np.abs(th - math.pi) > verify.POLE_EXCLUSION)
+            for component in ("p", "q"):
+                sq = np.empty(count)
+                for r, stride, block in evaluate.iter_circle_squares(
+                        evaluate.autocorrelation(evaluate.pair_component(
+                            pair, component).coeffs), count):
+                    sq[r::stride] = block
+                brute = math.sqrt(max(np.min(sq, where=away,
+                                             initial=math.inf), 0.0))
+                assert min_modulus_excluding_poles(
+                    k, count, component, pair) == brute, (count, component)
