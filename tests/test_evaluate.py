@@ -712,12 +712,13 @@ def _square_bound(coeffs, count, slope=False):
 
 
 # (k, count, cap): the geometries of test_mirror_twins (stride 1, 64, 16,
-# past the cap, folded), then those of test_past_cap_matches_horner
+# past the cap, folded), then those of test_past_cap_matches_horner, then
+# a count below n (stride 1, folded by sign)
 SQUARE_GEOMETRIES = [
     (5, 4096, None), (10, 64 * 4096, None), (12, 16 * 4096, None),
     (8, 16 * 256, 512), (8, 64 * 256, 64),
     (5, 16 * 32, 8), (5, 64 * 32, 8), (8, 16 * 256, 64), (8, 16 * 256, 1024),
-    (8, 64 * 256, 1024)]
+    (8, 64 * 256, 1024), (6, 41, None)]
 
 
 class TestAutocorrelation:
