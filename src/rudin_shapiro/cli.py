@@ -86,36 +86,21 @@ def parse_q_list(text: str) -> list[float]:
     return qs
 
 
-def _py(value):
-    """Plain-Python copy of a value for stable JSON / CSV formatting."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _py(val) for key, val in value.items()}
-    return value
-
-
 def write_json_artifact(path: Path, config: dict, results) -> None:
-    payload = {"config": _py(config), "results": _py(results)}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # numpy scalars and arrays go through .tolist(); float64 is a float
+    payload = {"config": config, "results": results}
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               default=lambda v: v.tolist()) + "\n")
 
 
 def write_csv_artifact(path: Path, config: dict, header: list[str],
                        rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("# config " + json.dumps(_py(config), sort_keys=True) + "\n")
+        fh.write("# config " + json.dumps(config, sort_keys=True,
+                                          default=lambda v: v.tolist()) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_py(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _config(args, **fields) -> dict:

@@ -124,11 +124,10 @@ def generate_pair(k: int) -> RudinShapiroPair:
 def parallelogram_residual(pair: RudinShapiroPair, num_samples: int) -> float:
     """Worst relative deviation of |P|^2 + |Q|^2 from 2n on the circle.
 
-    Samples num_samples half-offset points; the identity is exact, so
-    anything reported here is floating-point rounding.
+    Samples num_samples half-offset points (evaluate checks the count);
+    the identity is exact, so anything reported here is floating-point
+    rounding.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     from . import evaluate
 
     two_n = 2.0 * pair.n
@@ -146,8 +145,6 @@ def conjugate_relation_residual(pair: RudinShapiroPair,
     checked exactly in integers (0.0 when it holds; it holds for k >= 1).
     Second: max over sampled circle points of | |Q(z)| - |P(-z)| |.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     n = pair.n
     p = pair.p.coeffs.astype(np.int64)
     q = pair.q.coeffs.astype(np.int64)

@@ -2,7 +2,9 @@
 
 iter_arc_values is the one dispatcher of pair grids: every grid of P_k
 or Q_k (eval_grid, the norm estimates, the value distribution, the
-lattice checks, the certified subarc grids) gets its backend there:
+certified subarc grids) gets its backend there, and every grid count,
+on every backend, is checked by _grid_count (an integer >= 1, else
+ValueError) before anything is allocated or transformed:
 
 - the exact full circle [0, 2 pi): inverse FFTs of the twiddled
   coefficients, one per interleaved sub-grid of min(count, MIN_FFT) to
@@ -19,12 +21,14 @@ lattice checks, the certified subarc grids) gets its backend there:
 
 Consumers of |S| alone read |S|^2 as a real series instead: on the
 full circle iter_circle_squares takes one irfft per sub-grid of the exact
-autocorrelation (autocorrelation), within an a priori bound given there,
-for the norms, the flatness defect, the modulus minimum and Bernstein's
-check (iter_arc_squares dispatches, squaring complex blocks on subarcs).
-The complex stream serves what needs S itself: the value distribution,
-the residuals, the lattice checks, eval_grid, the certified subarcs and
-GF(2) falsifiers.  The subarc rule depends only on (count, n).  Measured speed-up of
+autocorrelation (autocorrelation), within an a priori bound given there.
+iter_arc_squares dispatches it, squaring complex blocks on subarcs, and
+forms every |S|^2 of the norms, the flatness defect, the modulus minimum
+and the certified subarcs; Bernstein's check reads iter_circle_squares
+for its slope.  The complex stream serves what needs S itself: the value
+distribution, the residuals, eval_grid and GF(2) falsifiers.
+
+The subarc rule depends only on (count, n).  Measured speed-up of
 chirp-z over the recursion (one component, arc 0.3..3.3, best of 5,
 Python 3.11, numpy 2.4, 2 cores):
 
@@ -58,14 +62,10 @@ import ctypes
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import LittlewoodPolynomial, ResourceLimitError, RudinShapiroPair
-
-if TYPE_CHECKING:
-    from .norms import Arc
 
 #: Block length of recursion grids.
 DEFAULT_CHUNK = 1 << 19
@@ -98,6 +98,35 @@ with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
 
 
 @dataclass(frozen=True)
+class Arc:
+    """A subarc [alpha, beta] of the circle, in radians, with length <= 2*pi."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha < self.beta):
+            raise ValueError(f"arc needs alpha < beta, got [{self.alpha}, {self.beta}]")
+        if self.beta - self.alpha > math.tau * (1 + 1e-12):
+            raise ValueError("arc length may not exceed 2*pi")
+
+    @property
+    def length(self) -> float:
+        return self.beta - self.alpha
+
+    @property
+    def fraction(self) -> float:
+        return self.length / math.tau
+
+    @classmethod
+    def full(cls) -> "Arc":
+        return cls(0.0, math.tau)
+
+
+FULL_CIRCLE = Arc.full()
+
+
+@dataclass(frozen=True)
 class CirclePoint:
     """A finite angle on the unit circle, reduced to [0, 2*pi)."""
 
@@ -124,18 +153,24 @@ class GridSamples:
     """
 
     k: int
-    arc: "Arc"
+    arc: Arc
     count: int
     values_p: np.ndarray
     values_q: np.ndarray
     half_offset: bool = True
 
 
+def _grid_count(count) -> int:
+    """count as an int if it is an integer >= 1, Python or numpy."""
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 def circle_grid(alpha: float, beta: float, count: int,
                 half_offset: bool = True) -> np.ndarray:
     """Uniform grid angles over [alpha, beta) with optional half-step offset."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _grid_count(count)
     offset = 0.5 if half_offset else 0.0
     return alpha + (np.arange(count, dtype=np.float64) + offset) * \
         ((beta - alpha) / count)
@@ -267,11 +302,10 @@ def eval_horner(poly, point):
 
 def _circle_stride(size: int, count: int) -> int:
     """The sub-grid stride of iter_circle_values for size coefficients."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _grid_count(count)
     # FFT scratch stays near the degree, and short grids stay few
     stride = max(math.gcd(count, 64, 1 << max(
-        0, (int(count) // max(size, MIN_FFT)).bit_length() - 1)),
+        0, (count // max(size, MIN_FFT)).bit_length() - 1)),
                  1 << (-(-count // GRID_MAX_COUNT) - 1).bit_length())
     if count % stride:
         raise ResourceLimitError(f"count {count} past the grid cap is not "
@@ -402,6 +436,7 @@ def iter_circle_squares(c, count: int, *, slope: bool = False):
 
 def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
     """iter_circle_values materialized: S(z_j) for every j < count <= cap."""
+    count = _grid_count(count)
     if count > GRID_MAX_COUNT:
         raise ResourceLimitError(
             f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
@@ -439,16 +474,13 @@ def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
     """
     a = np.asarray(coeffs, dtype=np.float64)
     n = a.size
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _grid_count(count)
     if n * max(count, 8 * n) > CHIRP_MAX_PRODUCT:  # m(2 j0 + s) and d^2
         raise ValueError(f"n = {n} and count = {count} exceed the chirp-z "
                          "range, past which the integer phases lose exactness")
     g = (beta - alpha) / count / 2.0
     s = 1 if half_offset else 0
     size = 1 << (max(4 * n, MIN_FFT) - 1).bit_length()
-    if count < size - n + 1:  # one short block
-        size = 1 << (n + count - 2).bit_length()  # >= n + count - 1
     block = min(count, size - n + 1)
     m = np.arange(n, dtype=np.float64)
     pre = a * _unit_phase(m, alpha) * _unit_phase(m * m, g)
@@ -483,6 +515,7 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
     of max(8n, 2^14) points on go to chirp-z, shorter ones to the
     recursion in DEFAULT_CHUNK blocks, as consecutive slices.
     """
+    count = _grid_count(count)
     poly = pair_component(pair, component)
     n = pair.n
     if alpha == 0.0 and beta == math.tau:
@@ -562,6 +595,7 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
               half_offset: bool = True) -> GridSamples:
     """Materialize pair values over an arc, filled from iter_arc_values."""
+    count = _grid_count(count)
     if count < 2:
         raise ValueError("count must be >= 2")
     if count > GRID_MAX_COUNT:
@@ -592,8 +626,6 @@ def write_grid_dump(samples: GridSamples, path) -> None:
 
 
 def read_grid_dump(path) -> GridSamples:
-    from .norms import Arc
-
     with open(path, "rb") as fh:
         magic = fh.read(6)
         if magic != GRID_DUMP_MAGIC:

@@ -15,7 +15,8 @@ resolution and flagged when the relative step stays too large.
 Every estimator takes source = (pair, 'p' | 'q'), S = P_k or Q_k of a
 RudinShapiroPair, and reduces blocks of R = |S|^2 (evaluate.iter_arc_squares)
 to sums of R^(q/2) and log(R) / 2 and exclusion counts, combined pairwise:
-no sample array is stored, and memory follows the sub-grid cap.
+no sample array is stored, and memory follows the sub-grid cap.  Arc and
+FULL_CIRCLE are evaluate's, imported here for the callers of the norms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import evaluate
 from .core import RudinShapiroPair
+from .evaluate import FULL_CIRCLE, Arc
 from .reductions import pairwise_sum
 
 #: Samples with R = |S|^2 below this, negative R included, are excluded
@@ -35,35 +37,6 @@ UNDERFLOW_FLOOR = 1e-300
 
 #: Flag an estimate if more than this fraction of log samples was excluded.
 MAX_EXCLUDED_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A subarc [alpha, beta] of the circle, in radians, with length <= 2*pi."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha < self.beta):
-            raise ValueError(f"arc needs alpha < beta, got [{self.alpha}, {self.beta}]")
-        if self.beta - self.alpha > math.tau * (1 + 1e-12):
-            raise ValueError("arc length may not exceed 2*pi")
-
-    @property
-    def length(self) -> float:
-        return self.beta - self.alpha
-
-    @property
-    def fraction(self) -> float:
-        return self.length / math.tau
-
-    @classmethod
-    def full(cls) -> "Arc":
-        return cls(0.0, math.tau)
-
-
-FULL_CIRCLE = Arc.full()
 
 
 @dataclass
@@ -110,8 +83,9 @@ def _grids(source, arc: Arc, count):
     """The count, and the c-grid and 2c-grid of R = |S|^2 on arc, drawn lazily.
 
     source is (pair, 'p' | 'q'); each grid yields (index, R) per block of
-    evaluate.iter_arc_squares, and no grid is stored.  A full circle
-    count that its sub-grid stride does not divide fails at once.
+    evaluate.iter_arc_squares, and no grid is stored.  That stream checks
+    the component and the count (an integer; a full-circle count that its
+    sub-grid stride does not divide fails there too) before any transform.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
@@ -120,12 +94,10 @@ def _grids(source, arc: Arc, count):
         raise TypeError("source must be (pair, 'p' | 'q'), got "
                         f"{type(source).__name__}")
     pair, component = source
-    evaluate.pair_component(pair, component)  # a bad name fails before any grid
     if count is None:
         count = default_count(pair.n, arc)
     elif count < 2:
         raise ValueError("count must be >= 2")
-    count = int(count)
     return count, evaluate.iter_arc_squares(pair, component, arc.alpha,
                                             arc.beta, (count, 2 * count))
 

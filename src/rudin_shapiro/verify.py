@@ -131,10 +131,14 @@ def _pair(k: int, pair: RudinShapiroPair | None) -> RudinShapiroPair:
     return generate_pair(k)
 
 
-def _lattice_squared_moduli(pair: RudinShapiroPair):
-    """|P|^2 and |Q|^2 at the exact n-th roots of unity (no offset)."""
-    grid = evaluate.eval_grid(pair, FULL_CIRCLE, pair.n, half_offset=False)
-    return np.abs(grid.values_p) ** 2, np.abs(grid.values_q) ** 2
+def _lattice_squares(coeffs, theta: float = 0.0, index=slice(None)):
+    """|S(z_j e^{i theta})|^2, z_j the n-th roots of unity, at j in index.
+
+    One inverse FFT of a_m e^{i m theta}, indexed before it is squared.
+    """
+    m = np.arange(coeffs.size)
+    return np.abs(np.fft.ifft(coeffs * np.exp(1j * theta * m),
+                              norm="forward")[index]) ** 2
 
 
 def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
@@ -149,11 +153,11 @@ def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
     pair = _pair(k, pair)
     n = pair.n
     bound = 2.0 * GAMMA * n
-    rp, rq = _lattice_squared_moduli(pair)
     even = np.arange(0, n, 2)
     worst = math.inf
     worst_component = ""
-    for label, values in (("p", rp), ("q", rq)):
+    for label, poly in (("p", pair.p), ("q", pair.q)):
+        values = _lattice_squares(poly.coeffs)
         for r in (-1, 1):
             pairwise_max = np.maximum(values[even], values[(even + r) % n])
             margin = float(pairwise_max.min() - bound)
@@ -179,22 +183,19 @@ def check_certified_intervals(k: int, pair=None) -> InequalityReport:
     pair = _pair(k, pair)
     n = pair.n
     radius = GAMMA / n
-    rp, rq = _lattice_squared_moduli(pair)
     offsets = np.linspace(-radius, radius, POINTS_PER_INTERVAL)
-    m = np.arange(n)
     overall_min = math.inf
     certified_total = 0
-    for poly, lattice_sq in ((pair.p, rp), (pair.q, rq)):
-        qualifying = np.nonzero(lattice_sq >= 2.0 * GAMMA * n)[0]
+    for poly in (pair.p, pair.q):
+        lattice = _lattice_squares(poly.coeffs)
+        qualifying = np.nonzero(lattice >= 2.0 * GAMMA * n)[0]
         certified_total += qualifying.size
         if qualifying.size == 0:
             continue
-        for offset in offsets:
-            # S at t_j + offset for every lattice index j: one inverse
-            # FFT of a_m exp(i m offset), as in circle_values
-            vals = np.fft.ifft(poly.coeffs * np.exp(1j * offset * m),
-                               norm="forward")[qualifying]
-            overall_min = min(overall_min, float(np.min(np.abs(vals) ** 2)))
+        for offset in offsets:  # the middle one is 0.0: the lattice itself
+            sq = lattice[qualifying] if offset == 0.0 else \
+                _lattice_squares(poly.coeffs, offset, qualifying)
+            overall_min = min(overall_min, float(np.min(sq)))
     bound = GAMMA * n
     return InequalityReport(
         name="certified_intervals", k=k, lhs=overall_min, rhs=bound,
@@ -247,10 +248,12 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     (n - 1) n, as bernstein_ratio checks.  On the cell of width h = L /
     count around each of count = ceil(CELLS_PER_WINDOW n L) midpoints t_j,
     f >= f^_j - s: s = (n - 1) n h / 2 + err, err = (2 sqrt(2n) + d) d +
-    16un >= |f^_j - f(t_j)|, d = evaluate.arc_value_error, u = 2^-53, and
-    16un rounds f, s and the comparisons.  So h #{j : f^_j - s >= gamma n}
-    <= |{f >= gamma n}|, mean_j max(0, f^_j - s)^(q/2) <= M_q^q, and M_q^q
-    <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces to counts and sums.
+    16un >= |f^_j - f(t_j)| (f^_j from evaluate.iter_arc_squares, whose
+    full-circle bound is far below err), d = evaluate.arc_value_error,
+    u = 2^-53, and 16un rounds f, s and the comparisons.  So h #{j : f^_j
+    - s >= gamma n} <= |{f >= gamma n}|, mean_j max(0, f^_j - s)^(q/2) <=
+    M_q^q, and M_q^q <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces
+    to counts and sums.
     """
     if not all(0 < q < math.inf for q in qs):
         raise ValueError("q must be positive")
@@ -263,9 +266,8 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     slack = (n - 1) * n * width / 2.0 + err
     thresholds = (level + slack, level, level ** 2)  # certified, sampled, unsquared
     peak, hits, sums = 0.0, np.zeros(3, int), np.zeros((len(qs), 2))
-    for _, p in evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta,
-                                         count):
-        f = p.real ** 2 + p.imag ** 2
+    for _, f in next(evaluate.iter_arc_squares(pair, "p", arc.alpha,
+                                               arc.beta, [count])):
         hits += [np.count_nonzero(f >= t) for t in thresholds]
         peak = max(peak, float(f.max()))
         floor = np.maximum(f - slack, 0.0)
@@ -439,7 +441,7 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     conjecture is that nothing else on the circle comes close to zero.
     Sample j is left out when |j + 1/2 - m count / 2| <= POLE_EXCLUSION
     count / (2 pi), m = 0, 1, 2: ranges as symmetric as the mirror twins,
-    so only sub-grids r < stride / 2 of |S|^2 are read.
+    so only sub-grids r < stride / 2 of evaluate.iter_arc_squares are read.
     """
     pair = _pair(k, pair)
     if count is None:
@@ -449,8 +451,9 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     cuts = (ends, math.ceil((count - 1) / 2 - edge),
             math.floor((count - 1) / 2 + edge) + 1, count - ends)
     best = math.inf
-    for r, stride, sq in evaluate.iter_circle_squares(evaluate.autocorrelation(
-            evaluate.pair_component(pair, component).coeffs), count):
+    for index, sq in next(evaluate.iter_arc_squares(pair, component, 0.0,
+                                                    math.tau, [count])):
+        r, stride = index.start, index.step
         if 2 * r < stride:
             t = [-((r - j) // stride) for j in cuts]  # first t with r + stride t >= j
             for lo, hi in zip(t[0::2], t[1::2]):

@@ -322,6 +322,67 @@ class TestPastCapRefusal:
         assert calls == []
 
 
+def _exact_autocorrelation(coeffs):
+    # integer correlation: the squares stream's input without an FFT
+    a = np.asarray(coeffs, dtype=np.int64)
+    return np.correlate(a, a, "full")[a.size - 1:].astype(np.float64)
+
+
+#: Every grid entry point, called with (pair, count) and run to the end.
+COUNT_ENTRIES = {
+    "arc_values_circle": lambda pair, count: list(
+        evaluate.iter_arc_values(pair, "p", 0.0, TAU, count)),
+    "arc_values_recursion": lambda pair, count: list(
+        evaluate.iter_arc_values(pair, "p", 0.3, 1.0, count)),
+    "arc_squares_circle": lambda pair, count: [list(grid) for grid in (
+        evaluate.iter_arc_squares(pair, "p", 0.0, TAU, [count]))],
+    "arc_squares_subarc": lambda pair, count: [list(grid) for grid in (
+        evaluate.iter_arc_squares(pair, "p", 0.3, 1.0, [count]))],
+    "circle_values_stream": lambda pair, count: list(
+        evaluate.iter_circle_values(pair.p.coeffs, count)),
+    "circle_squares": lambda pair, count: list(evaluate.iter_circle_squares(
+        _exact_autocorrelation(pair.p.coeffs), count)),
+    "chirp_values": lambda pair, count: list(
+        evaluate.iter_chirp_values(pair.p.coeffs, 0.3, 1.0, count)),
+    "circle_values": lambda pair, count: evaluate.circle_values(
+        pair.p.coeffs, count),
+    "circle_grid": lambda pair, count: circle_grid(0.0, TAU, count),
+    "eval_grid": lambda pair, count: eval_grid(pair, FULL_CIRCLE, count),
+    "mq_arcs": lambda pair, count: mq_arcs((pair, "p"), FULL_CIRCLE, [2.0],
+                                           count),
+    "mahler_arc": lambda pair, count: norms.mahler_arc(
+        (pair, "p"), Arc(0.3, 1.0), count),
+    "parallelogram": parallelogram_residual,
+    "conjugate_relation": conjugate_relation_residual,
+    "min_modulus": lambda pair, count: min_modulus_excluding_poles(
+        pair.k, count=count, pair=pair),
+}
+
+
+class TestCountContract:
+    """One answer to a bad grid count on every entry point and backend."""
+
+    @pytest.mark.parametrize("count", [0, -5, 100.5])
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES.values(),
+                             ids=COUNT_ENTRIES.keys())
+    def test_bad_count_refused_before_any_fft(self, entry, count,
+                                              monkeypatch):
+        pair = generate_pair(4)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name,
+                                lambda *args, **kwargs: calls.append(args))
+        # the norms refuse counts below 2 with their own, stricter message
+        with pytest.raises(ValueError, match="count must be"):
+            entry(pair, count)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES.values(),
+                             ids=COUNT_ENTRIES.keys())
+    def test_numpy_integer_accepted(self, entry):
+        entry(generate_pair(4), np.int64(4096))
+
+
 def _chirp_tol(n):
     return 10 * EPS * max(n, 4) ** 1.5
 
@@ -807,6 +868,19 @@ class TestCircleSquares:
             turns = np.outer(2 * j + 1, np.arange(n)) % (2 * count)
             exact = -2.0 * np.sin(math.pi / count * turns) @ weights
             assert np.max(np.abs(ds[t] - exact)) <= tol
+
+    @pytest.mark.parametrize("k", [16, 18])
+    def test_relative_error_at_large_k(self, k):
+        # the a priori bound sits orders above the error seen; this catches
+        # a loss of digits it would let through (measured <= 1.02e-14 2n)
+        pair = generate_pair(k)
+        c = evaluate.autocorrelation(pair.p.coeffs)
+        for count in (16 * pair.n, 64 * pair.n):
+            for (_, _, sq), (_, _, v) in zip(
+                    evaluate.iter_circle_squares(c, count),
+                    evaluate.iter_circle_values(pair.p.coeffs, count)):
+                assert np.max(np.abs(sq - (v.real ** 2 + v.imag ** 2))) <= \
+                    1e-12 * 2 * pair.n
 
     def test_past_cap_refused_before_any_transform(self, monkeypatch):
         c = evaluate.autocorrelation(generate_pair(3).p.coeffs)
