@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate, norms
-from .core import RudinShapiroPair, generate_pair
+from .core import ResourceLimitError, RudinShapiroPair, generate_pair
 from .norms import Arc, FULL_CIRCLE
 
 #: The lattice constant sin^2(pi/8); satisfies 2*gamma = 1 - cos(pi/4).
@@ -134,8 +134,13 @@ def _pair(k: int, pair: RudinShapiroPair | None) -> RudinShapiroPair:
 def _lattice_squares(coeffs, theta: float = 0.0, index=slice(None)):
     """|S(z_j e^{i theta})|^2, z_j the n-th roots of unity, at j in index.
 
-    One inverse FFT of a_m e^{i m theta}, indexed before it is squared.
+    One inverse FFT of a_m e^{i m theta}, indexed before it is squared;
+    past evaluate.GRID_MAX_COUNT coefficients it is refused, as eval_grid
+    refuses that count.
     """
+    if coeffs.size > evaluate.GRID_MAX_COUNT:
+        raise ResourceLimitError(f"count {coeffs.size} exceeds the grid "
+                                 f"memory cap {evaluate.GRID_MAX_COUNT}")
     m = np.arange(coeffs.size)
     return np.abs(np.fft.ifft(coeffs * np.exp(1j * theta * m),
                               norm="forward")[index]) ** 2
@@ -192,9 +197,8 @@ def check_certified_intervals(k: int, pair=None) -> InequalityReport:
         certified_total += qualifying.size
         if qualifying.size == 0:
             continue
-        for offset in offsets:  # the middle one is 0.0: the lattice itself
-            sq = lattice[qualifying] if offset == 0.0 else \
-                _lattice_squares(poly.coeffs, offset, qualifying)
+        for offset in offsets:
+            sq = _lattice_squares(poly.coeffs, offset, qualifying)
             overall_min = min(overall_min, float(np.min(sq)))
     bound = GAMMA * n
     return InequalityReport(
@@ -248,9 +252,13 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     (n - 1) n, as bernstein_ratio checks.  On the cell of width h = L /
     count around each of count = ceil(CELLS_PER_WINDOW n L) midpoints t_j,
     f >= f^_j - s: s = (n - 1) n h / 2 + err, err = (2 sqrt(2n) + d) d +
-    16un >= |f^_j - f(t_j)| (f^_j from evaluate.iter_arc_squares, whose
-    full-circle bound is far below err), d = evaluate.arc_value_error,
-    u = 2^-53, and 16un rounds f, s and the comparisons.  So h #{j : f^_j
+    16un >= |f^_j - f(t_j)|, d = evaluate.arc_value_error, u = 2^-53, and
+    16un rounds f, s and the comparisons.  On the exact full circle f^_j
+    comes from evaluate.iter_circle_squares, within its eps <= err / 12
+    of f(t_j) for every n <= 2^MAX_PAIR_K: ||c||_2 <= sqrt(2) n (Parseval
+    and f <= 2n), count <= 26n, sub-grids of at most 2^24 points, stride
+    <= 256, rho <= 8, and d >= 2^-45 sqrt(N) n (12 + 2 pi) with N >=
+    2^12.  So h #{j : f^_j
     - s >= gamma n} <= |{f >= gamma n}|, mean_j max(0, f^_j - s)^(q/2) <=
     M_q^q, and M_q^q <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces
     to counts and sums.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rudin_shapiro import evaluate, verify
 from rudin_shapiro.cli import main
-from rudin_shapiro.core import generate_pair
+from rudin_shapiro.core import MAX_PAIR_K, ResourceLimitError, generate_pair
 from rudin_shapiro.evaluate import eval_horner
 from rudin_shapiro.norms import Arc, FULL_CIRCLE, mahler_arc, mq_arc
 from rudin_shapiro.verify import (DEFAULT_RECTANGLES, GAMMA,
@@ -69,6 +69,20 @@ class TestCertifiedIntervals:
 
     def test_k16_passes(self):
         assert check_certified_intervals(16).passed
+
+
+@pytest.mark.parametrize("check", [check_lattice_pair_bound,
+                                   check_certified_intervals])
+def test_lattice_past_grid_cap_refused(check, monkeypatch):
+    # an n-point lattice past GRID_MAX_COUNT is refused, as eval_grid
+    # refuses that count, before any transform
+    calls = []
+    monkeypatch.setattr(np.fft, "ifft",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 8)
+    with pytest.raises(ResourceLimitError, match="exceeds the grid memory cap 8"):
+        check(4)
+    assert calls == []
 
 
 class TestBernsteinRatio:
@@ -205,6 +219,32 @@ class TestLevelSetCertificate:
             thetas = arc.alpha + (picks + 0.5) * (arc.length / count)
             oracle = np.abs(eval_horner(pair.p, thetas)) ** 2
             assert np.max(np.abs(f - oracle)) <= report.details["err"]
+
+
+    @pytest.mark.parametrize("k", range(4, MAX_PAIR_K + 1))
+    def test_full_circle_squares_bound_below_err(self, k):
+        # the inequality of _subarc_reports' docstring: on the full circle
+        # the squares stream's eps, with ||c||_2 <= sqrt(2) n, is <= err / 12
+        n = 1 << k
+        count = math.ceil(verify.CELLS_PER_WINDOW * n * TAU)
+        try:
+            stride = evaluate._circle_stride(n, count)
+        except ResourceLimitError:
+            return  # refused before any transform: no certificate
+        length = count // stride
+        eps = 2.0 ** -48 * math.sqrt(n + length) * math.sqrt(2.0) * n * (
+            math.log2(length) + stride + 2 * -(-n // length) + 3)
+        d = 2.0 ** -45 * math.sqrt(max(4 * n, evaluate.MIN_FFT)) * n * (
+            math.log2(max(4 * n, evaluate.MIN_FFT)) + TAU)
+        err = (2.0 * math.sqrt(2.0 * n) + d) * d + 2.0 ** -49 * n
+        assert 12.0 * eps <= err
+        if k <= 10:  # the report's err, and the norm bound, as used above
+            pair = generate_pair(k)
+            assert evaluate.arc_value_error(pair, 0.0, TAU) == d
+            report = check_level_set_measure(k, FULL_CIRCLE, pair=pair)
+            assert report.details["err"] == err
+            c = evaluate.autocorrelation(pair.p.coeffs)
+            assert np.linalg.norm(c) <= math.sqrt(2.0) * n
 
 
 class TestSubarcMomentBounds:
