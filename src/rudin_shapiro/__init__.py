@@ -12,7 +12,7 @@ from .core import (LittlewoodPolynomial, MAX_PAIR_K, ResourceLimitError,
                    generate_pair, parallelogram_residual, special_values)
 from .evaluate import (CirclePoint, GridSamples, circle_grid, circle_values,
                        eval_grid, eval_pair_point)
-from .gf2 import (GF2Poly, MercerCertificate, gf2_divmod, gf2_gcd, gf2_mul,
+from .gf2 import (GF2Poly, MercerCertificate, gf2_divmod, gf2_gcd,
                   is_skew_reciprocal, mercer_certificate,
                   random_skew_reciprocal, real_imag_parts_gf2)
 from .norms import (Arc, FULL_CIRCLE, NormEstimate, flatness_defect_mahler,

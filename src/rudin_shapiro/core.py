@@ -63,6 +63,23 @@ class LittlewoodPolynomial:
         return f"LittlewoodPolynomial(degree={self.degree})"
 
 
+def integer_coefficients(poly, caller: str) -> list[int]:
+    """Coefficients of poly (a LittlewoodPolynomial or a sequence) as ints.
+
+    Integral floats and numpy integers pass; any other value (1.5, nan,
+    inf, complex, a string) raises ValueError naming caller.
+    """
+    raw = list(poly.coeffs if isinstance(poly, LittlewoodPolynomial)
+               else poly)
+    try:
+        coeffs = [int(c) for c in raw]
+    except (OverflowError, TypeError, ValueError):  # inf, complex, nan
+        coeffs = None
+    if coeffs != raw:
+        raise ValueError(f"{caller} needs integer coefficients")
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class RudinShapiroPair:
     """The pair (P_k, Q_k) of degree n - 1 with n = 2^k."""

@@ -167,6 +167,15 @@ def _grid_count(count) -> int:
     return int(count)
 
 
+def _capped_count(count) -> int:
+    """_grid_count, refusing a count past GRID_MAX_COUNT points."""
+    count = _grid_count(count)
+    if count > GRID_MAX_COUNT:
+        raise ResourceLimitError(
+            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
+    return count
+
+
 def circle_grid(alpha: float, beta: float, count: int,
                 half_offset: bool = True) -> np.ndarray:
     """Uniform grid angles over [alpha, beta) with optional half-step offset."""
@@ -436,10 +445,7 @@ def iter_circle_squares(c, count: int, *, slope: bool = False):
 
 def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
     """iter_circle_values materialized: S(z_j) for every j < count <= cap."""
-    count = _grid_count(count)
-    if count > GRID_MAX_COUNT:
-        raise ResourceLimitError(
-            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
+    count = _capped_count(count)
     out = np.empty(count, dtype=np.complex128)
     for r, stride, values in iter_circle_values(coeffs, count, half_offset):
         out[r::stride] = values
@@ -595,12 +601,9 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
               half_offset: bool = True) -> GridSamples:
     """Materialize pair values over an arc, filled from iter_arc_values."""
-    count = _grid_count(count)
+    count = _capped_count(count)
     if count < 2:
         raise ValueError("count must be >= 2")
-    if count > GRID_MAX_COUNT:
-        raise ResourceLimitError(
-            f"count {count} exceeds the grid memory cap {GRID_MAX_COUNT}")
     values = []
     for component in ("p", "q"):
         out = np.empty(count, dtype=np.complex128)

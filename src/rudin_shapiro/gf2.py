@@ -13,11 +13,20 @@ explicit combination of them equals 1 over GF(2), so their GCD is 1
 and no circle zero can exist.  Computing that GCD is therefore an
 exact certificate, and this module computes it with bit-packed
 carry-less arithmetic.
+
+Inapplicable inputs (odd degree, broken symmetry, an even coefficient)
+are never errors; coefficients that are not exact integers are: every
+entry point raises ValueError for them (core.integer_coefficients).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from . import evaluate
+from .core import integer_coefficients
 
 MERCER_CERT_VERSION = 1
 
@@ -44,14 +53,6 @@ class GF2Poly:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "GF2Poly":
-        bits = 0
-        for j, c in enumerate(coeffs):
-            if int(c) & 1:
-                bits |= 1 << j
-        return cls(bits)
-
     def to_hex(self) -> str:
         return format(self.bits, "x")
 
@@ -62,45 +63,31 @@ class GF2Poly:
 GF2_ONE = GF2Poly(1)
 
 
-def gf2_add(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    return GF2Poly(a.bits ^ b.bits)
-
-
-def gf2_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Carry-less product, shift-and-XOR over the set bits of b."""
-    out = 0
-    bb = b.bits
-    shift = 0
-    while bb:
-        if bb & 1:
-            out ^= a.bits << shift
-        bb >>= 1
-        shift += 1
-    return GF2Poly(out)
+def _divmod_bits(r: int, b: int) -> tuple[int, int]:
+    """Carry-less division of bit vectors: r = q*b + rem, deg rem < deg b."""
+    q = 0
+    length = b.bit_length()
+    while (shift := r.bit_length() - length) >= 0:
+        q ^= 1 << shift
+        r ^= b << shift
+    return q, r
 
 
 def gf2_divmod(a: GF2Poly, b: GF2Poly) -> tuple[GF2Poly, GF2Poly]:
     """Carry-less Euclidean division: a = q*b + r with deg r < deg b."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    r = a.bits
-    db = b.degree
-    q = 0
-    while r.bit_length() - 1 >= db:
-        shift = r.bit_length() - 1 - db
-        q ^= 1 << shift
-        r ^= b.bits << shift
+    q, r = _divmod_bits(a.bits, b.bits)
     return GF2Poly(q), GF2Poly(r)
 
 
 def gf2_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    """Euclidean GCD; the result is monic by construction over GF(2)."""
+    """Euclidean GCD on the bit vectors; monic by construction over GF(2)."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     x, y = a.bits, b.bits
     while y:
-        _, r = gf2_divmod(GF2Poly(x), GF2Poly(y))
-        x, y = y, r.bits
+        x, y = y, _divmod_bits(x, y)[1]
     return GF2Poly(x)
 
 
@@ -121,7 +108,10 @@ def is_skew_reciprocal(coeffs) -> SkewCheck:
     inapplicable rather than rejected, because the Rudin-Shapiro
     polynomials themselves have odd degree.
     """
-    a = [int(c) for c in coeffs]
+    return _skew_check(integer_coefficients(coeffs, "is_skew_reciprocal"))
+
+
+def _skew_check(a: list[int]) -> SkewCheck:
     if not a:
         return SkewCheck(False, None, "empty coefficient sequence")
     if a[-1] == 0:
@@ -130,11 +120,10 @@ def is_skew_reciprocal(coeffs) -> SkewCheck:
         return SkewCheck(False, None, "odd degree")
     m = (len(a) - 1) // 2
     for j in range(1, m + 1):
-        if a[m - j] != (-1) ** j * a[m + j]:
-            return SkewCheck(
-                False, m,
-                f"a[{m - j}] = {a[m - j]} but (-1)^{j} a[{m + j}] = "
-                f"{(-1) ** j * a[m + j]}")
+        mirror = -a[m + j] if j % 2 else a[m + j]
+        if a[m - j] != mirror:
+            return SkewCheck(False, m, f"a[{m - j}] = {a[m - j]} but "
+                                       f"(-1)^{j} a[{m + j}] = {mirror}")
     return SkewCheck(True, m)
 
 
@@ -146,21 +135,21 @@ def real_imag_parts_gf2(coeffs) -> tuple[GF2Poly, GF2Poly]:
     circle-imaginary component B); both parities of m are supported,
     they only swap which part occupies even exponents.  Coefficients
     enter by parity, so the arithmetic is exact for any odd integers,
-    not just +-1.
+    not just +-1.  Non-integer coefficients raise ValueError.
     """
-    check = is_skew_reciprocal(coeffs)
+    a = integer_coefficients(coeffs, "real_imag_parts_gf2")
+    check = _skew_check(a)
     if not check.is_skew_reciprocal:
         raise ValueError(f"input is not skew-reciprocal: {check.reason}")
-    m = check.m
-    a_bits = 0
-    b_bits = 0
-    for j, c in enumerate(int(c) for c in coeffs):
-        if c & 1:
-            if (j - m) % 2 == 0:
-                a_bits |= 1 << j
-            else:
-                b_bits |= 1 << j
-    return GF2Poly(a_bits), GF2Poly(b_bits)
+    return _parity_parts(a, check.m)
+
+
+def _parity_parts(a: list[int], m: int) -> tuple[GF2Poly, GF2Poly]:
+    """real_imag_parts_gf2 for checked ints a of a skew-reciprocal input."""
+    odd = int("".join("1" if c & 1 else "0" for c in reversed(a)), 2)
+    # (4^len - 1) / 3 = 0b0101...01, shifted to the j with j - m even
+    real = odd & (((1 << 2 * len(a)) - 1) // 3 << (m % 2))
+    return GF2Poly(real), GF2Poly(odd ^ real)
 
 
 @dataclass(frozen=True)
@@ -198,13 +187,14 @@ def mercer_certificate(coeffs) -> MercerCertificate:
 
     Inapplicable inputs (odd degree, broken symmetry, an even
     coefficient) yield an uncertified result with the reason; they are
-    never errors.  A certificate is sound: GCD 1 over GF(2) rules out
-    any common complex zero of the real and imaginary parts on the
-    circle, hence any circle zero of the input.
+    never errors.  Non-integer coefficients are: they raise ValueError.
+    A certificate is sound: GCD 1 over GF(2) rules out any common
+    complex zero of the real and imaginary parts on the circle, hence
+    any circle zero of the input.
     """
-    a = [int(c) for c in coeffs]
+    a = integer_coefficients(coeffs, "mercer_certificate")
     degree = len(a) - 1
-    check = is_skew_reciprocal(a)
+    check = _skew_check(a)
     all_odd = all(c % 2 != 0 for c in a) if a else False
     if not check.is_skew_reciprocal:
         return MercerCertificate(
@@ -218,8 +208,7 @@ def mercer_certificate(coeffs) -> MercerCertificate:
             parity_case=parity, all_odd_coefficients=False, gcd=None,
             certified_zero_free_on_circle=False,
             reason="certificate requires all coefficients odd")
-    part_a, part_b = real_imag_parts_gf2(a)
-    gcd = gf2_gcd(part_a, part_b)
+    gcd = gf2_gcd(*_parity_parts(a, check.m))
     certified = gcd == GF2_ONE
     reason = "" if certified else "nontrivial common factor over GF(2)"
     return MercerCertificate(
@@ -250,10 +239,6 @@ def circle_min_modulus(coeffs) -> float:
     A certified polynomial must keep this strictly positive; a zero on
     the circle would drag it to the grid resolution.
     """
-    import numpy as np
-
-    from . import evaluate
-
     degree = len(coeffs) - 1
     count = 64 * max(1, degree)
     vals = evaluate.circle_values(coeffs, count)

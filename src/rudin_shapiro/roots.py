@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LittlewoodPolynomial, ResourceLimitError
+from .core import (LittlewoodPolynomial, ResourceLimitError,
+                   integer_coefficients)
 
 #: A sweep costs (moving roots) x degree; early sweeps move all of them.
 MAX_ABERTH_DEGREE = 1 << 14
@@ -522,14 +523,7 @@ def real_zero_count_exact(poly) -> int:
     nontrivial gcd(P, P') need no special case.  No floating point
     touches the signs.  Non-integer coefficients raise ValueError.
     """
-    raw = list(poly.coeffs if isinstance(poly, LittlewoodPolynomial)
-               else poly)
-    try:
-        coeffs = [int(c) for c in raw]
-    except (OverflowError, TypeError, ValueError):  # inf, complex, nan
-        coeffs = None
-    if coeffs != raw:
-        raise ValueError("real_zero_count_exact needs integer coefficients")
+    coeffs = integer_coefficients(poly, "real_zero_count_exact")
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     degree = len(coeffs) - 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluate, norms
-from .core import ResourceLimitError, RudinShapiroPair, generate_pair
+from .core import RudinShapiroPair, generate_pair
 from .norms import Arc, FULL_CIRCLE
 
 #: The lattice constant sin^2(pi/8); satisfies 2*gamma = 1 - cos(pi/4).
@@ -135,12 +135,10 @@ def _lattice_squares(coeffs, theta: float = 0.0, index=slice(None)):
     """|S(z_j e^{i theta})|^2, z_j the n-th roots of unity, at j in index.
 
     One inverse FFT of a_m e^{i m theta}, indexed before it is squared;
-    past evaluate.GRID_MAX_COUNT coefficients it is refused, as eval_grid
+    an n-point lattice past the grid cap is refused, as eval_grid
     refuses that count.
     """
-    if coeffs.size > evaluate.GRID_MAX_COUNT:
-        raise ResourceLimitError(f"count {coeffs.size} exceeds the grid "
-                                 f"memory cap {evaluate.GRID_MAX_COUNT}")
+    evaluate._capped_count(coeffs.size)
     m = np.arange(coeffs.size)
     return np.abs(np.fft.ifft(coeffs * np.exp(1j * theta * m),
                               norm="forward")[index]) ** 2

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from rudin_shapiro.core import generate_pair
 from rudin_shapiro.evaluate import circle_grid, eval_horner
-from rudin_shapiro.gf2 import (GF2_ONE, GF2Poly, circle_min_modulus, gf2_add,
-                               gf2_divmod, gf2_gcd, gf2_mul,
-                               is_skew_reciprocal, mercer_certificate,
-                               random_skew_reciprocal, real_imag_parts_gf2)
-from rudin_shapiro.roots import find_roots
+from rudin_shapiro.gf2 import (GF2_ONE, GF2Poly, circle_min_modulus,
+                               gf2_divmod, gf2_gcd, is_skew_reciprocal,
+                               mercer_certificate, random_skew_reciprocal,
+                               real_imag_parts_gf2)
+from rudin_shapiro.roots import find_roots, real_zero_count_exact
 
 
 def gf2_from_exponents(*exponents) -> GF2Poly:
@@ -31,15 +31,6 @@ class TestGF2Poly:
     def test_degree(self):
         assert GF2Poly(0b101).degree == 2
         assert GF2Poly(0).degree == -1
-
-    def test_from_coefficients_reduces_mod_2(self):
-        poly = GF2Poly.from_coefficients([3, 2, -1, 4])
-        assert poly.bits == 0b101
-
-    def test_mul(self):
-        # (x + 1)^2 = x^2 + 1 over GF(2)
-        x_plus_1 = GF2Poly(0b11)
-        assert gf2_mul(x_plus_1, x_plus_1) == GF2Poly(0b101)
 
     def test_divmod(self):
         q, r = gf2_divmod(GF2Poly(0b101), GF2Poly(0b11))
@@ -130,10 +121,10 @@ class TestRealImagParts:
         part_a, part_b = real_imag_parts_gf2(coeffs)
         m = (len(coeffs) - 1) // 2
         if m % 2 == 0:
-            combined = gf2_add(part_a, GF2Poly(part_b.bits << 1))
+            combined = part_a.bits ^ part_b.bits << 1
         else:
-            combined = gf2_add(part_b, GF2Poly(part_a.bits << 1))
-        assert combined == GF2_ONE
+            combined = part_b.bits ^ part_a.bits << 1
+        assert combined == GF2_ONE.bits
 
     @given(skew_littlewood)
     def test_parts_partition_exponents(self, coeffs):
@@ -206,3 +197,27 @@ class TestMercerCertificate:
             oracle = np.abs(eval_horner(coeffs, circle_grid(0, math.tau, count)))
             assert abs(circle_min_modulus(coeffs) - oracle.min()) <= \
                 32 * eps * len(coeffs)
+
+
+@pytest.mark.parametrize("entry", [mercer_certificate, is_skew_reciprocal,
+                                   real_imag_parts_gf2, real_zero_count_exact],
+                         ids=lambda entry: entry.__name__)
+@pytest.mark.parametrize("coeffs", [
+    [1.5, 1, -3, -1, 1.5], [1, 1, math.nan], [1, 1, math.inf],
+    [1 + 0j, 1, -1]], ids=["half", "nan", "inf", "complex"])
+def test_non_integer_coefficients_refused(entry, coeffs):
+    # int() would truncate [1.5, 1, -3, -1, 1.5] to [1, 1, -3, -1, 1], a
+    # certified polynomial, though the input itself vanishes at z = 1
+    with pytest.raises(ValueError, match="integer coefficients"):
+        entry(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, -1], [1, 3, -1],
+                                    [1, -1, 1, 1, 1], [1, 2, 1, -2, 1]])
+def test_integral_floats_and_numpy_ints_match_python_ints(coeffs):
+    cert = mercer_certificate(coeffs)
+    count = real_zero_count_exact(coeffs)
+    for same in ([float(c) for c in coeffs], np.array(coeffs, dtype=np.int8),
+                 np.array(coeffs, dtype=np.int64)):
+        assert mercer_certificate(same) == cert
+        assert real_zero_count_exact(same) == count
