@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import re
@@ -397,7 +398,16 @@ def cmd_problem55(args, out_dir: Path) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared.
+
+    parse_args leaves the parser as it was: each call fills a fresh
+    namespace, every default is immutable, and usage errors and --help
+    leave through SystemExit with output to the sys.stdout or sys.stderr
+    of that moment.  So one parser serves any number of main() calls;
+    callers share it and must not change it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every random choice (default 0)")

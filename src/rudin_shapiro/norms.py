@@ -69,6 +69,30 @@ def rel_step_tolerance(q: float) -> float:
     return 1e-3
 
 
+#: Smallest exponent of M_q.  As q -> 0, R^(q/2) = 1 + (q/2) log R + ...,
+#: and M_q = (mean R^(q/2))^(1/q) turns a relative rounding e of that mean
+#: into about e / q: e <= 64u (u = 2^-53; a pow within an ulp, pairwise
+#: sums of under 2^62 terms, one division), so below MIN_Q rounding alone
+#: can pass the q < 1 tolerance, unseen by the refinement step.  The
+#: q -> 0 limit is M_0, mahler_arc's.
+MIN_Q = 64 * 2.0 ** -53 / rel_step_tolerance(0.5)
+
+
+def check_exponents(qs, n: int, count: int) -> None:
+    """Refuse an exponent q whose M_q a double cannot carry.
+
+    q must be finite and at least MIN_Q, and a sum of count samples of
+    R^(q/2) <= (2n)^(q/2) must stay below 2^1023, for S of length n.
+    """
+    for q in qs:
+        if not MIN_Q <= q < math.inf:
+            raise ValueError(f"M_q needs a finite exponent q >= {MIN_Q:.3g}, "
+                             f"got {q}; q -> 0 is the Mahler measure M_0")
+        if math.log2(count) + q / 2.0 * math.log2(2.0 * n) >= 1023.0:
+            raise ValueError(f"q = {q} overflows: {count} samples of "
+                             f"|S|^q <= (2n)^(q/2) at n = {n}")
+
+
 def default_count(n: int, arc: Arc) -> int:
     """Sampling policy: 16 points per 1/n oscillation, floor 1024.
 
@@ -79,13 +103,14 @@ def default_count(n: int, arc: Arc) -> int:
     return max(1024, int(math.ceil(base * arc.fraction)))
 
 
-def _grids(source, arc: Arc, count):
+def _grids(source, arc: Arc, count, qs=()):
     """The count, and the c-grid and 2c-grid of R = |S|^2 on arc, drawn lazily.
 
     source is (pair, 'p' | 'q'); each grid yields (index, R) per block of
-    evaluate.iter_arc_squares, and no grid is stored.  That stream checks
-    the component and the count (an integer; a full-circle count that its
-    sub-grid stride does not divide fails there too) before any transform.
+    evaluate.iter_arc_squares, and no grid is stored.  The exponents qs
+    are checked here for the 2c-grid, and that stream checks the component
+    and the count (an integer; a full-circle count that its sub-grid
+    stride does not divide fails there too) before any transform.
     """
     if not isinstance(arc, Arc):
         raise ValueError("arc must be an Arc")
@@ -98,6 +123,7 @@ def _grids(source, arc: Arc, count):
         count = default_count(pair.n, arc)
     elif count < 2:
         raise ValueError("count must be >= 2")
+    check_exponents(qs, pair.n, 2 * count)
     return count, evaluate.iter_arc_squares(pair, component, arc.alpha,
                                             arc.beta, (count, 2 * count))
 
@@ -135,10 +161,9 @@ def mq_arcs(source, arc: Arc, qs, count: int | None = None) -> list[NormEstimate
     relative step, never assumed monotone.
     """
     qs = list(qs)
-    if not qs or not all(0 < q < math.inf for q in qs):
-        raise ValueError("M_q needs finite exponents q > 0; "
-                         "use mahler_arc for q = 0")
-    count, grids = _grids(source, arc, count)
+    if not qs:
+        raise ValueError("M_q needs at least one exponent q")
+    count, grids = _grids(source, arc, count, qs)
     return _mq_estimates([_block_sums(grid, qs) for grid in grids], qs, count)
 
 
@@ -197,10 +222,9 @@ def mq_limit_diagnostic(source, arc: Arc, q_list,
     the 2c-grid reduce every entry.
     """
     qs = [float(q) for q in q_list]
-    if not qs or not all(0 < q < math.inf for q in qs) or \
-            any(b >= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("q_list must be strictly decreasing positive reals")
-    count, grids = _grids(source, arc, count)
+    if not qs or any(b >= a for a, b in zip(qs, qs[1:])):
+        raise ValueError("q_list must be strictly decreasing")
+    count, grids = _grids(source, arc, count, qs)
     sums = [_block_sums(grid, qs, logs=True) for grid in grids]
     return _mq_estimates(sums, qs, count) + \
         [_mahler_estimate([row[len(qs):] for row in sums], count)]

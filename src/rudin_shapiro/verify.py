@@ -261,11 +261,10 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     M_q^q, and M_q^q <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces
     to counts and sums.
     """
-    if not all(0 < q < math.inf for q in qs):
-        raise ValueError("q must be positive")
     _require_min_length(k, arc)
     n, level = pair.n, GAMMA * pair.n
     count = math.ceil(CELLS_PER_WINDOW * n * arc.length)
+    norms.check_exponents(qs, n, count)
     width = arc.length / count
     d = evaluate.arc_value_error(pair, arc.alpha, arc.beta)
     err = (2.0 * math.sqrt(2.0 * n) + d) * d + 2.0 ** -49 * n

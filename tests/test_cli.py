@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rudin_shapiro.cli import (main, parse_angle, parse_arc, parse_k_range,
-                               parse_q_list)
+from rudin_shapiro.cli import (COMMANDS, build_parser, main, parse_angle,
+                               parse_arc, parse_k_range, parse_q_list)
 from rudin_shapiro.evaluate import read_grid_dump
 
 
@@ -139,6 +139,10 @@ class TestExitCodes:
         ["eval", "--k", "3", "--theta", "pi/3", "--dump", "g.bin"],
         ["eval", "--k", "3", "--theta", "pi/3", "--arc", "0:pi", "--count",
          "99", "--no-offset", "--dump", "g.bin"],
+        ["verify", "moment_bounds", "--k", "6", "--q", "1e300", "--arcs", "1"],
+        ["saffari", "--k", "10", "--q", "250"],
+        ["norm", "--k", "4", "--q", "1e-15"],
+        ["norm", "--k", "4", "--q", "1e-300"],
     ], ids=["q_inf", "q_nan", "empty_k_range", "roots_tol_negative",
             "roots_max_iter_zero", "census_tol_nan", "census_eps_nan",
             "threads_zero", "threads_negative",
@@ -150,7 +154,8 @@ class TestExitCodes:
             "theta_zero_denominator", "arc_zero_denominator",
             "bins_past_default_count", "bins_past_count", "theta_with_arc",
             "theta_with_count", "theta_with_no_offset", "theta_with_dump",
-            "theta_with_every_grid_flag"])
+            "theta_with_every_grid_flag", "moment_q_overflow",
+            "saffari_q_overflow", "norm_q_cancels", "norm_q_underflows"])
     def test_bad_numeric_input_is_usage_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -379,3 +384,27 @@ class TestDeterminism:
         assert main(command + ["--threads", "1", "--out", str(base)]) == 0
         assert main(command + ["--threads", threads, "--out", str(other)]) == 0
         assert artifact_bytes(base) == artifact_bytes(other)
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_leak_nothing(self, tmp_path, capsys):
+        build_parser.cache_clear()
+        assert main(["verify", "--bogus"]) == 2
+        assert capsys.readouterr().err.startswith("usage: rudin-shapiro")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: rudin-shapiro [-h]")
+        for command in COMMANDS:
+            assert main([command, "--help"]) == 0
+            assert capsys.readouterr().out.startswith(
+                f"usage: rudin-shapiro {command} [-h]")
+        runs = [["saffari", "--k", "4", "--q", "1"], ["saffari", "--k", "4"]]
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"reused{i}")]) == 0
+        assert build_parser.cache_info().misses == 1
+        assert artifact_config(tmp_path / "reused1" / "saffari.csv")["q"] == \
+            [1.0, 2.0, 4.0]
+        for i, argv in enumerate(runs):
+            build_parser.cache_clear()
+            assert main(argv + ["--out", str(tmp_path / f"fresh{i}")]) == 0
+            assert artifact_bytes(tmp_path / f"fresh{i}") == \
+                artifact_bytes(tmp_path / f"reused{i}")

@@ -47,7 +47,8 @@ ANGLE = _mostly(st.sampled_from(["0", "pi", "2pi", "-pi", "pi/3", "3pi/4",
                                  "x", "", "pi/", "/2"]))
 ARC = _mostly(st.tuples(ANGLE, ANGLE).map(":".join),
               st.sampled_from(["0", ":", "0:1:2", "pi/4:"]))
-Q_LIST = _mostly(st.sampled_from(["2", "0.25,1,2,4", "1,6", "1e-300", "50"]),
+Q_LIST = _mostly(st.sampled_from(["2", "0.25,1,2,4", "1,6", "1e-300", "50",
+                                  "1e300"]),
                  st.sampled_from(["0", "-1", "inf", "nan", "1,,2", "", "x"]))
 WHICH = _mostly(st.sampled_from(["p", "q", "both"]), st.just("x"))
 CHECK = _mostly(st.sampled_from(["lattice_pair", "intervals", "bernstein",

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from rudin_shapiro import evaluate
 from rudin_shapiro.core import generate_pair
 from rudin_shapiro.evaluate import eval_pair_point
-from rudin_shapiro.norms import (Arc, FULL_CIRCLE, default_count,
-                                 flatness_defect_mahler, mahler_arc, mq_arc,
-                                 mq_arcs, mq_limit_diagnostic,
-                                 rel_step_tolerance)
+from rudin_shapiro.norms import (MIN_Q, Arc, FULL_CIRCLE, check_exponents,
+                                 default_count, flatness_defect_mahler,
+                                 mahler_arc, mq_arc, mq_arcs,
+                                 mq_limit_diagnostic, rel_step_tolerance)
 
 TAU = math.tau
 ONE = (generate_pair(0), "p")      # P_0 = 1
@@ -170,6 +170,19 @@ class TestMqArcs:
     def test_rejects_bad_exponents(self, qs):
         with pytest.raises(ValueError):
             mq_arcs((generate_pair(2), "p"), FULL_CIRCLE, qs)
+
+
+class TestCheckExponents:
+    def test_floor_edge(self):
+        check_exponents([MIN_Q], 1024, 4096)
+        with pytest.raises(ValueError, match="finite exponent"):
+            check_exponents([1.0, math.nextafter(MIN_Q, 0.0)], 1024, 4096)
+
+    def test_overflow_edge(self):
+        # 2^12 sums of (2^11)^(q/2) reach 2^1023 at q = 2 * 1011 / 11
+        check_exponents([183.8], 1024, 4096)
+        with pytest.raises(ValueError, match="overflows"):
+            check_exponents([183.9], 1024, 4096)
 
 
 class TestMahlerArc:
