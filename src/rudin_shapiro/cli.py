@@ -82,8 +82,10 @@ def parse_k_range(text: str) -> list[int]:
 
 def parse_q_list(text: str) -> list[float]:
     qs = [float(part) for part in text.split(",") if part.strip()]
-    if not qs or not all(0 < q < math.inf for q in qs):
-        raise ValueError("q values must be finite and positive")
+    if not qs:
+        raise ValueError(f"q list {text!r} is empty")
+    for q in qs:
+        norms._check_exponent(q)
     return qs
 
 

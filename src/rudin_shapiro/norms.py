@@ -78,6 +78,13 @@ def rel_step_tolerance(q: float) -> float:
 MIN_Q = 64 * 2.0 ** -53 / rel_step_tolerance(0.5)
 
 
+def _check_exponent(q: float) -> None:
+    """Refuse q unless it is finite and at least MIN_Q."""
+    if not MIN_Q <= q < math.inf:
+        raise ValueError(f"M_q needs a finite exponent q >= {MIN_Q:.3g}, "
+                         f"got {q}; q -> 0 is the Mahler measure M_0")
+
+
 def check_exponents(qs, n: int, count: int) -> None:
     """Refuse an exponent q whose M_q a double cannot carry.
 
@@ -85,9 +92,7 @@ def check_exponents(qs, n: int, count: int) -> None:
     R^(q/2) <= (2n)^(q/2) must stay below 2^1023, for S of length n.
     """
     for q in qs:
-        if not MIN_Q <= q < math.inf:
-            raise ValueError(f"M_q needs a finite exponent q >= {MIN_Q:.3g}, "
-                             f"got {q}; q -> 0 is the Mahler measure M_0")
+        _check_exponent(q)
         if math.log2(count) + q / 2.0 * math.log2(2.0 * n) >= 1023.0:
             raise ValueError(f"q = {q} overflows: {count} samples of "
                              f"|S|^q <= (2n)^(q/2) at n = {n}")

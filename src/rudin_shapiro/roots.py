@@ -19,6 +19,7 @@ the distinct real zeros (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -510,6 +511,21 @@ def _epsilon(m: int) -> int:
     return -1 if m % 4 >= 2 else 1
 
 
+@functools.lru_cache(maxsize=32)  # keys of at most 2049 ints: ~0.5 MiB
+def _orbit_count(coeffs: tuple[int, ...]) -> int:
+    """Signed Sturm-Habicht count of a canonical coefficient vector."""
+    degree = len(coeffs) - 1
+    degrees, pscs = _subresultant_sequence(list(coeffs))
+    signs = [((psc > 0) - (psc < 0)) * _epsilon(degree - n)
+             for n, psc in zip(degrees, pscs)]
+    count = 0
+    for i in range(1, len(degrees)):
+        gap = degrees[i - 1] - degrees[i]
+        if gap % 2:
+            count += _epsilon(gap) * signs[i - 1] * signs[i]
+    return count
+
+
 def real_zero_count_exact(poly) -> int:
     """Number of distinct real zeros, from the Sturm-Habicht sequence.
 
@@ -522,6 +538,14 @@ def real_zero_count_exact(poly) -> int:
     (Gonzalez-Vega, Lombardi, Recio & Roy 1989).  Defective steps and a
     nontrivial gcd(P, P') need no special case.  No floating point
     touches the signs.  Non-integer coefficients raise ValueError.
+
+    The count is the same on the orbit of P under x -> -x, P -> -P and,
+    when P(0) != 0, the reversal x^d P(1/x): each maps the real zeros
+    one to one (a zero at 0 has no image under x -> 1/x, so a vector
+    with c_0 = 0 is not reversed).  One chain runs per orbit, on its
+    lexicographically least image, and the 32 most recently used orbits
+    keep their counts.  Q_k = +-x^(n-1) P_k(-1/x) is in P_k's orbit, so counting
+    Q_k after P_k costs O(d).
     """
     coeffs = integer_coefficients(poly, "real_zero_count_exact")
     while coeffs and coeffs[-1] == 0:
@@ -534,12 +558,9 @@ def real_zero_count_exact(poly) -> int:
     if degree <= 0:
         return 0
 
-    degrees, pscs = _subresultant_sequence(coeffs)
-    signs = [((psc > 0) - (psc < 0)) * _epsilon(degree - n)
-             for n, psc in zip(degrees, pscs)]
-    count = 0
-    for i in range(1, len(degrees)):
-        gap = degrees[i - 1] - degrees[i]
-        if gap % 2:
-            count += _epsilon(gap) * signs[i - 1] * signs[i]
-    return count
+    images = []
+    for c in (coeffs, coeffs[::-1]) if coeffs[0] else (coeffs,):
+        alternate = [-v if i % 2 else v for i, v in enumerate(c)]
+        for image in (c, alternate):
+            images += [tuple(image), tuple(-v for v in image)]
+    return _orbit_count(min(images))

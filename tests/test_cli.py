@@ -8,6 +8,7 @@ import pytest
 from rudin_shapiro.cli import (COMMANDS, build_parser, main, parse_angle,
                                parse_arc, parse_k_range, parse_q_list)
 from rudin_shapiro.evaluate import read_grid_dump
+from rudin_shapiro.norms import MIN_Q
 
 
 def artifact_bytes(directory: Path) -> dict[str, bytes]:
@@ -160,6 +161,16 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("q", ["0", "1e-15", "inf"])
+    def test_exponent_has_one_refusal(self, q, tmp_path, capsys):
+        # refused while parsing --q, before any grid is drawn
+        assert main(["norm", "--k", "4", "--q", q,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: M_q needs a finite exponent q >= "
+            f"{MIN_Q:.3g}, got {float(q)}; q -> 0 is the Mahler measure M_0\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", [

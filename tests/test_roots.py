@@ -543,9 +543,12 @@ class TestExactRealZeroCount:
             kept.extend(result[0].tolist())
             return result
         monkeypatch.setattr(roots_mod, "_remainder_sequence", spy)
+        roots_mod._orbit_count.cache_clear()  # count on the patched path
         assert roots_mod._subresultant_sequence(coeffs) == expected
         assert kept and 11 not in kept
+        kept.clear()
         assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        assert kept and 11 not in kept
 
     @pytest.mark.parametrize("cap", [1, 8])
     def test_multi_batch_matches_single_batch(self, monkeypatch, cap):
@@ -569,6 +572,7 @@ class TestExactRealZeroCount:
             return lift(residues, primes, bits)
         monkeypatch.setattr(roots_mod, "_remainder_sequence", sequence_spy)
         monkeypatch.setattr(roots_mod, "_chinese_remainder", lift_spy)
+        roots_mod._orbit_count.cache_clear()
         for coeffs, want in zip(inputs, expected):
             monkeypatch.setattr(roots_mod, "_BATCH_ELEMENTS",
                                 cap * len(coeffs))
@@ -628,3 +632,51 @@ class TestExactRealZeroCount:
         distinct = sum(1 for cluster in _clusters(numeric)
                        if abs(np.mean(cluster).imag) <= 1e-9)
         assert exact == distinct
+
+
+def orbit_images(coeffs) -> set[tuple[int, ...]]:
+    """Closure of coeffs under negation, x -> -x and reversal."""
+    images, frontier = set(), [tuple(coeffs)]
+    while frontier:
+        c = frontier.pop()
+        if c not in images:
+            images.add(c)
+            frontier += [tuple(-v for v in c),
+                         tuple(v * (-1) ** i for i, v in enumerate(c)),
+                         c[::-1]]
+    return images
+
+
+class TestOrbitCount:
+    nonzero = st.sampled_from([-3, -1, 1, 2])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=128),
+        st.builds(lambda low, middle, lead: [low] + middle + [lead],
+                  nonzero, st.lists(st.integers(-4, 4), max_size=126),
+                  nonzero)))
+    def test_uncached_chain_is_constant_on_the_orbit(self, coeffs):
+        # with c_0 != 0 every image keeps the degree and the real zeros
+        images = orbit_images(coeffs)
+        assert len(images) <= 8
+        counts = {roots_mod._orbit_count.__wrapped__(image)
+                  for image in images}
+        assert counts == {prs_real_zero_count(coeffs)}
+
+    def test_zero_constant_term_is_not_reversed(self):
+        roots_mod._orbit_count.cache_clear()
+        assert real_zero_count_exact([1, 0, 0, 0, -1]) == 2      # 1 - x^4
+        assert real_zero_count_exact([0, -1, 0, 0, 0, 1]) == 3   # x^5 - x
+
+    def test_cache_is_bounded(self):
+        maxsize = roots_mod._orbit_count.cache_info().maxsize
+        for n in range(1, maxsize + 9):  # x^n - 1, one orbit per degree
+            assert real_zero_count_exact([-1] + [0] * (n - 1) + [1]) == \
+                (2 if n % 2 == 0 else 1)
+        assert roots_mod._orbit_count.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_q_counted_on_its_own_coefficients(self, k):
+        coeffs = tuple(generate_pair(k).q.coeffs.tolist())
+        assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
