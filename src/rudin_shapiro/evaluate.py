@@ -10,14 +10,17 @@ ValueError) before anything is allocated or transformed:
   coefficients, one per interleaved sub-grid of min(count, MIN_FFT) to
   GRID_MAX_COUNT points (iter_circle_values), on exact roots of unity,
   free of angle rounding (half-offset grids mirror half of them);
-- subarcs of count >= max(8n, 2^14) points: Bluestein's chirp-z
+- subarcs of count >= max(8n, 2^25) points: Bluestein's chirp-z
   transform (iter_chirp_values), streamed in blocks of about 3n points,
   one FFT/IFFT pair each;
-- shorter subarcs and single points: the doubling recursion with
-  repeated squaring of z, a point costing O(k) complex operations
-  instead of the O(2^k) of Horner's rule, with rounding error growing
-  with k rather than with the degree; each squaring renormalizes the
-  power to unit modulus.
+- shorter subarcs: the doubling recursion (_recursion_block) at the
+  chirp-z angles, in DEFAULT_CHUNK blocks; the powers z_j come from one
+  outer product of two short exact-phase vectors, and each level squares
+  them once, unnormalized: O(k) complex operations a point instead of
+  the O(2^k) of Horner's rule, with rounding error growing with k rather
+  than with the degree (arc_value_error);
+- single points: the same recursion with the squarings in double-double
+  (eval_pair_point).
 
 Consumers of |S| alone read |S|^2 as a real series instead: on the
 full circle iter_circle_squares takes one irfft per sub-grid of the exact
@@ -28,30 +31,32 @@ and the certified subarcs; Bernstein's check reads iter_circle_squares
 for its slope.  The complex stream serves what needs S itself: the value
 distribution, the residuals, eval_grid and GF(2) falsifiers.
 
-The subarc rule depends only on (count, n).  Measured speed-up of
-chirp-z over the recursion (one component, arc 0.3..3.3, best of 5,
-Python 3.11, numpy 2.4, 2 cores):
+The subarc rule depends only on (count, n).  Measured time of the
+recursion over that of chirp-z (one component, arc 0.3..3.3, best of 5,
+of 3 at 2^22; Python 3.11, numpy 2.4, 2 cores), below 1 where the
+recursion is faster:
 
-     k      n   chirp-z first wins   at max(8n, 2^14)   at max(64n, 2^16)
-     4     16         2^13                 2.1                3.5
-     5     32         2^14                 2.0                3.6
-     6     64         2^13                 1.5                3.1
-     7    128         2^14                 3.4                3.3
-     8    256         2^13                 2.8                3.6
-     9    512         2^13                 2.2                3.4
-    10   1024         2^13                 1.9                2.9
-    11   2048         2^14                 1.6                4.0
-    12   4096         2^15                 1.4                5.3
-    13   8192         2^15                 4.0                4.7
-    14  16384         2^15                 1.8                5.6
-    15  32768         2^17                 2.7                3.7
-    16  65536         2^19                 2.6                3.6
+     k      n      8n    2^16    2^18    2^20    2^22
+     4     16    0.25    0.39    0.46    0.52    0.59
+     5     32    0.24    0.46    0.55    0.63    0.69
+     6     64    0.25    0.52    0.66    0.66    0.75
+     7    128    0.28    0.58    0.67    0.73    0.81
+     8    256    0.29    0.58    0.70    0.75    0.93
+     9    512    0.25    0.56    0.86    0.67    0.74
+    10   1024    0.29    0.44    0.56    0.85    0.72
+    11   2048    0.42    0.63    0.70    0.82    0.74
+    12   4096    0.45    0.59    0.71    0.85    0.85
+    13   8192    0.46    0.43    0.51    0.89    0.76
+    14  16384    0.36    0.29    0.55    0.86    0.69
+    15  32768    0.74    0.19    0.38    0.75    0.61
+    16  65536    0.44    0.13    0.27    0.58    0.73
+    17 131072    0.43    0.05    0.20    0.40    0.60
+    18 262144    0.33    0.02    0.09    0.22    0.41
 
-Single readings on a shared machine vary by about a third.  At half
-the rule's count the ratio is 0.5 to 1.2, so the rule sits just past
-the crossover: Bluestein costs O(n log n) even for a short grid, the
-recursion O(k) per point.  Horner evaluation (eval_horner) is only an
-independent cross-check oracle: no grid of the package goes through it.
+At 2^24 points it read 0.62 / 0.89 / 0.40 at k = 12 / 16 / 18; single
+readings on a shared machine vary by about a third.  Chirp-z won at no
+measured size, so CHIRP_MIN_COUNT leaves it only grids past them all.
+Horner evaluation (eval_horner) is only a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -67,18 +72,19 @@ import numpy as np
 
 from .core import LittlewoodPolynomial, ResourceLimitError, RudinShapiroPair
 
-#: Block length of recursion grids.
-DEFAULT_CHUNK = 1 << 19
+#: Block length of recursion grids: four block arrays (1 MiB) fit a 2 MiB L2,
+#: 4.9-5.2 ns a point and level at k = 6..14 (7.2-9.0 ns in blocks of 2^16).
+DEFAULT_CHUNK = 1 << 14
 #: Cap on materialized grids (two complex arrays of this length) and on
 #: each streamed full-circle sub-grid.
 GRID_MAX_COUNT = 1 << 24
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
 #: Subarc grids go to chirp-z from max(CHIRP_MIN_RATIO * n,
-#: CHIRP_MIN_COUNT) points on (the measured crossover), and only while
-#: n * count <= CHIRP_MAX_PRODUCT keeps its integer phases below 2^53.
+#: CHIRP_MIN_COUNT) points on (past every size the table measured), and
+#: only while n * count <= CHIRP_MAX_PRODUCT keeps its phases below 2^53.
 CHIRP_MIN_RATIO = 8
-CHIRP_MIN_COUNT = 1 << 14
+CHIRP_MIN_COUNT = 1 << 25
 CHIRP_MAX_PRODUCT = 1 << 52
 #: Smallest chirp-z FFT and full-circle sub-grid: shorter costs more in calls.
 MIN_FFT = 1 << 12
@@ -185,10 +191,6 @@ def circle_grid(alpha: float, beta: float, count: int,
         ((beta - alpha) / count)
 
 
-def _unit_circle(thetas: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.mod(thetas, math.tau))
-
-
 # Error-free transformations (Dekker/Knuth).  Work elementwise on
 # arrays; no fma required.
 
@@ -230,21 +232,6 @@ def _dd_square_complex(xh, xl, yh, yl):
     e3 = e3 + (xh * yl + xl * yh)
     ih, il = _two_sum(2.0 * p3, 2.0 * e3)
     return rh, rl, ih, il
-
-
-def eval_pair_grid(pair: RudinShapiroPair, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(P_k, Q_k) at the given angles by the recursion, O(k) vector passes."""
-    w = _unit_circle(np.asarray(thetas, dtype=np.float64))
-    p = np.ones_like(w)
-    q = np.ones_like(w)
-    for step in range(pair.k):
-        wq = w * q
-        np.subtract(p, wq, out=q)  # in place: two fewer chunk-sized arrays
-        p += wq
-        if step != pair.k - 1:
-            w = w * w
-            w = w / np.abs(w)
-    return p, q
 
 
 def eval_pair_point(pair: RudinShapiroPair, point) -> tuple[complex, complex]:
@@ -290,7 +277,7 @@ def eval_horner(poly, point):
         arr = np.asarray(point, dtype=np.float64)
         scalar = arr.ndim == 0
         thetas = np.atleast_1d(arr)
-    z = _unit_circle(thetas)
+    z = np.exp(1j * np.mod(thetas, math.tau))
     zr, zi = z.real.copy(), z.imag.copy()
     ar = np.full(z.shape, c[-1])
     ai = np.zeros(z.shape)
@@ -503,6 +490,34 @@ def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
         yield np.fft.ifft(u * chirp)[:b] * post[:b]
 
 
+def _recursion_block(k: int, alpha: float, beta: float, count: int,
+                     half_offset: bool, lo: int, hi: int):
+    """(P_k, Q_k) at theta_j = alpha + (2j + s) g for lo <= j < hi.
+
+    The angles of iter_chirp_values: g = (beta - alpha) / (2 count), s = 1
+    on the half-offset grid.  z_j = e^{i alpha} e^{i 2aBg} e^{i(2b + s)g}
+    for j = aB + b, with B = min(ceil(sqrt(count)), 2^12) fixed by count:
+    one _unit_phase call for both short factors, then one outer product.
+    The first butterfly is (1 + z, 1 - z), and every later level squares
+    the power once, unnormalized.  Each value depends on j alone, so any
+    blocking tiles the grid bit for bit.
+    """
+    g = (beta - alpha) / count / 2.0
+    row = min(math.isqrt(count - 1) + 1, 1 << 12)
+    a0, a1 = lo // row, (hi - 1) // row + 1
+    phases = _unit_phase(np.concatenate([2.0 * row * np.arange(a0, a1),
+                                         2.0 * np.arange(row) + half_offset]), g)
+    w = np.outer(cmath.exp(1j * alpha) * phases[:a1 - a0],
+                 phases[a1 - a0:]).ravel()[lo - a0 * row:hi - a0 * row]
+    p, q = (1.0 + w, 1.0 - w) if k else (np.ones_like(w), np.ones_like(w))
+    for _ in range(1, k):
+        w *= w
+        wq = w * q
+        np.subtract(p, wq, out=q)  # in place: two fewer block-sized arrays
+        p += wq
+    return p, q
+
+
 def pair_component(pair: RudinShapiroPair, component: str):
     """P_k for "p", Q_k for "q": the one check of a component name."""
     if component not in ("p", "q"):
@@ -518,8 +533,10 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
     slice of range(count), and the slices tile it exactly once.  The
     exact full circle, alpha == 0.0 and beta == 2 pi, streams the
     sub-grids of iter_circle_values as slice(r, None, stride).  Subarcs
-    of max(8n, 2^14) points on go to chirp-z, shorter ones to the
-    recursion in DEFAULT_CHUNK blocks, as consecutive slices.
+    of max(CHIRP_MIN_RATIO n, CHIRP_MIN_COUNT) points on go to chirp-z,
+    shorter ones to the recursion in DEFAULT_CHUNK blocks, both as
+    consecutive slices and both at the angles alpha + (2j + s) g of
+    iter_chirp_values.
     """
     count = _grid_count(count)
     poly = pair_component(pair, component)
@@ -537,12 +554,10 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
             lo += values.size
     else:
         pick = 0 if component == "p" else 1
-        offset = 0.5 if half_offset else 0.0
-        step = (beta - alpha) / count
         for lo in range(0, count, DEFAULT_CHUNK):
-            j = np.arange(lo, min(lo + DEFAULT_CHUNK, count), dtype=np.float64)
-            yield slice(lo, lo + j.size), \
-                eval_pair_grid(pair, alpha + (j + offset) * step)[pick]
+            hi = min(lo + DEFAULT_CHUNK, count)
+            yield slice(lo, hi), _recursion_block(
+                pair.k, alpha, beta, count, half_offset, lo, hi)[pick]
 
 
 def iter_arc_squares(pair: RudinShapiroPair, component: str, alpha: float,
@@ -575,14 +590,16 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
     backend, and t_j = alpha + (j + off) L / count the exact grid angle.
     Let u = 2^-53, T = |alpha| + |beta| and N = max(4n, MIN_FFT),
     the longest chirp-z FFT, and use |S| <= sqrt(2n) (flatness).
-    - Angles.  The recursion evaluates at fl(alpha + (j + off) fl(L /
-      count)) reduced by fl(2 pi), within (5T + 10) u of t_j; chirp-z at
-      alpha + (2j + 2 off) fl(L / (2 count)), within 2uL.  Bernstein's
-      |S'| <= (n - 1) sqrt(2n) turns either into <= 1.5 (5T + 10) u n^1.5.
-    - Recursion.  A normalized squaring adds <= 6u and doubles what it
-      inherits, so z^(2^j) is off by <= 8u 2^j.  A butterfly is sqrt(2)
-      times a unitary map of (P, Q), so k levels add <= (12n + 6k) u
-      sqrt(n).
+    - Angles.  Both backends evaluate at alpha + (2j + 2 off) fl(L / (2
+      count)), within 2uL of t_j; Bernstein's |S'| <= (n - 1) sqrt(2n)
+      turns that into <= 3uL n^1.5.
+    - Recursion.  z_j is e^{i alpha} (2u) times two _unit_phase factors
+      (20u each), by two complex products (sqrt(5) u each; Brent, Percival
+      and Zimmermann, Math. Comp. 76, 2007), so it is off by <= 47u.  An
+      unnormalized squaring adds <= 3u and doubles what it inherits, in
+      modulus as in phase, so z^(2^j) is off by <= 50u 2^j.  A butterfly
+      is sqrt(2) times a unitary map of (P, Q), so k levels add <= (71n +
+      6k) u sqrt(n).
     - Chirp-z.  Each _unit_phase is good to 20u, so the FFT input is good
       to 75u a term, 75un at an output.  With eta = 7u log2 N per
       transform (Higham, Accuracy and Stability of Numerical Algorithms,

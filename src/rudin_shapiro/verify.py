@@ -179,14 +179,16 @@ def check_certified_intervals(k: int, pair=None) -> InequalityReport:
     For every lattice index j with |S(z_j)|^2 >= 2*gamma*n, samples
     POINTS_PER_INTERVAL points across [t_j - gamma/n, t_j + gamma/n]
     and verifies |S|^2 >= gamma*n on all of them, for S = P_k and Q_k.
-    Reports the minimum over all certified intervals.
+    Reports the minimum over all certified intervals.  The offsets are
+    the multiples t gamma / (16 n), |t| <= 16; real coefficients give
+    |S(z_j e^{-i theta})| = |S(z_{n-j} e^{i theta})|, so one FFT per
+    theta > 0 serves +-theta, and theta = 0 is the lattice itself.
     """
     if k < 1:
         raise ValueError("interval propagation needs k >= 1")
     pair = _pair(k, pair)
     n = pair.n
-    radius = GAMMA / n
-    offsets = np.linspace(-radius, radius, POINTS_PER_INTERVAL)
+    half = POINTS_PER_INTERVAL // 2
     overall_min = math.inf
     certified_total = 0
     for poly in (pair.p, pair.q):
@@ -195,8 +197,10 @@ def check_certified_intervals(k: int, pair=None) -> InequalityReport:
         certified_total += qualifying.size
         if qualifying.size == 0:
             continue
-        for offset in offsets:
-            sq = _lattice_squares(poly.coeffs, offset, qualifying)
+        overall_min = min(overall_min, float(np.min(lattice[qualifying])))
+        mirrored = np.concatenate([qualifying, (n - qualifying) % n])
+        for t in range(1, half + 1):
+            sq = _lattice_squares(poly.coeffs, t * (GAMMA / n / half), mirrored)
             overall_min = min(overall_min, float(np.min(sq)))
     bound = GAMMA * n
     return InequalityReport(

@@ -167,8 +167,8 @@ def _fft_counts(n):
 
 
 def _recursion_grid(pair, count, half_offset, alpha=0.0, beta=TAU):
-    return evaluate.eval_pair_grid(
-        pair, circle_grid(alpha, beta, count, half_offset))
+    return evaluate._recursion_block(pair.k, alpha, beta, count, half_offset,
+                                     0, count)
 
 
 def _chirp_grid(coeffs, alpha, beta, count, half_offset=True):
@@ -210,16 +210,69 @@ class TestArcDispatch:
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
-    @pytest.mark.parametrize("arc, count", [
-        (FULL_CIRCLE, 4096), (Arc(0.3, 3.3), 3 * (1 << 14) + 7),
-        (Arc(0.3, 3.3), 5000)], ids=["fft", "chirp", "recursion"])
-    def test_eval_grid_matches_recursion(self, arc, count, half_offset):
+    @pytest.mark.parametrize("arc, count, chirp", [
+        (FULL_CIRCLE, 4096, False), (Arc(0.3, 3.3), 3 * (1 << 14) + 7, True),
+        (Arc(0.3, 3.3), 5000, False)], ids=["fft", "chirp", "recursion"])
+    def test_eval_grid_matches_recursion(self, arc, count, chirp, half_offset,
+                                         low_crossover, chirp_calls):
         pair = generate_pair(10)
         n = pair.n
         grid = eval_grid(pair, arc, count, half_offset=half_offset)
+        assert chirp_calls == ([count, count] if chirp else [])
         rp, rq = _recursion_grid(pair, count, half_offset, arc.alpha, arc.beta)
         for values, rec in ((grid.values_p, rp), (grid.values_q, rq)):
             assert np.max(np.abs(values - rec)) <= 10 * EPS * n ** 1.5
+
+    def test_crossover_past_test_sizes(self, monkeypatch):
+        # the real rule, without a grid of its size: the recursion below
+        # max(8n, CHIRP_MIN_COUNT) points, chirp-z from there on
+        pair = generate_pair(10)
+        cross = _crossover(pair.n)
+        calls = []
+        monkeypatch.setattr(evaluate, "iter_chirp_values",
+                            lambda coeffs, alpha, beta, count, **kwargs: (
+                                calls.append(count), iter([np.ones(1)]))[1])
+        index, _ = next(evaluate.iter_arc_values(pair, "p", 0.3, 3.3,
+                                                 cross - 1))
+        assert calls == [] and index == slice(0, evaluate.DEFAULT_CHUNK)
+        index, _ = next(evaluate.iter_arc_values(pair, "p", 0.3, 3.3, cross))
+        assert calls == [cross] and index == slice(0, 1)
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    def test_recursion_blocks_chunk_invariant(self, half_offset, monkeypatch):
+        # B = ceil(sqrt(count)) = 314 divides neither block length
+        pair = generate_pair(12)
+        count = 3 * (1 << 15) + 5
+        assert count < _crossover(pair.n)
+        whole = _recursion_grid(pair, count, half_offset, 5.0, 9.0)[0]
+        for chunk in (evaluate.DEFAULT_CHUNK, 1000):
+            monkeypatch.setattr(evaluate, "DEFAULT_CHUNK", chunk)
+            pieces = list(evaluate.iter_arc_values(
+                pair, "p", 5.0, 9.0, count, half_offset=half_offset))
+            assert len(pieces) == -(-count // chunk)
+            assert np.array_equal(np.concatenate([v for _, v in pieces]),
+                                  whole)
+
+    @pytest.mark.parametrize("k", [12, 13, 14])
+    @pytest.mark.parametrize("alpha, beta", [(5.0, 9.0), (6.0, 6.5)])
+    def test_recursion_matches_point_at_exact_angles(self, k, alpha, beta):
+        # count 2^15 makes g = (beta - alpha) / (2 count) dyadic, so every
+        # grid angle alpha + (2j + s) g is a double: eval_pair_point sees
+        # the recursion's own points, on both sides of 2 pi
+        pair = generate_pair(k)
+        n = pair.n
+        count = 1 << 15
+        g = (beta - alpha) / count / 2.0
+        j = np.unique(np.linspace(0, count - 1, 64).astype(int))
+        worst = 0.0
+        for s in (0, 1):
+            grid = _recursion_grid(pair, count, bool(s), alpha, beta)
+            for theta, p, q in zip(alpha + (2 * j + s) * g, grid[0][j],
+                                   grid[1][j]):
+                ep, eq = eval_pair_point(pair, theta)
+                worst = max(worst, abs(p - ep), abs(q - eq))
+        assert worst <= 10 * EPS * n ** 1.5
 
     @pytest.mark.parametrize("entry", [
         lambda pair: next(evaluate.iter_arc_values(pair, "x", 0.3, 1.0, 64)),
@@ -406,15 +459,17 @@ def _chirp_arcs(k):
             (0.1, 0.1 + TAU * (1 - 1e-9))]
 
 
+@pytest.mark.usefixtures("low_crossover")
 class TestChirpValues:
     """Chirp-z against the compensated Horner oracle and the recursion.
 
-    Tolerances take the suite's form 10 * eps * n^1.5: the oracle and the
-    recursion evaluate at rounded float angles, the chirp at the exact
-    alpha + (2j + s) g, and |S'| <= n^1.5 turns the angle rounding into
-    value differences of that order.  n is floored at 4, because below
-    that the rounding of the 4096-point FFT blocks (measured 6.4 * eps at
-    n = 1) exceeds n^1.5.
+    Tolerances take the suite's form 10 * eps * n^1.5: the oracle
+    evaluates at rounded float angles, the chirp and the recursion at
+    alpha + (2j + s) g through rounded phases, and |S'| <= n^1.5 turns
+    the angle rounding into value differences of that order.  n is
+    floored at 4, because below that the rounding of the 4096-point FFT
+    blocks (measured 6.4 * eps at n = 1) exceeds n^1.5.  The crossover's
+    count floor is lowered, so grids of test size reach chirp-z.
     """
 
     @pytest.mark.parametrize("half_offset", [True, False],
@@ -531,9 +586,8 @@ class TestChirpValues:
         index, first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0,
                                                      2 ** 50))
         assert index == slice(0, evaluate.DEFAULT_CHUNK)
-        j = np.arange(evaluate.DEFAULT_CHUNK, dtype=np.float64)
-        assert np.array_equal(first, evaluate.eval_pair_grid(
-            pair, (j + 0.5) * (1.0 / 2 ** 50))[0])
+        assert np.array_equal(first, evaluate._recursion_block(
+            3, 0.0, 1.0, 2 ** 50, True, 0, evaluate.DEFAULT_CHUNK)[0])
 
 
 def _streamed_reductions(pair, count, sample_count):

@@ -151,7 +151,8 @@ class TestMqArcs:
         (Arc(5.0, 5.0 + TAU - 1e-6), None),  # wraps past 2 pi, chirp-z
         (FULL_CIRCLE, None),                 # FFT grids
     ])
-    def test_equals_mq_arc_bitwise(self, arc, count):
+    def test_equals_mq_arc_bitwise(self, arc, count, low_crossover):
+        # low_crossover: grids of this size reach chirp-z
         source = (generate_pair(10), "q")
         q1, q2 = 0.25, 3.0
         assert mq_arcs(source, arc, [q1, q2], count) == \

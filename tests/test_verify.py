@@ -70,6 +70,34 @@ class TestCertifiedIntervals:
     def test_k16_passes(self):
         assert check_certified_intervals(16).passed
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 11, 12])
+    def test_mirrored_offsets_match_every_offset(self, k):
+        # against all 33 offsets transformed one by one
+        pair = generate_pair(k)
+        n = pair.n
+        half = verify.POINTS_PER_INTERVAL // 2
+        certified, low = 0, math.inf
+        for poly in (pair.p, pair.q):
+            qualifying = np.nonzero(verify._lattice_squares(poly.coeffs) >=
+                                    2.0 * GAMMA * n)[0]
+            certified += qualifying.size
+            for t in range(-half, half + 1) if qualifying.size else ():
+                low = min(low, float(np.min(verify._lattice_squares(
+                    poly.coeffs, t * (GAMMA / n / half), qualifying))))
+        report = check_certified_intervals(k, pair=pair)
+        assert report.details["certified_intervals"] == certified
+        eps = np.finfo(np.float64).eps
+        assert abs(report.lhs - low) <= 10 * eps * n ** 1.5
+
+    def test_one_fft_per_positive_offset(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *args, **kwargs: (
+            calls.append(args), ifft(*args, **kwargs))[1])
+        assert check_certified_intervals(10).passed
+        # the lattice and offsets 1..16 of P and of Q
+        assert len(calls) == 2 * (1 + verify.POINTS_PER_INTERVAL // 2)
+
 
 @pytest.mark.parametrize("check", [check_lattice_pair_bound,
                                    check_certified_intervals])
@@ -176,16 +204,18 @@ class TestLevelSetCertificate:
         dense = np.abs(eval_horner(pair.p, thetas.ravel())) ** 2
         assert dense.min() >= GAMMA * n
 
-    def test_chirp_cells_nearest_the_level_hold_densely(self):
-        # a 4n * 5 point grid goes to chirp-z; check the 64 certified
-        # cells whose midpoint value is lowest
+    def test_chirp_cells_nearest_the_level_hold_densely(self, low_crossover,
+                                                        chirp_calls):
+        # a 4n * 5 point grid goes to chirp-z with the crossover's count
+        # floor lowered; check the 64 certified cells whose midpoint value
+        # is lowest
         k = 11
         pair = generate_pair(k)
         n = pair.n
         arc = Arc(0.4, 5.4)
         report = check_level_set_measure(k, arc, pair=pair)
         count = report.details["count"]
-        assert count >= evaluate.CHIRP_MIN_RATIO * n
+        assert chirp_calls == [count]
         width = arc.length / count
         f = _squared_moduli(pair, arc, count)
         cells = np.nonzero(f >= GAMMA * n + report.details["slack"])[0]
@@ -206,14 +236,21 @@ class TestLevelSetCertificate:
             assert report.rhs < report.lhs <= arc.length * inside / count
 
     @pytest.mark.parametrize("k", [10, 12, 14])
-    def test_err_covers_evaluation_error(self, k):
-        # 32 seeded points on a recursion grid, 32 on a chirp-z grid
+    def test_err_covers_evaluation_error(self, k, chirp_calls, request):
+        # 32 seeded points on each of two recursion grids, then on the
+        # long arc's grid again as chirp-z, with the crossover's count
+        # floor lowered
         pair = generate_pair(k)
         rng = np.random.default_rng(k)
         short = 32 * math.pi / pair.n * 1.5
-        for arc in (Arc(0.9, 0.9 + short), Arc(1.1, 6.2)):
+        for arc, chirp in ((Arc(0.9, 0.9 + short), False),
+                           (Arc(1.1, 6.2), False), (Arc(1.1, 6.2), True)):
+            if chirp:
+                request.getfixturevalue("low_crossover")
             report = check_level_set_measure(k, arc, pair=pair)
             count = report.details["count"]
+            assert chirp_calls == ([count] if chirp else [])
+            chirp_calls.clear()
             picks = rng.choice(count, 32, replace=False)
             f = _squared_moduli(pair, arc, count)[picks]
             thetas = arc.alpha + (picks + 0.5) * (arc.length / count)
