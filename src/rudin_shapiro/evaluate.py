@@ -1,4 +1,4 @@
-"""Circle evaluation of Rudin-Shapiro pairs: FFT, chirp-z, recursion, oracle.
+"""Circle evaluation of Rudin-Shapiro pairs: FFT, recursion, oracle.
 
 iter_arc_values is the one dispatcher of pair grids: every grid of P_k
 or Q_k (eval_grid, the norm estimates, the value distribution, the
@@ -10,15 +10,13 @@ ValueError) before anything is allocated or transformed:
   coefficients, one per interleaved sub-grid of min(count, MIN_FFT) to
   GRID_MAX_COUNT points (iter_circle_values), on exact roots of unity,
   free of angle rounding (half-offset grids mirror half of them);
-- subarcs of count >= max(8n, 2^25) points: Bluestein's chirp-z
-  transform (iter_chirp_values), streamed in blocks of about 3n points,
-  one FFT/IFFT pair each;
-- shorter subarcs: the doubling recursion (_recursion_block) at the
-  chirp-z angles, in DEFAULT_CHUNK blocks; the powers z_j come from one
-  outer product of two short exact-phase vectors, and each level squares
-  them once, unnormalized: O(k) complex operations a point instead of
-  the O(2^k) of Horner's rule, with rounding error growing with k rather
-  than with the degree (arc_value_error);
+- subarcs: the doubling recursion (_recursion_block) in DEFAULT_CHUNK
+  blocks, on the point set of a chirp z-transform, z_j = e^{i alpha}
+  w^(2j + s) with w = e^{ig}; the powers z_j come from one outer product
+  of two short exact-phase vectors, and each level squares them once,
+  unnormalized: O(k) complex operations a point instead of the O(2^k)
+  of Horner's rule, with rounding error growing with k rather than with
+  the degree (arc_value_error);
 - single points: the same recursion with the squarings in double-double
   (eval_pair_point).
 
@@ -31,32 +29,11 @@ and the certified subarcs; Bernstein's check reads iter_circle_squares
 for its slope.  The complex stream serves what needs S itself: the value
 distribution, the residuals, eval_grid and GF(2) falsifiers.
 
-The subarc rule depends only on (count, n).  Measured time of the
-recursion over that of chirp-z (one component, arc 0.3..3.3, best of 5,
-of 3 at 2^22; Python 3.11, numpy 2.4, 2 cores), below 1 where the
-recursion is faster:
-
-     k      n      8n    2^16    2^18    2^20    2^22
-     4     16    0.25    0.39    0.46    0.52    0.59
-     5     32    0.24    0.46    0.55    0.63    0.69
-     6     64    0.25    0.52    0.66    0.66    0.75
-     7    128    0.28    0.58    0.67    0.73    0.81
-     8    256    0.29    0.58    0.70    0.75    0.93
-     9    512    0.25    0.56    0.86    0.67    0.74
-    10   1024    0.29    0.44    0.56    0.85    0.72
-    11   2048    0.42    0.63    0.70    0.82    0.74
-    12   4096    0.45    0.59    0.71    0.85    0.85
-    13   8192    0.46    0.43    0.51    0.89    0.76
-    14  16384    0.36    0.29    0.55    0.86    0.69
-    15  32768    0.74    0.19    0.38    0.75    0.61
-    16  65536    0.44    0.13    0.27    0.58    0.73
-    17 131072    0.43    0.05    0.20    0.40    0.60
-    18 262144    0.33    0.02    0.09    0.22    0.41
-
-At 2^24 points it read 0.62 / 0.89 / 0.40 at k = 12 / 16 / 18; single
-readings on a shared machine vary by about a third.  Chirp-z won at no
-measured size, so CHIRP_MIN_COUNT leaves it only grids past them all.
-Horner evaluation (eval_horner) is only a cross-check oracle.
+Subarcs have no FFT backend: on the same points the recursion took 0.02
+to 0.93 of the time of a streamed Bluestein chirp-z transform at every
+size measured (one component, k = 4..18, 8n to 2^24 points; Python
+3.11, numpy 2.4, 2 cores).  Horner evaluation (eval_horner) is only a
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -80,13 +57,7 @@ DEFAULT_CHUNK = 1 << 14
 GRID_MAX_COUNT = 1 << 24
 #: Horner oracle degree guard; the oracle is O(n) per point.
 HORNER_MAX_DEGREE = 1 << 20
-#: Subarc grids go to chirp-z from max(CHIRP_MIN_RATIO * n,
-#: CHIRP_MIN_COUNT) points on (past every size the table measured), and
-#: only while n * count <= CHIRP_MAX_PRODUCT keeps its phases below 2^53.
-CHIRP_MIN_RATIO = 8
-CHIRP_MIN_COUNT = 1 << 25
-CHIRP_MAX_PRODUCT = 1 << 52
-#: Smallest chirp-z FFT and full-circle sub-grid: shorter costs more in calls.
+#: Smallest full-circle sub-grid: shorter costs more in calls.
 MIN_FFT = 1 << 12
 #: 2 pi minus its double: (math.tau, _TAU_LO) is 2 pi to about 106 bits.
 _TAU_LO = 2.4492935982947064e-16
@@ -452,50 +423,12 @@ def _unit_phase(ints: np.ndarray, g: float) -> np.ndarray:
     return np.exp(1j * ((((p - hi) - lo) + e) - turns * _TAU_LO))
 
 
-def iter_chirp_values(coeffs, alpha: float, beta: float, count: int, *,
-                      half_offset: bool = True):
-    """Yield S(exp(i theta_j)) over the arc grid in blocks, by chirp-z.
-
-    theta_j = alpha + (2j + s) g with g = (beta - alpha) / (2 count) and
-    s = 1 on the half-offset grid, 0 on the lattice.  Bluestein's
-    2mt = m^2 + t^2 - (t - m)^2 turns the block j = j0 + t, t < block,
-    into one circular convolution of a_m exp(i(m alpha + m(2 j0 + s) g
-    + m^2 g)) with the chirp exp(-i d^2 g): one FFT of the chirp per
-    call, one FFT/IFFT pair of length 2^e >= max(4n, 4096) per block of
-    2^e - n + 1 points.  Every phase is an exact integer (m, m^2, d^2,
-    t^2, m(2 j0 + s)) times alpha or g, reduced by _unit_phase.
-    """
-    a = np.asarray(coeffs, dtype=np.float64)
-    n = a.size
-    count = _grid_count(count)
-    if n * max(count, 8 * n) > CHIRP_MAX_PRODUCT:  # m(2 j0 + s) and d^2
-        raise ValueError(f"n = {n} and count = {count} exceed the chirp-z "
-                         "range, past which the integer phases lose exactness")
-    g = (beta - alpha) / count / 2.0
-    s = 1 if half_offset else 0
-    size = 1 << (max(4 * n, MIN_FFT) - 1).bit_length()
-    block = min(count, size - n + 1)
-    m = np.arange(n, dtype=np.float64)
-    pre = a * _unit_phase(m, alpha) * _unit_phase(m * m, g)
-    d = np.arange(max(n, block), dtype=np.float64)
-    post = _unit_phase(d * d, g)  # exp(i d^2 g); the chirp is its conjugate
-    chirp = np.zeros(size, dtype=np.complex128)
-    chirp[:block] = np.conj(post[:block])
-    chirp[size - n + 1:] = np.conj(post[n - 1:0:-1])  # lags -(n-1)..-1
-    chirp = np.fft.fft(chirp)
-    post = post[:block]
-    for j0 in range(0, count, block):
-        b = min(block, count - j0)
-        u = np.fft.fft(pre * _unit_phase(m * (2 * j0 + s), g), size)
-        yield np.fft.ifft(u * chirp)[:b] * post[:b]
-
-
 def _recursion_block(k: int, alpha: float, beta: float, count: int,
                      half_offset: bool, lo: int, hi: int):
     """(P_k, Q_k) at theta_j = alpha + (2j + s) g for lo <= j < hi.
 
-    The angles of iter_chirp_values: g = (beta - alpha) / (2 count), s = 1
-    on the half-offset grid.  z_j = e^{i alpha} e^{i 2aBg} e^{i(2b + s)g}
+    g = (beta - alpha) / (2 count), and s = 1 on the half-offset grid, 0
+    on the lattice.  z_j = e^{i alpha} e^{i 2aBg} e^{i(2b + s)g}
     for j = aB + b, with B = min(ceil(sqrt(count)), 2^12) fixed by count:
     one _unit_phase call for both short factors, then one outer product.
     The first butterfly is (1 + z, 1 - z), and every later level squares
@@ -532,26 +465,16 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
     The one backend choice for pair grids (module docstring); index is a
     slice of range(count), and the slices tile it exactly once.  The
     exact full circle, alpha == 0.0 and beta == 2 pi, streams the
-    sub-grids of iter_circle_values as slice(r, None, stride).  Subarcs
-    of max(CHIRP_MIN_RATIO n, CHIRP_MIN_COUNT) points on go to chirp-z,
-    shorter ones to the recursion in DEFAULT_CHUNK blocks, both as
-    consecutive slices and both at the angles alpha + (2j + s) g of
-    iter_chirp_values.
+    sub-grids of iter_circle_values as slice(r, None, stride); subarcs
+    go to the recursion as consecutive DEFAULT_CHUNK slices, at the angles
+    alpha + (2j + s) g of _recursion_block.
     """
     count = _grid_count(count)
     poly = pair_component(pair, component)
-    n = pair.n
     if alpha == 0.0 and beta == math.tau:
         for r, stride, values in iter_circle_values(poly.coeffs, count,
                                                     half_offset):
             yield slice(r, None, stride), values
-    elif max(CHIRP_MIN_RATIO * n, CHIRP_MIN_COUNT) <= count and \
-            n * count <= CHIRP_MAX_PRODUCT:
-        lo = 0
-        for values in iter_chirp_values(poly.coeffs, alpha, beta, count,
-                                        half_offset=half_offset):
-            yield slice(lo, lo + values.size), values
-            lo += values.size
     else:
         pick = 0 if component == "p" else 1
         for lo in range(0, count, DEFAULT_CHUNK):
@@ -584,13 +507,12 @@ def iter_arc_squares(pair: RudinShapiroPair, component: str, alpha: float,
 
 
 def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
-    """A priori bound on |S^_j - S(e^{i t_j})| over iter_arc_values' grid.
+    """A priori bound on |S^_j - S(e^{i t_j})| over iter_arc_values' subarcs.
 
-    S = P_k or Q_k, S^_j is the value yielded for any count and either
-    backend, and t_j = alpha + (j + off) L / count the exact grid angle.
-    Let u = 2^-53, T = |alpha| + |beta| and N = max(4n, MIN_FFT),
-    the longest chirp-z FFT, and use |S| <= sqrt(2n) (flatness).
-    - Angles.  Both backends evaluate at alpha + (2j + 2 off) fl(L / (2
+    S = P_k or Q_k, S^_j is the value _recursion_block yields for any
+    count, and t_j = alpha + (j + off) L / count the exact grid angle.
+    Let u = 2^-53 and use |S| <= sqrt(2n) (flatness).
+    - Angles.  The recursion evaluates at alpha + (2j + 2 off) fl(L / (2
       count)), within 2uL of t_j; Bernstein's |S'| <= (n - 1) sqrt(2n)
       turns that into <= 3uL n^1.5.
     - Recursion.  z_j is e^{i alpha} (2u) times two _unit_phase factors
@@ -600,15 +522,10 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
       modulus as in phase, so z^(2^j) is off by <= 50u 2^j.  A butterfly
       is sqrt(2) times a unitary map of (P, Q), so k levels add <= (71n +
       6k) u sqrt(n).
-    - Chirp-z.  Each _unit_phase is good to 20u, so the FFT input is good
-      to 75u a term, 75un at an output.  With eta = 7u log2 N per
-      transform (Higham, Accuracy and Stability of Numerical Algorithms,
-      2002, Thm 24.2), the FFTs of the input and of the chirp add <=
-      (14 log2 N + 20) u sqrt(N n) at an output, their product 3u sqrt(N
-      n), and the inverse FFT <= 7u log2 N sqrt(N) n, as the convolution
-      has ||y||_2 <= sqrt(N) n; the final chirp adds 23u sqrt(2n).
-    Both totals are below the 256 u sqrt(N) n (log2 N + T) returned; the
-    factor also covers the radix-4 passes of numpy's FFT.
+    The total is below 93 u n^1.5 for L <= 2 pi, far below the 256 u
+    sqrt(N) n (log2 N + |alpha| + |beta|), N = max(4n, MIN_FFT), returned:
+    verify's full-circle certificate, which reads the squares stream
+    instead, takes that stream's error from this floor (_subarc_reports).
     """
     size = max(4 * pair.n, MIN_FFT)
     return 2.0 ** -45 * math.sqrt(size) * pair.n * (

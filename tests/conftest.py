@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from rudin_shapiro import evaluate
 
 settings.register_profile(
     "default",
@@ -10,28 +7,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-#: The recursion beat chirp-z at every measured size, so the dispatcher
-#: sends only subarc grids past any test's size to chirp-z; tests of that
-#: branch lower the crossover's count floor to this.
-TEST_CHIRP_MIN_COUNT = 1 << 14
-
-
-@pytest.fixture
-def low_crossover(monkeypatch):
-    """Subarc grids of max(8n, 2^14) points or more go to chirp-z."""
-    monkeypatch.setattr(evaluate, "CHIRP_MIN_COUNT", TEST_CHIRP_MIN_COUNT)
-
-
-@pytest.fixture
-def chirp_calls(monkeypatch):
-    """The count of every iter_chirp_values call, in call order."""
-    calls = []
-    chirp = evaluate.iter_chirp_values
-
-    def spy(coeffs, alpha, beta, count, **kwargs):
-        calls.append(count)
-        return chirp(coeffs, alpha, beta, count, **kwargs)
-
-    monkeypatch.setattr(evaluate, "iter_chirp_values", spy)
-    return calls

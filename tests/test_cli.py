@@ -241,9 +241,9 @@ class TestSubcommands:
         ["--arc", "0.3:3.3", "--count", "20000", "--no-offset"],
         ["--arc", "0.3:3.3", "--count", "999"],
     ], ids=["fft", "chirp", "recursion"])
-    def test_eval_reads_its_own_grid(self, extra, tmp_path, capsys,
-                                     low_crossover):
-        # low_crossover: 20000 points reach chirp-z
+    def test_eval_reads_its_own_grid(self, extra, tmp_path, capsys):
+        # ids: the full-circle FFT, and chirp-z point sets (the recursion)
+        # of two blocks on the lattice and of one block
         # mean |P|^2 and the flatness residual come off the dumped samples
         assert main(["eval", "--k", "8", *extra, "--dump", "grid.bin",
                      "--out", str(tmp_path)]) == 0

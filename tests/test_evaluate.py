@@ -145,7 +145,7 @@ class TestGrids:
             eval_grid(generate_pair(2), FULL_CIRCLE, 65)
 
     def test_chunks_cover_grid_exactly(self, monkeypatch):
-        # a subarc below the chirp-z crossover: recursion blocks
+        # a subarc: recursion blocks
         pair = generate_pair(4)
         arc = Arc(0.3, 5.0)
         whole = eval_grid(pair, arc, 1000).values_p
@@ -171,13 +171,14 @@ def _recursion_grid(pair, count, half_offset, alpha=0.0, beta=TAU):
                                      0, count)
 
 
-def _chirp_grid(coeffs, alpha, beta, count, half_offset=True):
-    return np.concatenate(list(evaluate.iter_chirp_values(
-        coeffs, alpha, beta, count, half_offset=half_offset)))
+def _arc_grid(pair, component, alpha, beta, count, half_offset=True):
+    return np.concatenate([values for _, values in evaluate.iter_arc_values(
+        pair, component, alpha, beta, count, half_offset=half_offset)])
 
 
-def _crossover(n):
-    return max(evaluate.CHIRP_MIN_RATIO * n, evaluate.CHIRP_MIN_COUNT)
+def _grid_angles(alpha, beta, count, s, j):
+    # the recursion's angles alpha + (2j + s) g, rounded to doubles
+    return alpha + (2 * j + s) * ((beta - alpha) / count / 2.0)
 
 
 class TestArcDispatch:
@@ -210,33 +211,26 @@ class TestArcDispatch:
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
-    @pytest.mark.parametrize("arc, count, chirp", [
-        (FULL_CIRCLE, 4096, False), (Arc(0.3, 3.3), 3 * (1 << 14) + 7, True),
-        (Arc(0.3, 3.3), 5000, False)], ids=["fft", "chirp", "recursion"])
-    def test_eval_grid_matches_recursion(self, arc, count, chirp, half_offset,
-                                         low_crossover, chirp_calls):
+    @pytest.mark.parametrize("arc, count", [
+        (FULL_CIRCLE, 4096), (Arc(0.3, 3.3), 3 * (1 << 14) + 7),
+        (Arc(0.3, 3.3), 5000)], ids=["fft", "chirp", "recursion"])
+    def test_eval_grid_matches_recursion(self, arc, count, half_offset):
+        # ids: the full-circle FFT, and chirp-z point sets (module
+        # docstring) of four recursion blocks and of one; 64 spread
+        # values against the scalar double-double recursion at the
+        # grid's rounded angles; measured worst 2.5 * eps * n^1.5
         pair = generate_pair(10)
         n = pair.n
         grid = eval_grid(pair, arc, count, half_offset=half_offset)
-        assert chirp_calls == ([count, count] if chirp else [])
-        rp, rq = _recursion_grid(pair, count, half_offset, arc.alpha, arc.beta)
-        for values, rec in ((grid.values_p, rp), (grid.values_q, rq)):
-            assert np.max(np.abs(values - rec)) <= 10 * EPS * n ** 1.5
-
-    def test_crossover_past_test_sizes(self, monkeypatch):
-        # the real rule, without a grid of its size: the recursion below
-        # max(8n, CHIRP_MIN_COUNT) points, chirp-z from there on
-        pair = generate_pair(10)
-        cross = _crossover(pair.n)
-        calls = []
-        monkeypatch.setattr(evaluate, "iter_chirp_values",
-                            lambda coeffs, alpha, beta, count, **kwargs: (
-                                calls.append(count), iter([np.ones(1)]))[1])
-        index, _ = next(evaluate.iter_arc_values(pair, "p", 0.3, 3.3,
-                                                 cross - 1))
-        assert calls == [] and index == slice(0, evaluate.DEFAULT_CHUNK)
-        index, _ = next(evaluate.iter_arc_values(pair, "p", 0.3, 3.3, cross))
-        assert calls == [cross] and index == slice(0, 1)
+        j = np.unique(np.linspace(0, count - 1, 64).astype(int))
+        if arc == FULL_CIRCLE:
+            thetas = circle_grid(0.0, TAU, count, half_offset)[j]
+        else:
+            thetas = _grid_angles(arc.alpha, arc.beta, count,
+                                  int(half_offset), j)
+        points = np.array([eval_pair_point(pair, t) for t in thetas]).T
+        for values, point in zip((grid.values_p, grid.values_q), points):
+            assert np.max(np.abs(values[j] - point)) <= 10 * EPS * n ** 1.5
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
@@ -244,7 +238,6 @@ class TestArcDispatch:
         # B = ceil(sqrt(count)) = 314 divides neither block length
         pair = generate_pair(12)
         count = 3 * (1 << 15) + 5
-        assert count < _crossover(pair.n)
         whole = _recursion_grid(pair, count, half_offset, 5.0, 9.0)[0]
         for chunk in (evaluate.DEFAULT_CHUNK, 1000):
             monkeypatch.setattr(evaluate, "DEFAULT_CHUNK", chunk)
@@ -395,8 +388,8 @@ COUNT_ENTRIES = {
         evaluate.iter_circle_values(pair.p.coeffs, count)),
     "circle_squares": lambda pair, count: list(evaluate.iter_circle_squares(
         _exact_autocorrelation(pair.p.coeffs), count)),
-    "chirp_values": lambda pair, count: list(
-        evaluate.iter_chirp_values(pair.p.coeffs, 0.3, 1.0, count)),
+    "chirp_values": lambda pair, count: list(evaluate.iter_arc_values(
+        pair, "q", 5.0, 9.0, count, half_offset=False)),  # lattice past 2 pi
     "circle_values": lambda pair, count: evaluate.circle_values(
         pair.p.coeffs, count),
     "circle_grid": lambda pair, count: circle_grid(0.0, TAU, count),
@@ -441,14 +434,10 @@ def _chirp_tol(n):
 
 
 def _chirp_counts(n):
-    # one short block, then below, at and above the dispatch crossover;
-    # the block is max(4n, 4096) - n + 1 points, and the last count ends
-    # in a partial block
-    block = max(4 * n, 4096) - n + 1
-    cross = _crossover(n)
-    counts = sorted({1000, cross - 1, cross, cross + block // 2 + 7})
-    assert counts[-1] > block and counts[-1] % block
-    return counts
+    # one short block, one whole block, one past it, and a partial last
+    # block
+    chunk = evaluate.DEFAULT_CHUNK
+    return [1000, chunk, chunk + 1, 3 * chunk + 7]
 
 
 def _chirp_arcs(k):
@@ -459,34 +448,37 @@ def _chirp_arcs(k):
             (0.1, 0.1 + TAU * (1 - 1e-9))]
 
 
-@pytest.mark.usefixtures("low_crossover")
 class TestChirpValues:
-    """Chirp-z against the compensated Horner oracle and the recursion.
+    """Subarc grids, the point sets of a chirp z-transform, by recursion.
 
-    Tolerances take the suite's form 10 * eps * n^1.5: the oracle
-    evaluates at rounded float angles, the chirp and the recursion at
-    alpha + (2j + s) g through rounded phases, and |S'| <= n^1.5 turns
-    the angle rounding into value differences of that order.  n is
-    floored at 4, because below that the rounding of the 4096-point FFT
-    blocks (measured 6.4 * eps at n = 1) exceeds n^1.5.  The crossover's
-    count floor is lowered, so grids of test size reach chirp-z.
+    z_j = e^{i alpha} w^(2j + s), w = e^{ig}, as iter_arc_values yields
+    them, against the scalar double-double recursion and the compensated
+    Horner oracle.  Tolerances take the suite's form 10 * eps * n^1.5:
+    the oracles evaluate at rounded float angles, the grid at alpha +
+    (2j + s) g through rounded phases, and |S'| <= n^1.5 turns the angle
+    rounding into value differences of that order.  n is floored at 4.
     """
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
     @pytest.mark.parametrize("k", FFT_KS)
     def test_matches_recursion(self, k, half_offset):
+        # 16 spread values per grid against eval_pair_point; measured
+        # worst 5.6 * eps * n^1.5 (k = 10), from the rounded angles
         pair = generate_pair(k)
         n = pair.n
+        worst = 0.0
         for alpha, beta in _chirp_arcs(k):
             for count in _chirp_counts(n):
-                recursion = _recursion_grid(pair, count, half_offset,
-                                            alpha, beta)
-                for poly, rec in zip((pair.p, pair.q), recursion):
-                    cz = _chirp_grid(poly.coeffs, alpha, beta, count,
+                j = np.unique(np.linspace(0, count - 1, 16).astype(int))
+                thetas = _grid_angles(alpha, beta, count, int(half_offset), j)
+                points = np.array([eval_pair_point(pair, t)
+                                   for t in thetas]).T
+                for component, point in zip("pq", points):
+                    grid = _arc_grid(pair, component, alpha, beta, count,
                                      half_offset)
-                    # measured worst 6.4 * eps * n^1.5 (k = 14)
-                    assert np.max(np.abs(cz - rec)) <= _chirp_tol(n)
+                    worst = max(worst, np.max(np.abs(grid[j] - point)))
+        assert worst <= _chirp_tol(n)
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
@@ -502,19 +494,20 @@ class TestChirpValues:
         thetas = np.concatenate([
             circle_grid(alpha, beta, count, half_offset)[i]
             for alpha, beta, count, i in grids])
-        for poly in (pair.p, pair.q):
-            cz = np.concatenate([
-                _chirp_grid(poly.coeffs, alpha, beta, count, half_offset)[i]
+        for component, poly in (("p", pair.p), ("q", pair.q)):
+            # measured worst 5.6 * eps * n^1.5 (k = 10)
+            values = np.concatenate([
+                _arc_grid(pair, component, alpha, beta, count,
+                          half_offset)[i]
                 for alpha, beta, count, i in grids])
-            # measured worst 4.8 * eps * n^1.5, from the oracle's angles
-            assert np.max(np.abs(cz - eval_horner(poly, thetas))) <= \
+            assert np.max(np.abs(values - eval_horner(poly, thetas))) <= \
                 _chirp_tol(n)
 
     @pytest.mark.parametrize("k", FFT_KS)
     def test_exact_angles(self, k):
         # with alpha and g dyadic every float grid angle is exact, so the
-        # oracle sees the chirp's own points; measured worst 0.3 * eps *
-        # n^1.5 for k >= 5, and 5.1 * eps at k = 0 (FFT rounding)
+        # oracle sees the grid's own points; measured worst 0.7 * eps *
+        # n^1.5
         pair = generate_pair(k)
         n = pair.n
         thetas, values = [], []
@@ -528,8 +521,8 @@ class TestChirpValues:
                     grid, alpha + (2 * np.arange(count) + s) * g)
                 i = np.unique(np.linspace(0, count - 1, 32).astype(int))
                 thetas.append(grid[i])
-                values.append(_chirp_grid(pair.q.coeffs, alpha, beta, count,
-                                          half_offset=bool(s))[i])
+                values.append(_arc_grid(pair, "q", alpha, beta, count,
+                                        half_offset=bool(s))[i])
         oracle = eval_horner(pair.q, np.concatenate(thetas))
         assert np.max(np.abs(np.concatenate(values) - oracle)) <= \
             _chirp_tol(n)
@@ -548,41 +541,31 @@ class TestChirpValues:
                 assert abs(value - cmath.exp(1j * float(phase))) <= 4 * EPS
 
     def test_repeated_calls_bit_identical(self):
-        pair = generate_pair(12)
-        count = _crossover(pair.n) + 12345
-        first = _chirp_grid(pair.p.coeffs, 0.7, 4.1, count)
-        assert np.array_equal(first, _chirp_grid(pair.p.coeffs, 0.7, 4.1,
-                                                 count))
-        assert np.array_equal(first, _chirp_grid(pair.p.coeffs.copy(), 0.7,
-                                                 4.1, count))
+        count = 3 * evaluate.DEFAULT_CHUNK + 12345
+        first = _arc_grid(generate_pair(12), "p", 0.7, 4.1, count)
+        assert np.array_equal(first, _arc_grid(generate_pair(12), "p", 0.7,
+                                               4.1, count))
 
     @pytest.mark.parametrize("k", [4, 10])
     def test_dispatch(self, k):
-        # below the crossover the recursion's own values, from it on the
-        # chirp's, in blocks that concatenate to the grid
+        # consecutive DEFAULT_CHUNK blocks that concatenate to the
+        # recursion's whole grid
         pair = generate_pair(k)
-        cross = _crossover(pair.n)
-        for count in (cross - 1, cross, 3 * cross + 5):
+        chunk = evaluate.DEFAULT_CHUNK
+        for count in (chunk - 1, chunk, 3 * chunk + 5):
             blocks = list(evaluate.iter_arc_values(pair, "q", 0.4, 2.9, count))
-            assert blocks[0][0].start == 0 and blocks[-1][0].stop == count
-            assert all(a.stop == b.start for (a, _), (b, _) in
-                       zip(blocks, blocks[1:]))
+            assert [index for index, _ in blocks] == [
+                slice(lo, min(lo + chunk, count))
+                for lo in range(0, count, chunk)]
             got = np.concatenate([values for _, values in blocks])
-            if count < cross:
-                expect = _recursion_grid(pair, count, True, 0.4, 2.9)[1]
-            else:
-                expect = _chirp_grid(pair.q.coeffs, 0.4, 2.9, count)
-                assert len(blocks) > 1
+            expect = _recursion_grid(pair, count, True, 0.4, 2.9)[1]
             assert np.array_equal(got, expect)
 
     def test_guards(self):
-        coeffs = generate_pair(3).p.coeffs
-        with pytest.raises(ValueError):
-            next(evaluate.iter_chirp_values(coeffs, 0.0, 1.0, 0))
-        with pytest.raises(ValueError, match="exactness"):
-            next(evaluate.iter_chirp_values(coeffs, 0.0, 1.0, 2 ** 52))
-        # past the exact-phase limit the dispatch keeps the recursion
         pair = generate_pair(3)
+        with pytest.raises(ValueError, match="count must be"):
+            next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0, 0))
+        # a grid of 2^50 points: the first block, phases still exact
         index, first = next(evaluate.iter_arc_values(pair, "p", 0.0, 1.0,
                                                      2 ** 50))
         assert index == slice(0, evaluate.DEFAULT_CHUNK)

@@ -147,12 +147,11 @@ class TestExactEvenMoments:
 class TestMqArcs:
     @pytest.mark.parametrize("arc, count", [
         (Arc(0.3, 2.9), None),               # recursion grids
-        (Arc(0.3, 2.9), 1 << 15),            # chirp-z grids
-        (Arc(5.0, 5.0 + TAU - 1e-6), None),  # wraps past 2 pi, chirp-z
+        (Arc(0.3, 2.9), 1 << 15),            # two and four recursion blocks
+        (Arc(5.0, 5.0 + TAU - 1e-6), None),  # wraps past 2 pi
         (FULL_CIRCLE, None),                 # FFT grids
     ])
-    def test_equals_mq_arc_bitwise(self, arc, count, low_crossover):
-        # low_crossover: grids of this size reach chirp-z
+    def test_equals_mq_arc_bitwise(self, arc, count):
         source = (generate_pair(10), "q")
         q1, q2 = 0.25, 3.0
         assert mq_arcs(source, arc, [q1, q2], count) == \
