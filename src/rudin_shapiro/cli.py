@@ -225,8 +225,7 @@ def cmd_mahler(args, out_dir: Path) -> int:
 def cmd_roots(args, out_dir: Path) -> int:
     pair = generate_pair(args.k)
     poly = evaluate.pair_component(pair, args.which)
-    rootset = roots.find_roots(poly, tol=args.tol, max_iter=args.max_iter,
-                               seed=args.seed)
+    rootset = roots.find_roots(poly, tol=args.tol, max_iter=args.max_iter)
     config = _config(args, k=args.k, which=args.which, tol=args.tol,
                      max_iter=args.max_iter)
     rows = [[float(z.real), float(z.imag), float(res), int(flag)]
@@ -249,13 +248,12 @@ def cmd_census(args, out_dir: Path) -> int:
         results = []
         for component in which:
             poly = evaluate.pair_component(pair, component)
-            rootset = roots.find_roots(poly, tol=args.tol, seed=args.seed)
+            rootset = roots.find_roots(poly, tol=args.tol)
             census = roots.zero_census(rootset, eps=args.eps)
             results.append({
                 "component": component,
                 "k": k,
                 "eps": args.eps,
-                "seed": args.seed,
                 "inside_open_disk": census.inside_open_disk,
                 "on_circle_within_eps": census.on_circle_within_eps,
                 "outside": census.outside,
@@ -364,7 +362,7 @@ def cmd_mercer(args, out_dir: Path) -> int:
                 gate_failures += 1
             if index < args.falsify:
                 min_mod = gf2.circle_min_modulus(coeffs)
-                rootset = roots.find_roots(coeffs, seed=args.seed)
+                rootset = roots.find_roots(coeffs)
                 closest = float(np.min(np.abs(np.abs(rootset.roots) - 1.0)))
                 entry["falsifier_min_modulus"] = min_mod
                 entry["falsifier_closest_root_band"] = closest

@@ -41,8 +41,8 @@ class RootSet:
 
     residuals are Newton-step magnitudes |S(z)| / max(|S'(z)|, tiny),
     i.e. first-order distances from z to the true root (for an m-fold
-    zero, of S^(m-1)); roots whose residual exceeds the tolerance are
-    flagged rather than dropped.
+    zero, of S^(m-1)); roots whose residual is not within the tolerance
+    (a NaN residual included) are flagged rather than dropped.
     """
 
     roots: np.ndarray
@@ -50,7 +50,6 @@ class RootSet:
     flags: np.ndarray
     tolerance: float
     degree: int
-    seed: int
     iterations: int
     converged: bool
 
@@ -169,12 +168,29 @@ def _center_clusters(c, x, residuals, radius=1e-4):
             x[members], residuals[members] = z, abs(step)
 
 
-def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
-               seed: int = 0) -> RootSet:
+def _aberth_start(degree: int) -> np.ndarray:
+    """Start points x_j = (1 + 1/d) exp(2 pi i (sigma(j) + 1/4) / d).
+
+    Equispaced on a circle just outside the unit circle, where the roots
+    cluster, and turned a quarter spacing off conjugate symmetry so no
+    start point is real or paired with its conjugate.  sigma(j) = j m
+    mod d strides round the circle by m, the integer nearest d / phi
+    made coprime to d: index order then interleaves far-apart points,
+    which keeps np.poly's expansion of the roots in that order stable.
+    """
+    m = round(degree * 2 / (1 + math.sqrt(5)))
+    while math.gcd(m, degree) != 1:
+        m += 1
+    sigma = np.arange(degree) * m % degree
+    return (1.0 + 1.0 / degree) * np.exp(1j * math.tau * (sigma + 0.25)
+                                         / degree)
+
+
+def find_roots(poly, tol: float = 1e-10, max_iter: int = 200) -> RootSet:
     """All complex roots by Aberth-Ehrlich simultaneous refinement.
 
-    Starts from a circle of radius 1 + 1/degree with seeded random
-    phases (roots cluster near the unit circle), refines every root
+    Starts from the fixed circle of _aberth_start, so the result depends
+    on the coefficients, tol and max_iter alone; refines every root
     jointly with no deflation, and always verifies residuals of all
     roots.  A root whose capped step has |delta| / (1 + |z|) < tol is
     frozen, yet still repels the moving ones.  A multiple zero, which
@@ -197,8 +213,7 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
     blocks = _coefficient_blocks(c)
     blocks_rev = _coefficient_blocks(c[::-1])
 
-    rng = np.random.default_rng(seed)
-    x = (1.0 + 1.0 / degree) * np.exp(1j * math.tau * rng.random(degree))
+    x = _aberth_start(degree)
 
     # Aberth steps can overshoot badly from a bad configuration; a cap
     # on the move length keeps iterates near the root annulus.
@@ -233,10 +248,9 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200,
 
     residuals = np.abs(_newton_ratio(blocks, blocks_rev, degree, x))
     _center_clusters(c, x, residuals)
-    flags = residuals > tol
+    flags = ~(residuals <= tol)  # a NaN residual is flagged too
     return RootSet(roots=x, residuals=residuals, flags=flags, tolerance=tol,
-                   degree=degree, seed=seed, iterations=iterations,
-                   converged=converged)
+                   degree=degree, iterations=iterations, converged=converged)
 
 
 def jensen_mahler(rootset: RootSet) -> float:

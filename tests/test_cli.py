@@ -283,7 +283,10 @@ class TestSubcommands:
         assert main(["census", "--k", "5", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "census_k05.json").read_text())
         assert len(payload["results"]) == 2
+        # the root finder takes no seed: only the header records --seed
+        assert payload["config"]["seed"] == 0
         for entry in payload["results"]:
+            assert "seed" not in entry
             total = entry["inside_open_disk"] + \
                 entry["on_circle_within_eps"] + entry["outside"]
             assert total == 31

@@ -147,7 +147,7 @@ def horner_newton_ratio(c, x):
     return ratio
 
 
-def unfrozen_find_roots(c, tol=1e-10, max_iter=200, seed=0):
+def unfrozen_find_roots(c, tol=1e-10, max_iter=200):
     """Reference: Aberth sweeps that update every root until all converge.
 
     Same start and step cap as find_roots, but no root is ever frozen:
@@ -157,8 +157,7 @@ def unfrozen_find_roots(c, tol=1e-10, max_iter=200, seed=0):
     """
     c = np.asarray(c, dtype=np.float64)
     degree = len(c) - 1
-    rng = np.random.default_rng(seed)
-    x = (1.0 + 1.0 / degree) * np.exp(1j * math.tau * rng.random(degree))
+    x = roots_mod._aberth_start(degree)
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
@@ -222,8 +221,8 @@ class TestFindRoots:
 
     def test_deterministic_given_seed(self):
         poly = generate_pair(6).p
-        first = find_roots(poly, seed=11)
-        second = find_roots(poly, seed=11)
+        first = find_roots(poly)
+        second = find_roots(poly)
         assert np.array_equal(first.roots, second.roots)
 
     @settings(max_examples=20)
@@ -275,9 +274,9 @@ class TestFindRoots:
         assert np.max(np.abs(reconstructed - np.asarray(coeffs, float))) \
             <= 1e-6 * len(coeffs)
 
-    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("k", [6, 8, 10, 12])
     def test_reconstruction_pair(self, k):
-        # expanding c * prod(z - z_j) recovers the coefficients (deg <= 256)
+        # expanding c * prod(z - z_j) recovers the coefficients (deg <= 4096)
         pair = generate_pair(k)
         rootset = find_roots(pair.p)
         reconstructed = float(pair.p.coeffs[-1]) * np.poly(rootset.roots)[::-1]
@@ -368,6 +367,27 @@ class TestAberthSweep:
         assert rootset.flags.all()
         assert rootset.iterations == 15
         assert not rootset.converged
+
+    def test_nan_residual_is_flagged(self, monkeypatch):
+        # a NaN final Newton step fails `residual <= tol`, so it is flagged
+        poly = generate_pair(4).p
+        sweeps = find_roots(poly).iterations
+        newton_ratio, calls = roots_mod._newton_ratio, []
+
+        def last_step_nan(*args):
+            ratio = newton_ratio(*args)
+            calls.append(len(ratio))
+            if len(calls) > sweeps:  # the residual pass after the sweeps
+                ratio[0] = np.nan
+            return ratio
+
+        monkeypatch.setattr(roots_mod, "_newton_ratio", last_step_nan)
+        rootset = find_roots(poly)
+        assert len(calls) == sweeps + 1 and calls[-1] == rootset.degree
+        assert rootset.converged and np.isnan(rootset.residuals[0])
+        assert rootset.flags[0] and not rootset.flags[1:].any()
+        with pytest.raises(ValueError, match="residual"):
+            jensen_mahler(rootset)
 
 
 class TestJensenMahler:
@@ -679,4 +699,11 @@ class TestOrbitCount:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_q_counted_on_its_own_coefficients(self, k):
         coeffs = tuple(generate_pair(k).q.coeffs.tolist())
+        assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_p_counted_on_its_own_coefficients(self, k):
+        # P_k's own vector is not its orbit's canonical image, so the
+        # cached count never runs the chain on it
+        coeffs = tuple(generate_pair(k).p.coeffs.tolist())
         assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
