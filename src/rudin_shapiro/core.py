@@ -72,7 +72,7 @@ def integer_coefficients(poly, caller: str) -> list[int]:
     raw = list(poly.coeffs if isinstance(poly, LittlewoodPolynomial)
                else poly)
     try:
-        coeffs = [int(c) for c in raw]
+        coeffs = list(map(int, raw))
     except (OverflowError, TypeError, ValueError):  # inf, complex, nan
         coeffs = None
     if coeffs != raw:

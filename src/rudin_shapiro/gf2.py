@@ -12,7 +12,9 @@ all-odd coefficients the two reductions interleave perfectly and an
 explicit combination of them equals 1 over GF(2), so their GCD is 1
 and no circle zero can exist.  Computing that GCD is therefore an
 exact certificate, and this module computes it with bit-packed
-carry-less arithmetic.
+carry-less arithmetic.  For all-odd coefficients the two parts are
+fixed interleaved masks that depend on the degree alone, so Euclid runs
+once per distinct degree and the certificate of that degree is reused.
 
 Inapplicable inputs (odd degree, broken symmetry, an even coefficient)
 are never errors; coefficients that are not exact integers are: every
@@ -21,6 +23,8 @@ entry point raises ValueError for them (core.integer_coefficients).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +89,13 @@ def gf2_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
     """Euclidean GCD on the bit vectors; monic by construction over GF(2)."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    x, y = a.bits, b.bits
+    return GF2Poly(_gcd_bits(a.bits, b.bits))
+
+
+def _gcd_bits(x: int, y: int) -> int:
     while y:
         x, y = y, _divmod_bits(x, y)[1]
-    return GF2Poly(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -119,12 +126,17 @@ def _skew_check(a: list[int]) -> SkewCheck:
     if len(a) % 2 == 0:
         return SkewCheck(False, None, "odd degree")
     m = (len(a) - 1) // 2
-    for j in range(1, m + 1):
+    # a[m - j] and a[m + j] for j = 1..m; at m = 0, a[-1::-1] is all of a
+    lower, upper = (a[m - 1::-1] if m else []), a[m + 1:]
+    if (lower[1::2] == upper[1::2]
+            and lower[::2] == list(map(operator.neg, upper[::2]))):
+        return SkewCheck(True, m)
+    for j in range(1, m + 1):  # name the first failing j
         mirror = -a[m + j] if j % 2 else a[m + j]
         if a[m - j] != mirror:
             return SkewCheck(False, m, f"a[{m - j}] = {a[m - j]} but "
                                        f"(-1)^{j} a[{m + j}] = {mirror}")
-    return SkewCheck(True, m)
+    raise AssertionError("slice and loop skew checks disagree")
 
 
 def real_imag_parts_gf2(coeffs) -> tuple[GF2Poly, GF2Poly]:
@@ -141,15 +153,16 @@ def real_imag_parts_gf2(coeffs) -> tuple[GF2Poly, GF2Poly]:
     check = _skew_check(a)
     if not check.is_skew_reciprocal:
         raise ValueError(f"input is not skew-reciprocal: {check.reason}")
-    return _parity_parts(a, check.m)
-
-
-def _parity_parts(a: list[int], m: int) -> tuple[GF2Poly, GF2Poly]:
-    """real_imag_parts_gf2 for checked ints a of a skew-reciprocal input."""
     odd = int("".join("1" if c & 1 else "0" for c in reversed(a)), 2)
-    # (4^len - 1) / 3 = 0b0101...01, shifted to the j with j - m even
-    real = odd & (((1 << 2 * len(a)) - 1) // 3 << (m % 2))
-    return GF2Poly(real), GF2Poly(odd ^ real)
+    real, imag = _split_bits(odd, len(a), check.m)
+    return GF2Poly(real), GF2Poly(imag)
+
+
+def _split_bits(odd: int, length: int, m: int) -> tuple[int, int]:
+    """The bits j < length of odd with j - m even, and those with j - m odd."""
+    # (4^length - 1) / 3 = 0b0101...01, shifted to the j with j - m even
+    real = odd & (((1 << 2 * length) - 1) // 3 << (m % 2))
+    return real, odd ^ real
 
 
 @dataclass(frozen=True)
@@ -195,25 +208,42 @@ def mercer_certificate(coeffs) -> MercerCertificate:
     a = integer_coefficients(coeffs, "mercer_certificate")
     degree = len(a) - 1
     check = _skew_check(a)
-    all_odd = all(c % 2 != 0 for c in a) if a else False
+    # parity of each distinct value: Littlewood inputs have two
+    all_odd = all(map((1).__and__, set(a))) if a else False
     if not check.is_skew_reciprocal:
         return MercerCertificate(
             input_degree=degree, is_skew_reciprocal=False, m=check.m,
             parity_case="", all_odd_coefficients=all_odd, gcd=None,
             certified_zero_free_on_circle=False, reason=check.reason)
-    parity = "even-m" if check.m % 2 == 0 else "odd-m"
     if not all_odd:
         return MercerCertificate(
             input_degree=degree, is_skew_reciprocal=True, m=check.m,
-            parity_case=parity, all_odd_coefficients=False, gcd=None,
-            certified_zero_free_on_circle=False,
+            parity_case=_parity_case(check.m), all_odd_coefficients=False,
+            gcd=None, certified_zero_free_on_circle=False,
             reason="certificate requires all coefficients odd")
-    gcd = gf2_gcd(*_parity_parts(a, check.m))
+    return _all_odd_certificate(len(a))
+
+
+def _parity_case(m: int) -> str:
+    return "even-m" if m % 2 == 0 else "odd-m"
+
+
+@functools.lru_cache(maxsize=256)
+def _all_odd_certificate(length: int) -> MercerCertificate:
+    """The certificate of every all-odd skew-reciprocal input of a length.
+
+    All coefficients odd make the parity vector 2^length - 1, and
+    m = (length - 1) / 2 fixes m mod 2, so the two parts, their GCD and
+    every field of the certificate depend on the length alone.  Euclid
+    runs once per length; the certificate is frozen, so callers share it.
+    """
+    m = (length - 1) // 2
+    gcd = GF2Poly(_gcd_bits(*_split_bits((1 << length) - 1, length, m)))
     certified = gcd == GF2_ONE
     reason = "" if certified else "nontrivial common factor over GF(2)"
     return MercerCertificate(
-        input_degree=degree, is_skew_reciprocal=True, m=check.m,
-        parity_case=parity, all_odd_coefficients=True, gcd=gcd,
+        input_degree=length - 1, is_skew_reciprocal=True, m=m,
+        parity_case=_parity_case(m), all_odd_coefficients=True, gcd=gcd,
         certified_zero_free_on_circle=certified, reason=reason)
 
 

@@ -271,9 +271,18 @@ def jensen_mahler(rootset: RootSet) -> float:
 
 
 def zero_census(rootset: RootSet, eps: float = 1e-4) -> ZeroCensus:
-    """Classify roots by |z| against a band of width eps around the circle."""
+    """Classify roots by |z| against a band of width eps around the circle.
+
+    Refuses root sets with a non-finite root: a NaN fails every band
+    test, so it would be counted outside the circle, and as real when
+    its imaginary part is 0.
+    """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    bad = int(np.count_nonzero(~np.isfinite(rootset.roots)))
+    if bad:
+        raise ValueError(f"{bad} root(s) are not finite; refusing to count "
+                         "them into the census bands")
     moduli = np.abs(rootset.roots)
     on_circle = np.abs(moduli - 1.0) <= eps
     inside = moduli < 1.0 - eps

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rudin_shapiro import roots
 from rudin_shapiro.cli import (COMMANDS, build_parser, main, parse_angle,
                                parse_arc, parse_k_range, parse_q_list)
 from rudin_shapiro.evaluate import read_grid_dump
@@ -318,6 +320,25 @@ class TestSubcommands:
             payload = json.loads((tmp_path / "census_k03.json").read_text())
             assert [entry["flagged_roots"] for entry in payload["results"]] \
                 == [6, 6]
+
+    def test_non_finite_root_exits_2(self, tmp_path, capsys, monkeypatch):
+        # find_roots flags a NaN root; the census refuses to count it
+        find_roots = roots.find_roots
+
+        def nan_first_root(poly, tol):
+            rootset = find_roots(poly, tol=tol)
+            values = rootset.roots.copy()
+            values[0] = complex(math.nan, 0)
+            flags = rootset.flags.copy()
+            flags[0] = True
+            return dataclasses.replace(rootset, roots=values, flags=flags)
+
+        monkeypatch.setattr(roots, "find_roots", nan_first_root)
+        assert main(["census", "--k", "3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid configuration: 1 root(s) are not finite; "
+                       "refusing to count them into the census bands"]
+        assert not (tmp_path / "census_k03.json").exists()
 
     def test_verify_gated_pass(self, tmp_path, capsys):
         assert main(["verify", "lattice_pair", "--k", "1..6",

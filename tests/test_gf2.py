@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rudin_shapiro.core import generate_pair
+from rudin_shapiro import gf2
+from rudin_shapiro.core import LittlewoodPolynomial, generate_pair
 from rudin_shapiro.evaluate import circle_grid, eval_horner
-from rudin_shapiro.gf2 import (GF2_ONE, GF2Poly, circle_min_modulus,
-                               gf2_divmod, gf2_gcd, is_skew_reciprocal,
+from rudin_shapiro.gf2 import (GF2_ONE, GF2Poly, MercerCertificate,
+                               SkewCheck, circle_min_modulus, gf2_divmod,
+                               gf2_gcd, is_skew_reciprocal,
                                mercer_certificate, random_skew_reciprocal,
                                real_imag_parts_gf2)
 from rudin_shapiro.roots import find_roots, real_zero_count_exact
@@ -21,10 +23,114 @@ def gf2_from_exponents(*exponents) -> GF2Poly:
     return GF2Poly(bits)
 
 
+def skew_from_upper(upper: list[int]) -> list[int]:
+    """a_m..a_2m given; a_{m-j} = (-1)^j a_{m+j} fixes the rest."""
+    return [(-1) ** j * upper[j] for j in range(len(upper) - 1, 0, -1)] + upper
+
+
 skew_littlewood = st.integers(min_value=1, max_value=24).flatmap(
     lambda m: st.lists(st.sampled_from([-1, 1]), min_size=m + 1,
-                       max_size=m + 1).map(
-        lambda upper: [(-1) ** j * upper[j] for j in range(m, 0, -1)] + upper))
+                       max_size=m + 1).map(skew_from_upper))
+
+
+# Reference copy of the certificate as it stood before the per-degree
+# table and the slice checks: the per-input coefficient loop, the parity
+# vector built from a string, and Euclid on the two parts of every input.
+def reference_integer_coefficients(poly, caller):
+    raw = list(poly.coeffs if isinstance(poly, LittlewoodPolynomial)
+               else poly)
+    try:
+        coeffs = [int(c) for c in raw]
+    except (OverflowError, TypeError, ValueError):
+        coeffs = None
+    if coeffs != raw:
+        raise ValueError(f"{caller} needs integer coefficients")
+    return coeffs
+
+
+def reference_skew_check(a):
+    if not a:
+        return SkewCheck(False, None, "empty coefficient sequence")
+    if a[-1] == 0:
+        return SkewCheck(False, None, "zero leading coefficient")
+    if len(a) % 2 == 0:
+        return SkewCheck(False, None, "odd degree")
+    m = (len(a) - 1) // 2
+    for j in range(1, m + 1):
+        mirror = -a[m + j] if j % 2 else a[m + j]
+        if a[m - j] != mirror:
+            return SkewCheck(False, m, f"a[{m - j}] = {a[m - j]} but "
+                                       f"(-1)^{j} a[{m + j}] = {mirror}")
+    return SkewCheck(True, m)
+
+
+def reference_parity_parts(a, m):
+    odd = int("".join("1" if c & 1 else "0" for c in reversed(a)), 2)
+    real = odd & (((1 << 2 * len(a)) - 1) // 3 << (m % 2))
+    return GF2Poly(real), GF2Poly(odd ^ real)
+
+
+def reference_mercer_certificate(coeffs):
+    a = reference_integer_coefficients(coeffs, "mercer_certificate")
+    degree = len(a) - 1
+    check = reference_skew_check(a)
+    all_odd = all(c % 2 != 0 for c in a) if a else False
+    if not check.is_skew_reciprocal:
+        return MercerCertificate(
+            input_degree=degree, is_skew_reciprocal=False, m=check.m,
+            parity_case="", all_odd_coefficients=all_odd, gcd=None,
+            certified_zero_free_on_circle=False, reason=check.reason)
+    parity = "even-m" if check.m % 2 == 0 else "odd-m"
+    if not all_odd:
+        return MercerCertificate(
+            input_degree=degree, is_skew_reciprocal=True, m=check.m,
+            parity_case=parity, all_odd_coefficients=False, gcd=None,
+            certified_zero_free_on_circle=False,
+            reason="certificate requires all coefficients odd")
+    gcd = gf2_gcd(*reference_parity_parts(a, check.m))
+    certified = gcd == GF2_ONE
+    reason = "" if certified else "nontrivial common factor over GF(2)"
+    return MercerCertificate(
+        input_degree=degree, is_skew_reciprocal=True, m=check.m,
+        parity_case=parity, all_odd_coefficients=True, gcd=gcd,
+        certified_zero_free_on_circle=certified, reason=reason)
+
+
+small_ints = st.integers(min_value=-5, max_value=5)
+odd_ints = st.sampled_from([-5, -3, -1, 1, 3, 5])
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Lists of length 0..41: free, skew-symmetric, or skew with one change.
+
+    Entries are small integers, all odd or mixed with even ones; a few
+    inputs carry an integral float or a value that is not an integer.
+    """
+    entries = draw(st.sampled_from([odd_ints, small_ints]))
+    shape = draw(st.sampled_from(["free", "skew", "skew_broken"]))
+    if shape == "free":
+        coeffs = draw(st.lists(entries, max_size=41))
+    else:
+        m = draw(st.integers(min_value=0, max_value=20))
+        coeffs = skew_from_upper(draw(st.lists(entries, min_size=m + 1,
+                                               max_size=m + 1)))
+        if shape == "skew_broken":
+            at = draw(st.integers(min_value=0, max_value=2 * m))
+            coeffs[at] = draw(small_ints)
+    if coeffs and draw(st.integers(min_value=0, max_value=9)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+        coeffs[at] = draw(st.sampled_from(
+            [float(coeffs[at]), 1.5, math.nan, math.inf, 1 + 0j]))
+    return coeffs
+
+
+def outcome(certify, coeffs):
+    try:
+        cert = certify(coeffs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return cert, cert.to_json_dict(), repr(cert)
 
 
 class TestGF2Poly:
@@ -93,6 +199,20 @@ class TestSkewReciprocal:
         check = is_skew_reciprocal([1, 1, 1])
         assert not check.is_skew_reciprocal
         assert "a[0]" in check.reason
+
+    def test_broken_symmetry_names_first_failing_j(self):
+        # m = 5; a[m - 2] and a[m - 4] both break the symmetry
+        coeffs = skew_from_upper([1, -1, 1, 1, -1, 1])
+        coeffs[3] = -coeffs[3]
+        coeffs[1] = -coeffs[1]
+        check = is_skew_reciprocal(coeffs)
+        assert check == SkewCheck(False, 5, "a[3] = -1 but (-1)^2 a[7] = 1")
+        assert mercer_certificate(coeffs).reason == check.reason
+
+    @pytest.mark.parametrize("coeffs", [[1], [-3], [2]])
+    def test_constant_is_skew_reciprocal(self, coeffs):
+        # m = 0: no pair a[m - j], a[m + j] to compare
+        assert is_skew_reciprocal(coeffs) == SkewCheck(True, 0)
 
     def test_zero_leading_coefficient(self):
         assert not is_skew_reciprocal([1, 1, 0]).is_skew_reciprocal
@@ -169,6 +289,27 @@ class TestMercerCertificate:
         cert = mercer_certificate(coeffs)
         assert cert.certified_zero_free_on_circle
         assert cert.gcd == GF2_ONE
+
+    def test_gcd_table_matches_uncached_euclid(self):
+        # every even degree 0..256: the GCD the certificate reports, from
+        # the per-length table, against Euclid on this input's own parts
+        # (odd coefficients in -5..5, so not only Littlewood inputs)
+        gf2._all_odd_certificate.cache_clear()
+        rng = np.random.default_rng(27)
+        for m in range(129):
+            upper = (2 * rng.integers(-3, 3, size=m + 1) + 1).tolist()
+            coeffs = skew_from_upper(upper)
+            expected = gf2_gcd(*real_imag_parts_gf2(coeffs))
+            for _ in range(2):  # a table miss, then a hit
+                cert = mercer_certificate(coeffs)
+                assert cert.gcd == expected
+                assert cert.certified_zero_free_on_circle
+
+    @settings(max_examples=400)
+    @given(certificate_inputs())
+    def test_matches_reference_certificate(self, coeffs):
+        assert outcome(mercer_certificate, coeffs) == \
+            outcome(reference_mercer_certificate, coeffs)
 
     def test_seeded_generator_reproducible(self):
         a = random_skew_reciprocal(9, np.random.default_rng(5))

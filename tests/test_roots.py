@@ -448,6 +448,15 @@ class TestZeroCensus:
         with pytest.raises(ValueError):
             zero_census(rootset, eps=0.0)
 
+    def test_non_finite_root_refused(self):
+        # a NaN fails every band test: counted, it read on_circle 1,
+        # outside 1 and real 1 for two roots
+        rootset = find_roots([1, 1, 1])
+        broken = dataclasses.replace(
+            rootset, roots=np.array([rootset.roots[0], complex(math.nan, 0)]))
+        with pytest.raises(ValueError, match=r"^1 root\(s\) are not finite"):
+            zero_census(broken)
+
 
 class TestExactRealZeroCount:
     def test_constant_has_none(self):
