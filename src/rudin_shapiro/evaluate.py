@@ -1,33 +1,35 @@
 """Circle evaluation of Rudin-Shapiro pairs: FFT, recursion, oracle.
 
 iter_arc_values is the one dispatcher of pair grids: every grid of P_k
-or Q_k (eval_grid, the norm estimates, the value distribution, the
-certified subarc grids) gets its backend there, and every grid count,
-on every backend, is checked by _grid_count (an integer >= 1, else
-ValueError) before anything is allocated or transformed:
+or Q_k (eval_grid, the norm estimates, the certified subarc grids) gets
+its backend there, and every grid count, on every backend, is checked by
+_grid_count (an integer >= 1, else ValueError) before anything is
+allocated or transformed:
 
-- the exact full circle [0, 2 pi): inverse FFTs of the twiddled
-  coefficients, one per interleaved sub-grid of min(count, MIN_FFT) to
-  GRID_MAX_COUNT points (iter_circle_values), on exact roots of unity,
-  free of angle rounding (half-offset grids mirror half of them);
+- the exact full circle [0, 2 pi): in-place inverse FFTs of the folded,
+  twiddled coefficients, one per interleaved sub-grid of min(count,
+  MIN_FFT) to GRID_MAX_COUNT points (iter_circle_values), on exact roots
+  of unity, free of angle rounding (half-offset grids mirror half of them);
 - subarcs: the doubling recursion (_recursion_block) in DEFAULT_CHUNK
   blocks, on the point set of a chirp z-transform, z_j = e^{i alpha}
-  w^(2j + s) with w = e^{ig}; the powers z_j come from one outer product
-  of two short exact-phase vectors, and each level squares them once,
-  unnormalized: O(k) complex operations a point instead of the O(2^k)
-  of Horner's rule, with rounding error growing with k rather than with
-  the degree (arc_value_error);
+  w^(2j + s) with w = e^{ig}; the powers z_j, like the full circle's
+  twiddles, come from one outer product of two short exact-phase vectors
+  (_exact_phases), and each level squares them once, unnormalized: O(k)
+  complex operations a point instead of the O(2^k) of Horner's rule, with
+  rounding error growing with k rather than with the degree (arc_value_error);
 - single points: the same recursion with the squarings in double-double
   (eval_pair_point).
 
 Consumers of |S| alone read |S|^2 as a real series instead: on the
 full circle iter_circle_squares takes one irfft per sub-grid of the exact
-autocorrelation (autocorrelation), within an a priori bound given there.
+autocorrelation (autocorrelation), its half-length spectrum formed from
+the fold, within an a priori bound given there.
 iter_arc_squares dispatches it, squaring complex blocks on subarcs, and
 forms every |S|^2 of the norms, the flatness defect, the modulus minimum
 and the certified subarcs; Bernstein's check reads iter_circle_squares
 for its slope.  The complex stream serves what needs S itself: the value
-distribution, the residuals, eval_grid and GF(2) falsifiers.
+distribution and the residuals (without mirror twins: _circle_halves),
+eval_grid and GF(2) falsifiers.
 
 Subarcs have no FFT backend: on the same points the recursion took 0.02
 to 0.93 of the time of a streamed Bluestein chirp-z transform at every
@@ -280,37 +282,38 @@ def _circle_stride(size: int, count: int) -> int:
     return stride
 
 
-def _circle_inputs(coeffs, count: int, half_offset: bool = True):
-    """Yield (r, stride, f): sub-grid r of iter_circle_values is ifft(f).
+def _circle_folds(coeffs, count: int, half_offset: bool = True):
+    """Yield (r, stride, F): a folded modulo L = count / stride for sub-grid r.
 
-    f is a, folded modulo L = count / stride, times the sub-grid's
-    twiddles; mirrored sub-grids (r >= stride / 2 on the half-offset grid)
-    are left to the caller.
+    Horner in z^L over the rows, per sub-grid only past the cap: F is real
+    and formed once at stride 1 (z^L is exactly -1 or 1) or in one row.
+    Mirrored sub-grids (r >= stride / 2, half-offset grid) are the caller's.
     """
     a = np.asarray(coeffs)
     if np.iscomplexobj(a):
         raise ValueError("circle grids need real coefficients")
     stride = _circle_stride(a.size, count)
     length = count // stride
-    offset, sign = (0.5, -1.0) if half_offset else (0.0, 1.0)
-    rows = np.pad(a, (0, -a.size % length)).reshape(-1, length)
-    complex_fold = stride > 1 and len(rows) > 1  # only past the cap
-    if not complex_fold:
-        folded = rows[0::2].sum(axis=0, dtype=np.float64) + \
-            sign * rows[1::2].sum(axis=0, dtype=np.float64)  # exact sums
-    # one exp, squared into the step; the twiddles drift < 1.2e-14 in 64 grids
-    half = np.exp(1j * np.pi / count * np.arange(length))
-    step = half * half
-    twiddle = half if half_offset else np.ones(length, dtype=np.complex128)
+    complex_fold = stride > 1 and a.size > length  # only past the cap
     for r in range(stride // 2 if half_offset and stride > 1 else stride):
-        if complex_fold:
-            turn = np.exp(2j * np.pi * (r + offset) / stride)
-            folded = np.zeros(length, dtype=np.complex128)
-            for row in rows[::-1]:  # Horner in z^L over the rows
-                folded *= turn
-                folded += row
-        yield r, stride, folded * twiddle
-        twiddle *= step
+        if r == 0 or complex_fold:
+            turn = np.exp(2j * np.pi * (r + 0.5 * half_offset) / stride) \
+                if complex_fold else (-1.0 if half_offset else 1.0)
+            folded = np.zeros(length, complex if complex_fold else float)
+            for lo in reversed(range(0, a.size, length)):
+                folded *= turn  # exact sums at stride 1
+                folded[:a.size - lo] += a[lo:lo + length]
+        yield r, stride, folded
+
+
+def _circle_halves(coeffs, count: int, half_offset: bool = True):
+    """iter_circle_values without the mirror twins: each an in-place ifft."""
+    for r, stride, folded in _circle_folds(coeffs, count, half_offset):
+        f = _exact_phases(math.pi / count, 2 * r + half_offset, 0, 0,
+                          folded.size, folded.size)
+        f *= folded
+        yield r, stride, np.fft.ifft(f, norm="forward", out=f)
+        del f  # a consumer that drops the block frees it
 
 
 def iter_circle_values(coeffs, count: int, half_offset: bool = True):
@@ -318,20 +321,20 @@ def iter_circle_values(coeffs, count: int, half_offset: bool = True):
 
     S(z) = sum_m a_m z^m with real a_m and z_j = exp(2 pi i (j + off) /
     count), with off = 1/2 on the half-offset grid and 0 on the lattice.
-    Each sub-grid j = r + stride * t is one inverse FFT of length count /
-    stride of a_m exp(2 pi i m (r + off) / count).  The stride is the
-    largest power of two up to 64 that keeps the sub-grid at least
-    max(a.size, MIN_FFT) long, raised to the smallest power of two that
-    brings it to at most GRID_MAX_COUNT points; a count past the cap must be
-    a multiple of that stride.  On a sub-grid shorter than a.size, a folds
-    modulo its length L with the sub-grid's constant z^L = exp(2 pi i (r +
-    off) / stride), which is exactly -1 or 1 when stride = 1.  On the
+    Each sub-grid j = r + stride * t is one inverse FFT of length L = count /
+    stride of a_m omega_r^m, omega_r = exp(2 pi i (r + off) / count), the
+    twiddles taken from the exact indices (2r + 2 off) m (_exact_phases).
+    The stride is the largest power of two up to 64 that keeps the sub-grid
+    at least max(a.size, MIN_FFT) long, raised to the smallest power of two
+    that brings it to at most GRID_MAX_COUNT points; a count past the cap
+    must be a multiple of that stride.  On a sub-grid shorter than a.size, a
+    folds modulo L with the sub-grid's constant z^L = exp(2 pi i (r + off) /
+    stride), which is exactly -1 or 1 when stride = 1.  On the
     half-offset grid conj z_j = z_{count-1-j}, so sub-grid stride - 1 - r is
     conj(values[::-1]) of sub-grid r < stride / 2, formed before and yielded
     after it: the consumer may change the original in place.
     """
-    for r, stride, f in _circle_inputs(coeffs, count, half_offset):
-        values = np.fft.ifft(f, norm="forward")
+    for r, stride, values in _circle_halves(coeffs, count, half_offset):
         mirror = half_offset and stride > 1
         twin = np.conj(values[::-1]) if mirror else None
         yield r, stride, values
@@ -356,44 +359,58 @@ def autocorrelation(coeffs) -> np.ndarray:
     return exact
 
 
-def _even_spectrum(f: np.ndarray) -> np.ndarray:
-    """f_m + conj(f_-m) over f's head, m <= L / 2: irfft of it is 2 Re ifft(f)."""
-    head = f[:f.size // 2 + 1]
-    head[0] += np.conj(head[0])
-    head[1:] += np.conj(f[:-head.size:-1])
-    return head
+def _half_spectrum(fold, omega, kappa: complex, sign: int) -> np.ndarray:
+    """omega_m (F_m + sign kappa conj F_{L-m}), or F_0 + sign conj F_0 at 0."""
+    h = np.empty(omega.size, dtype=np.complex128)
+    np.conjugate(fold[:-h.size:-1], out=h[1:])
+    h[1:] *= sign * kappa
+    h[0] = sign * np.conj(fold[0])
+    h += fold[:h.size]
+    h *= omega
+    return h
 
 
 def iter_circle_squares(c, count: int, *, slope: bool = False):
     """Yield (r, stride, R), R[t] = |S(z_{r + stride t})|^2, half-offset grid.
 
     c = autocorrelation(coefficients of S).  R(t) = sum over |l| < n of
-    c_|l| e^{ilt} is real: with f = _circle_inputs(c) (the grid, stride
-    rule and fold of iter_circle_values), one irfft of length L = count /
-    stride of f_m + conj(f_-m) - c_0 [m = 0] gives R, at half the cost of a
-    complex transform.  R is even, so sub-grid stride - 1 - r is R[::-1], a
-    read-only view yielded right after sub-grid r < stride / 2.  With
-    slope, R' = dR/dt (coefficients i l c_l, one more fold and irfft) ends
-    each tuple; the twin's is -R'[::-1].
+    c_|l| e^{ilt} is real: with the grid, stride rule, fold F and twiddles
+    omega_r^m of iter_circle_values, taken to m = L / 2 only, one irfft of
+    length L = count / stride of h_m = omega_r^m (F_m + kappa_r conj
+    F_{L-m}), kappa_r = exp(-i pi (2r + 1) / stride) = conj(omega_r^L), and
+    h_0 = 2 Re F_0 - c_0 gives R.  R is even, so sub-grid stride - 1 - r is
+    R[::-1], a read-only view yielded right after sub-grid r < stride / 2.
+    With slope, R' = dR/dt ends each tuple, from the fold G of l c_l and h'_m
+    = i omega_r^m (G_m - kappa_r conj G_{L-m}); the twin's is -R'[::-1].
 
     Error: with rho = ceil(n / L) folded rows and u = 2^-53, every value
     is within eps = 2^-48 sqrt(n + L) ||c||_2 (log2 L + stride + 2 rho + 3)
     of the exact R (of R' with l c_l for c_l).  The twiddles and the fold
-    are good to 16 (stride + 2 rho + 2) u relative, the irfft adds 7u
-    log2 L in the 2-norm (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Thm 24.2), the spectrum has 2-norm <= 3 sqrt(rho)
-    ||c||_2, and a length-L inverse DFT scales 2-norms by sqrt(L).  For +-1
-    coefficients with |S| <= sqrt(2n) the same argument puts |S|^2 from
-    iter_circle_values within 3 eps of R, and 2 Re(conj(S) i z S') (z S'
-    from m a_m) within 3 n eps of R'.
+    are good to 16 (stride + 2 rho + 2) u relative (the stride term is slack:
+    the twiddles are good to 50u), the irfft adds 7u log2 L in the 2-norm
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm
+    24.2), the spectrum has 2-norm <= 3 sqrt(rho) ||c||_2, and a length-L
+    inverse DFT scales 2-norms by sqrt(L).  For +-1 coefficients with
+    |S| <= sqrt(2n) the same argument puts |S|^2 from iter_circle_values
+    within 3 eps of R, and 2 Re(conj(S) i z S') (z S' from m a_m) within
+    3 n eps of R'.
     """
-    streams = [_circle_inputs(c, count)]
+    streams = [_circle_folds(c, count)]
     if slope:
-        streams.append(_circle_inputs(np.arange(c.size) * c, count))
-    for (r, stride, f), *slopes in zip(*streams):
-        f[0] -= c[0] / 2  # the spectrum's 2 Re f_0 then takes c_0 once
-        blocks = [np.fft.irfft(_even_spectrum(h), h.size, norm="forward")
-                  for h in [f] + [1j * g for _, _, g in slopes]]
+        streams.append(_circle_folds(np.arange(c.size) * c, count))
+    for (r, stride, fold), *slopes in zip(*streams):
+        length = count // stride
+        omega = _exact_phases(math.pi / count, 2 * r + 1, 0, 0,
+                              length // 2 + 1, length)
+        kappa = cmath.exp(-1j * math.pi * (2 * r + 1) / stride)
+        h = _half_spectrum(fold, omega, kappa, 1)
+        h[0] -= c[0]
+        blocks = [np.fft.irfft(h, length, norm="forward")]
+        for _, _, g in slopes:
+            h = _half_spectrum(g, omega, kappa, -1)
+            h *= 1j
+            blocks.append(np.fft.irfft(h, length, norm="forward"))
+        del h, omega
         blocks[0].flags.writeable = False  # its twin is a view
         yield r, stride, *blocks
         if stride > 1:
@@ -423,25 +440,38 @@ def _unit_phase(ints: np.ndarray, g: float) -> np.ndarray:
     return np.exp(1j * ((((p - hi) - lo) + e) - turns * _TAU_LO))
 
 
+def _exact_phases(g: float, scale: int, shift, lo: int, hi: int, size: int,
+                  lead: complex = 1.0) -> np.ndarray:
+    """lead exp(i (scale j + shift) g), lo <= j < hi, for integer scale, shift.
+
+    j = aB + b, B = min(ceil(sqrt(size)), 2^12): one _unit_phase call for the
+    short factors of the exact indices scale a B and scale b + shift, then
+    one outer product; each value depends on j alone, not on lo and hi.
+    """
+    row = min(math.isqrt(size - 1) + 1, 1 << 12)
+    a0, a1 = lo // row, (hi - 1) // row + 1
+    phases = _unit_phase(np.concatenate([
+        scale * row * np.arange(a0, a1, dtype=np.float64),
+        scale * np.arange(row, dtype=np.float64) + shift]), g)
+    w = np.empty((a1 - a0, row), dtype=np.complex128)
+    w[:] = lead * phases[:a1 - a0, None]
+    w *= phases[a1 - a0:]  # np.outer's bits, without its temporary
+    return w.ravel()[lo - a0 * row:hi - a0 * row]
+
+
 def _recursion_block(k: int, alpha: float, beta: float, count: int,
                      half_offset: bool, lo: int, hi: int):
     """(P_k, Q_k) at theta_j = alpha + (2j + s) g for lo <= j < hi.
 
     g = (beta - alpha) / (2 count), and s = 1 on the half-offset grid, 0
-    on the lattice.  z_j = e^{i alpha} e^{i 2aBg} e^{i(2b + s)g}
-    for j = aB + b, with B = min(ceil(sqrt(count)), 2^12) fixed by count:
-    one _unit_phase call for both short factors, then one outer product.
-    The first butterfly is (1 + z, 1 - z), and every later level squares
-    the power once, unnormalized.  Each value depends on j alone, so any
-    blocking tiles the grid bit for bit.
+    on the lattice.  z_j = e^{i alpha} e^{i(2j + s)g} comes from
+    _exact_phases on rows fixed by count.  The first butterfly is (1 + z,
+    1 - z), and every later level squares the power once, unnormalized.
+    Each value depends on j alone, so any blocking tiles the grid bit for
+    bit.
     """
-    g = (beta - alpha) / count / 2.0
-    row = min(math.isqrt(count - 1) + 1, 1 << 12)
-    a0, a1 = lo // row, (hi - 1) // row + 1
-    phases = _unit_phase(np.concatenate([2.0 * row * np.arange(a0, a1),
-                                         2.0 * np.arange(row) + half_offset]), g)
-    w = np.outer(cmath.exp(1j * alpha) * phases[:a1 - a0],
-                 phases[a1 - a0:]).ravel()[lo - a0 * row:hi - a0 * row]
+    w = _exact_phases((beta - alpha) / count / 2.0, 2, half_offset, lo, hi,
+                      count, cmath.exp(1j * alpha))
     p, q = (1.0 + w, 1.0 - w) if k else (np.ones_like(w), np.ones_like(w))
     for _ in range(1, k):
         w *= w

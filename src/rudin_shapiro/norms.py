@@ -151,8 +151,9 @@ def _block_sums(grid, qs, logs: bool = False) -> list:
                for q in qs]
         if logs:
             keep = sq >= UNDERFLOW_FLOOR
-            row += [0.5 * pairwise_sum(np.log(sq[keep])),
-                    sq.size - np.count_nonzero(keep)]
+            excluded = sq.size - np.count_nonzero(keep)
+            row += [0.5 * pairwise_sum(np.log(sq[keep] if excluded else sq)),
+                    excluded]
         rows.append(row)
     return [pairwise_sum(column) for column in zip(*rows)]
 

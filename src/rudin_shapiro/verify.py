@@ -134,14 +134,16 @@ def _pair(k: int, pair: RudinShapiroPair | None) -> RudinShapiroPair:
 def _lattice_squares(coeffs, theta: float = 0.0, index=slice(None)):
     """|S(z_j e^{i theta})|^2, z_j the n-th roots of unity, at j in index.
 
-    One inverse FFT of a_m e^{i m theta}, indexed before it is squared;
-    an n-point lattice past the grid cap is refused, as eval_grid
-    refuses that count.
+    One inverse FFT of a_m e^{i m theta} (evaluate._exact_phases, none at
+    theta = 0), indexed before it is squared; an n-point lattice past the
+    grid cap is refused, as eval_grid refuses that count.
     """
-    evaluate._capped_count(coeffs.size)
-    m = np.arange(coeffs.size)
-    return np.abs(np.fft.ifft(coeffs * np.exp(1j * theta * m),
-                              norm="forward")[index]) ** 2
+    n = evaluate._capped_count(coeffs.size)
+    if not theta:
+        return np.abs(np.fft.ifft(coeffs, norm="forward")[index]) ** 2
+    f = evaluate._exact_phases(theta, 1, 0, 0, n, n)
+    f *= coeffs
+    return np.abs(np.fft.ifft(f, norm="forward", out=f)[index]) ** 2
 
 
 def check_lattice_pair_bound(k: int, pair=None) -> InequalityReport:
@@ -414,18 +416,25 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
     hist = np.zeros(bins + 1, dtype=np.int64)  # the last holds u = 1
     hits = [0] * len(rectangles)
     scale = 1.0 / math.sqrt(2.0 * n)  # complex / real in numpy: same bits
-    for _, values in evaluate.iter_arc_values(pair, component, 0.0, math.tau,
-                                              count):
+    # no mirror twin conj(values[::-1]) is formed: it doubles the bincounts,
+    # and its hits are the original's in the rectangle (r0, r1, -i1, -i0)
+    for _, stride, values in evaluate._circle_halves(
+            evaluate.pair_component(pair, component).coeffs, count):
         # contiguous parts: the strided .real/.imag views cost twice as much
         re, im = values.real * scale, values.imag * scale
-        hits = [hit + np.count_nonzero((re >= r0) & (re <= r1)
-                                       & (im >= i0) & (im <= i1))
-                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
+        del values
+        for i, (r0, r1, i0, i1) in enumerate(rectangles):
+            inside = (re >= r0) & (re <= r1)
+            hits[i] += np.count_nonzero(inside & (im >= i0) & (im <= i1))
+            if stride > 1:
+                hits[i] += np.count_nonzero(inside & (im >= -i1) & (im <= -i0))
         u = np.minimum(re * re + im * im, 1.0)
         del re, im  # only u stays live into the bincounts and the next block
         fine += np.bincount((u * KOLMOGOROV_BINS).astype(np.intp),
                             minlength=KOLMOGOROV_BINS + 1)
         hist += np.bincount((u * bins).astype(np.intp), minlength=bins + 1)
+    if stride > 1:  # one stride for the whole pass
+        fine, hist = 2 * fine, 2 * hist
     hist[bins - 1] += hist[bins]
     # on [i/B, (i+1)/B) the empirical CDF lies in [C_i, C_{i+1}], with
     # C_i = #{u < i/B} / count: the upper end of the Kolmogorov bracket

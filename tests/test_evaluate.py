@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
 from rudin_shapiro.norms import (Arc, FULL_CIRCLE, flatness_defect_mahler,
                                  mq_arc, mq_arcs)
 from rudin_shapiro.reductions import pairwise_sum
-from rudin_shapiro.verify import (bernstein_ratio, min_modulus_excluding_poles,
+from rudin_shapiro.verify import (DEFAULT_RECTANGLES, KOLMOGOROV_BINS,
+                                  bernstein_ratio, min_modulus_excluding_poles,
                                   value_distribution)
 
 TAU = math.tau
@@ -798,6 +800,108 @@ class TestStreamedCircle:
         assert len(list(evaluate.iter_circle_values(coeffs, 132))) == 4
 
 
+def _twin_reading_reductions(pair, count, bins, rectangles):
+    """value_distribution and both residuals, reduced over every sub-grid
+    of iter_circle_values, the mirror twins included."""
+    n = pair.n
+    scale = 1.0 / math.sqrt(2.0 * n)
+    fine = np.zeros(KOLMOGOROV_BINS + 1, dtype=np.int64)
+    hist = np.zeros(bins + 1, dtype=np.int64)
+    hits = [0] * len(rectangles)
+    for _, _, values in evaluate.iter_circle_values(pair.p.coeffs, count):
+        re, im = values.real * scale, values.imag * scale
+        hits = [hit + np.count_nonzero((re >= r0) & (re <= r1) & (im >= i0)
+                                       & (im <= i1))
+                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
+        u = np.minimum(re * re + im * im, 1.0)
+        fine += np.bincount((u * KOLMOGOROV_BINS).astype(np.intp),
+                            minlength=KOLMOGOROV_BINS + 1)
+        hist += np.bincount((u * bins).astype(np.intp), minlength=bins + 1)
+    hist[bins - 1] += hist[bins]
+    below = np.concatenate([[0], np.cumsum(fine[:-1])]) / count
+    edges = np.arange(KOLMOGOROV_BINS + 1) / KOLMOGOROV_BINS
+    signs = np.where(np.arange(n) % 2 == 0, 1, -1)
+    parallelogram = conjugate = 0.0
+    for (_, _, p), (_, _, q), (_, _, p_neg) in zip(
+            evaluate.iter_circle_values(pair.p.coeffs, count),
+            evaluate.iter_circle_values(pair.q.coeffs, count),
+            evaluate.iter_circle_values(signs * pair.p.coeffs, count)):
+        parallelogram = max(parallelogram, float(np.max(np.abs(
+            np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))))
+        conjugate = max(conjugate, float(np.max(np.abs(
+            np.abs(q) - np.abs(p_neg)))))
+    return {
+        "cdf": np.cumsum(hist[:bins]) / count,
+        "sup": float(max(np.max(below[1:] - edges[:-1]),
+                         np.max(edges[1:] - below[:-1]))),
+        "rectangles": [TAU * int(hit) / count for hit in hits],
+        "parallelogram": parallelogram / (2.0 * n),
+        "conjugate": conjugate,
+    }
+
+
+class TestTwinsNotFormed:
+    """value_distribution and the residuals read no mirror twin, yet equal,
+    bit for bit, what the twins give."""
+
+    @pytest.mark.parametrize("k, count, cap", [
+        *((k, None, None) for k in range(1, 13)),
+        (9, 4097, None), (8, 64 * 256, 64)],
+        ids=[*(f"k{k}" for k in range(1, 13)), "odd_count", "folded"])
+    def test_matches_twin_reading_reference(self, k, count, cap, monkeypatch):
+        pair = generate_pair(k)
+        count = count or max(4096, 64 * pair.n)
+        if cap is not None:
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        # rectangles off the real axis tell a twin's hits from the original's
+        assert any(i0 != -i1 for *_, i0, i1 in DEFAULT_RECTANGLES)
+        expect = _twin_reading_reductions(pair, count, 50, DEFAULT_RECTANGLES)
+        report = value_distribution(k, bins=50, count=count, pair=pair)
+        assert np.array_equal(report.empirical_cdf, expect["cdf"])
+        assert report.sup_distance_to_uniform == expect["sup"]
+        assert [hit for _, hit, _ in report.rectangle_tests] == \
+            expect["rectangles"]
+        assert parallelogram_residual(pair, count) == expect["parallelogram"]
+        assert conjugate_relation_residual(pair, count)[1] == \
+            expect["conjugate"]
+
+    def test_residual_streams_form_no_twin(self, monkeypatch):
+        # the residuals and the distribution never reach iter_circle_values
+        pair = generate_pair(10)
+        monkeypatch.setattr(evaluate, "iter_circle_values", lambda *args: (
+            pytest.fail("iter_circle_values called")))
+        parallelogram_residual(pair, 16 * pair.n)
+        conjugate_relation_residual(pair, 16 * pair.n)
+        value_distribution(10, pair=pair)
+
+
+class TestTracedPeaks:
+    """Full-circle consumers hold a few sub-grid arrays at a time.
+
+    Traced (tracemalloc) peaks at k = 14, in n-point complex arrays, of the
+    default grids (16n points, stride 16, sub-grids of n points): measured
+    5.5, 5.5 and 3.5 here, against 13.7, 13.0 and 6.5 where every stream
+    held two whole-length phase tables, the mirror twins and full-length
+    twiddled copies.  Each bound sits at least 15% above the measured peak.
+    """
+
+    @pytest.mark.parametrize("call, bound", [
+        (lambda pair: parallelogram_residual(pair, 16 * pair.n), 6.5),
+        (lambda pair: bernstein_ratio(pair.k, pair=pair), 6.5),
+        (lambda pair: mq_arcs((pair, "p"), FULL_CIRCLE, [1.0, 2.0, 4.0, 6.0]),
+         4.1)], ids=["parallelogram_residual", "bernstein_ratio", "mq_arcs"])
+    def test_peak(self, call, bound):
+        pair = generate_pair(14)
+        call(pair)  # warm: FFT plans and lazy imports are not the stream's
+        tracemalloc.start()
+        try:
+            call(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * pair.n
+
+
 def _square_bound(coeffs, count, slope=False):
     """eps of iter_circle_squares' docstring: the a priori bound on R, or R'."""
     n = len(coeffs)
@@ -811,12 +915,13 @@ def _square_bound(coeffs, count, slope=False):
 
 # (k, count, cap): the geometries of test_mirror_twins (stride 1, 64, 16,
 # past the cap, folded), then those of test_past_cap_matches_horner, then
-# a count below n (stride 1, folded by sign)
+# a count below n (stride 1, folded by sign) and sub-grids of 6144 points,
+# not a power of two (stride 4)
 SQUARE_GEOMETRIES = [
     (5, 4096, None), (10, 64 * 4096, None), (12, 16 * 4096, None),
     (8, 16 * 256, 512), (8, 64 * 256, 64),
     (5, 16 * 32, 8), (5, 64 * 32, 8), (8, 16 * 256, 64), (8, 16 * 256, 1024),
-    (8, 64 * 256, 1024), (6, 41, None)]
+    (8, 64 * 256, 1024), (6, 41, None), (10, 24 * 1024, None)]
 
 
 class TestAutocorrelation:
