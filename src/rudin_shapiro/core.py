@@ -143,13 +143,13 @@ def parallelogram_residual(pair: RudinShapiroPair, num_samples: int) -> float:
 
     Samples num_samples half-offset points (evaluate checks the count);
     the identity is exact, so anything reported here is floating-point
-    rounding; mirror twins, which repeat the moduli, are not read.
+    rounding; a mirror twin repeats its sub-grid's moduli, so none is read.
     """
     from . import evaluate
 
     two_n = 2.0 * pair.n
-    blocks = zip(evaluate._circle_halves(pair.p.coeffs, num_samples),
-                 evaluate._circle_halves(pair.q.coeffs, num_samples))
+    blocks = zip(evaluate.iter_circle_values(pair.p.coeffs, num_samples),
+                 evaluate.iter_circle_values(pair.q.coeffs, num_samples))
     return max(float(np.max(np.abs(np.abs(p) ** 2 + np.abs(q) ** 2 - two_n)))
                for (*_, p), (*_, q) in blocks) / two_n
 
@@ -172,9 +172,9 @@ def conjugate_relation_residual(pair: RudinShapiroPair,
     from . import evaluate
 
     # P(-z) on the grid is the FFT of the sign-alternated coefficients,
-    # on the same exact roots of unity as Q(z); no mirror twin is read
-    blocks = zip(evaluate._circle_halves(q, num_samples),
-                 evaluate._circle_halves(signs * p, num_samples))
+    # on the same exact roots of unity as Q(z); a twin repeats the moduli
+    blocks = zip(evaluate.iter_circle_values(q, num_samples),
+                 evaluate.iter_circle_values(signs * p, num_samples))
     numeric = max(float(np.max(np.abs(np.abs(qv) - np.abs(p_neg))))
                   for (*_, qv), (*_, p_neg) in blocks)
     return coeff_residual, numeric

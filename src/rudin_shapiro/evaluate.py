@@ -1,16 +1,15 @@
 """Circle evaluation of Rudin-Shapiro pairs: FFT, recursion, oracle.
 
-iter_arc_values is the one dispatcher of pair grids: every grid of P_k
-or Q_k (eval_grid, the norm estimates, the certified subarc grids) gets
-its backend there, and every grid count, on every backend, is checked by
-_grid_count (an integer >= 1, else ValueError) before anything is
-allocated or transformed:
+A grid of P_k or Q_k takes one of three backends, and every grid count,
+on every backend, is checked by _grid_count (an integer >= 1, else
+ValueError) before anything is allocated or transformed:
 
 - the exact full circle [0, 2 pi): in-place inverse FFTs of the folded,
   twiddled coefficients, one per interleaved sub-grid of min(count,
   MIN_FFT) to GRID_MAX_COUNT points (iter_circle_values), on exact roots
-  of unity, free of angle rounding (half-offset grids mirror half of them);
-- subarcs: the doubling recursion (_recursion_block) in DEFAULT_CHUNK
+  of unity, free of angle rounding; a half-offset sub-grid stands for its
+  mirror twin too (iter_circle_values' mirror rule);
+- subarcs: the doubling recursion (iter_arc_values) in DEFAULT_CHUNK
   blocks, on the point set of a chirp z-transform, z_j = e^{i alpha}
   w^(2j + s) with w = e^{ig}; the powers z_j, like the full circle's
   twiddles, come from one outer product of two short exact-phase vectors
@@ -26,10 +25,10 @@ autocorrelation (autocorrelation), its half-length spectrum formed from
 the fold, within an a priori bound given there.
 iter_arc_squares dispatches it, squaring complex blocks on subarcs, and
 forms every |S|^2 of the norms, the flatness defect, the modulus minimum
-and the certified subarcs; Bernstein's check reads iter_circle_squares
-for its slope.  The complex stream serves what needs S itself: the value
-distribution and the residuals (without mirror twins: _circle_halves),
-eval_grid and GF(2) falsifiers.
+and the certified subarcs, each block weighted by the blocks it stands
+for; Bernstein's check reads iter_circle_squares for its slope.  The
+complex stream serves the value distribution, the residuals and the GF(2)
+falsifier; eval_grid materializes it through circle_values.
 
 Subarcs have no FFT backend: on the same points the recursion took 0.02
 to 0.93 of the time of a streamed Bluestein chirp-z transform at every
@@ -287,7 +286,7 @@ def _circle_folds(coeffs, count: int, half_offset: bool = True):
 
     Horner in z^L over the rows, per sub-grid only past the cap: F is real
     and formed once at stride 1 (z^L is exactly -1 or 1) or in one row.
-    Mirrored sub-grids (r >= stride / 2, half-offset grid) are the caller's.
+    r runs over the sub-grids of iter_circle_values' mirror rule.
     """
     a = np.asarray(coeffs)
     if np.iscomplexobj(a):
@@ -306,40 +305,32 @@ def _circle_folds(coeffs, count: int, half_offset: bool = True):
         yield r, stride, folded
 
 
-def _circle_halves(coeffs, count: int, half_offset: bool = True):
-    """iter_circle_values without the mirror twins: each an in-place ifft."""
+def iter_circle_values(coeffs, count: int, half_offset: bool = True):
+    """Yield (r, stride, values), values[t] = S(z_{r + stride t}).
+
+    S(z) = sum_m a_m z^m with real a_m and z_j = exp(2 pi i (j + off) /
+    count), with off = 1/2 on the half-offset grid and 0 on the lattice.
+    Each sub-grid j = r + stride * t is one in-place inverse FFT of length
+    L = count / stride of a_m omega_r^m, omega_r = exp(2 pi i (r + off) /
+    count), the twiddles taken from the exact indices (2r + 2 off) m
+    (_exact_phases).  The stride is the largest power of two up to 64 that
+    keeps the sub-grid at least max(a.size, MIN_FFT) long, raised to the
+    smallest power of two that brings it to at most GRID_MAX_COUNT points;
+    a count past the cap must be a multiple of that stride.  On a sub-grid
+    shorter than a.size, a folds modulo L with the sub-grid's constant z^L
+    = exp(2 pi i (r + off) / stride), which is exactly -1 or 1 when stride
+    = 1.  The mirror rule: on the half-offset grid conj z_j = z_{count-1-j},
+    so with stride > 1 sub-grid stride - 1 - r is conj(values[::-1]) of
+    sub-grid r; only r < stride / 2 is yielded, each standing for itself
+    and that twin, which circle_values alone writes out.  Elsewhere every r
+    < stride is yielded.
+    """
     for r, stride, folded in _circle_folds(coeffs, count, half_offset):
         f = _exact_phases(math.pi / count, 2 * r + half_offset, 0, 0,
                           folded.size, folded.size)
         f *= folded
         yield r, stride, np.fft.ifft(f, norm="forward", out=f)
         del f  # a consumer that drops the block frees it
-
-
-def iter_circle_values(coeffs, count: int, half_offset: bool = True):
-    """Yield (r, stride, values), values[t] = S(z_{r + stride t}), r < stride.
-
-    S(z) = sum_m a_m z^m with real a_m and z_j = exp(2 pi i (j + off) /
-    count), with off = 1/2 on the half-offset grid and 0 on the lattice.
-    Each sub-grid j = r + stride * t is one inverse FFT of length L = count /
-    stride of a_m omega_r^m, omega_r = exp(2 pi i (r + off) / count), the
-    twiddles taken from the exact indices (2r + 2 off) m (_exact_phases).
-    The stride is the largest power of two up to 64 that keeps the sub-grid
-    at least max(a.size, MIN_FFT) long, raised to the smallest power of two
-    that brings it to at most GRID_MAX_COUNT points; a count past the cap
-    must be a multiple of that stride.  On a sub-grid shorter than a.size, a
-    folds modulo L with the sub-grid's constant z^L = exp(2 pi i (r + off) /
-    stride), which is exactly -1 or 1 when stride = 1.  On the
-    half-offset grid conj z_j = z_{count-1-j}, so sub-grid stride - 1 - r is
-    conj(values[::-1]) of sub-grid r < stride / 2, formed before and yielded
-    after it: the consumer may change the original in place.
-    """
-    for r, stride, values in _circle_halves(coeffs, count, half_offset):
-        mirror = half_offset and stride > 1
-        twin = np.conj(values[::-1]) if mirror else None
-        yield r, stride, values
-        if mirror:
-            yield stride - 1 - r, stride, twin
 
 
 def autocorrelation(coeffs) -> np.ndarray:
@@ -378,10 +369,11 @@ def iter_circle_squares(c, count: int, *, slope: bool = False):
     omega_r^m of iter_circle_values, taken to m = L / 2 only, one irfft of
     length L = count / stride of h_m = omega_r^m (F_m + kappa_r conj
     F_{L-m}), kappa_r = exp(-i pi (2r + 1) / stride) = conj(omega_r^L), and
-    h_0 = 2 Re F_0 - c_0 gives R.  R is even, so sub-grid stride - 1 - r is
-    R[::-1], a read-only view yielded right after sub-grid r < stride / 2.
-    With slope, R' = dR/dt ends each tuple, from the fold G of l c_l and h'_m
-    = i omega_r^m (G_m - kappa_r conj G_{L-m}); the twin's is -R'[::-1].
+    h_0 = 2 Re F_0 - c_0 gives R.  With slope, R' = dR/dt ends each tuple,
+    from the fold G of l c_l and h'_m = i omega_r^m (G_m - kappa_r conj
+    G_{L-m}).  The sub-grids are those of iter_circle_values' mirror rule
+    on the half-offset grid: R is even and R' odd, so a yielded sub-grid
+    stands for its twin R[::-1], with slope -R'[::-1].
 
     Error: with rho = ceil(n / L) folded rows and u = 2^-53, every value
     is within eps = 2^-48 sqrt(n + L) ||c||_2 (log2 L + stride + 2 rho + 3)
@@ -411,19 +403,18 @@ def iter_circle_squares(c, count: int, *, slope: bool = False):
             h *= 1j
             blocks.append(np.fft.irfft(h, length, norm="forward"))
         del h, omega
-        blocks[0].flags.writeable = False  # its twin is a view
         yield r, stride, *blocks
-        if stride > 1:
-            yield stride - 1 - r, stride, blocks[0][::-1], \
-                *(-block[::-1] for block in blocks[1:])
 
 
 def circle_values(coeffs, count: int, half_offset: bool = True) -> np.ndarray:
-    """iter_circle_values materialized: S(z_j) for every j < count <= cap."""
+    """iter_circle_values materialized, the mirror twins written out:
+    S(z_j) for every j < count <= cap."""
     count = _capped_count(count)
     out = np.empty(count, dtype=np.complex128)
     for r, stride, values in iter_circle_values(coeffs, count, half_offset):
         out[r::stride] = values
+        if half_offset and stride > 1:
+            np.conjugate(values[::-1], out=out[stride - 1 - r::stride])
     return out
 
 
@@ -492,34 +483,29 @@ def iter_arc_values(pair: RudinShapiroPair, component: str, alpha: float,
                     beta: float, count: int, *, half_offset: bool = True):
     """Yield (index, values), values = S[index] for S = P_k or Q_k on the grid.
 
-    The one backend choice for pair grids (module docstring); index is a
-    slice of range(count), and the slices tile it exactly once.  The
-    exact full circle, alpha == 0.0 and beta == 2 pi, streams the
-    sub-grids of iter_circle_values as slice(r, None, stride); subarcs
-    go to the recursion as consecutive DEFAULT_CHUNK slices, at the angles
-    alpha + (2j + s) g of _recursion_block.
+    The recursion backend (module docstring) on any arc: index runs over
+    consecutive DEFAULT_CHUNK slices that tile range(count) once, at the
+    angles alpha + (2j + s) g of _recursion_block.  eval_grid and
+    iter_arc_squares take the exact full circle to the FFT streams instead.
     """
     count = _grid_count(count)
-    poly = pair_component(pair, component)
-    if alpha == 0.0 and beta == math.tau:
-        for r, stride, values in iter_circle_values(poly.coeffs, count,
-                                                    half_offset):
-            yield slice(r, None, stride), values
-    else:
-        pick = 0 if component == "p" else 1
-        for lo in range(0, count, DEFAULT_CHUNK):
-            hi = min(lo + DEFAULT_CHUNK, count)
-            yield slice(lo, hi), _recursion_block(
-                pair.k, alpha, beta, count, half_offset, lo, hi)[pick]
+    pair_component(pair, component)  # the component check
+    pick = 0 if component == "p" else 1
+    for lo in range(0, count, DEFAULT_CHUNK):
+        hi = min(lo + DEFAULT_CHUNK, count)
+        yield slice(lo, hi), _recursion_block(
+            pair.k, alpha, beta, count, half_offset, lo, hi)[pick]
 
 
 def iter_arc_squares(pair: RudinShapiroPair, component: str, alpha: float,
                      beta: float, counts):
-    """Yield per count the blocks (index, R = |S[index]|^2) of iter_arc_values' grid.
+    """Yield per count the blocks (index, weight, R = |S[index]|^2) of a grid.
 
     The exact full circle reads iter_circle_squares, every count checked
-    by the stride rule before the one autocorrelation they share;
-    subarcs square the complex blocks, re^2 + im^2.
+    by the stride rule before the one autocorrelation they share; index is
+    slice(r, None, stride), and weight 2 counts the mirror twin a block
+    stands for (iter_circle_values' mirror rule), 1 at stride 1.  Subarcs
+    square the blocks of iter_arc_values, re^2 + im^2, at weight 1.
     """
     if alpha == 0.0 and beta == math.tau:
         coeffs = pair_component(pair, component).coeffs
@@ -527,11 +513,11 @@ def iter_arc_squares(pair: RudinShapiroPair, component: str, alpha: float,
             _circle_stride(coeffs.size, count)  # refused before any transform
         c = autocorrelation(coeffs)
         for count in counts:
-            yield ((slice(r, None, stride), sq) for r, stride, sq in
-                   iter_circle_squares(c, count))
+            yield ((slice(r, None, stride), 2 if stride > 1 else 1, sq)
+                   for r, stride, sq in iter_circle_squares(c, count))
     else:
         for count in counts:
-            yield ((index, values.real ** 2 + values.imag ** 2)
+            yield ((index, 1, values.real ** 2 + values.imag ** 2)
                    for index, values in iter_arc_values(pair, component,
                                                         alpha, beta, count))
 
@@ -564,17 +550,22 @@ def arc_value_error(pair: RudinShapiroPair, alpha: float, beta: float) -> float:
 
 def eval_grid(pair: RudinShapiroPair, arc, count: int, *,
               half_offset: bool = True) -> GridSamples:
-    """Materialize pair values over an arc, filled from iter_arc_values."""
+    """Pair values over an arc: circle_values on the exact full circle, else
+    filled from iter_arc_values."""
     count = _capped_count(count)
     if count < 2:
         raise ValueError("count must be >= 2")
     values = []
     for component in ("p", "q"):
-        out = np.empty(count, dtype=np.complex128)
-        for index, block in iter_arc_values(pair, component, arc.alpha,
-                                            arc.beta, count,
-                                            half_offset=half_offset):
-            out[index] = block
+        if arc.alpha == 0.0 and arc.beta == math.tau:
+            out = circle_values(pair_component(pair, component).coeffs,
+                                count, half_offset)
+        else:
+            out = np.empty(count, dtype=np.complex128)
+            for index, block in iter_arc_values(pair, component, arc.alpha,
+                                                arc.beta, count,
+                                                half_offset=half_offset):
+                out[index] = block
         values.append(out)
     return GridSamples(k=pair.k, arc=arc, count=count, values_p=values[0],
                        values_q=values[1], half_offset=half_offset)

@@ -267,9 +267,10 @@ def circle_min_modulus(coeffs) -> float:
     """Numerical falsifier: min |S| on a half-offset grid, 64 points a degree.
 
     A certified polynomial must keep this strictly positive; a zero on
-    the circle would drag it to the grid resolution.
+    the circle would drag it to the grid resolution.  A mirror twin repeats
+    its sub-grid's moduli, so the stream alone gives the minimum.
     """
     degree = len(coeffs) - 1
     count = 64 * max(1, degree)
-    vals = evaluate.circle_values(coeffs, count)
-    return float(np.min(np.abs(vals)))
+    return min(float(np.min(np.abs(values))) for *_, values in
+               evaluate.iter_circle_values(coeffs, count))

@@ -137,16 +137,13 @@ def _block_sums(grid, qs, logs: bool = False) -> list:
     """Sums over one grid of R = |S|^2, from block partials combined by pairwise_sum.
 
     Per q sum max(R, 0)^(q/2); with logs also sum log(R) / 2 over R >=
-    UNDERFLOW_FLOOR and count the other samples.  A full-circle twin (r >=
-    stride / 2) is the block before it reversed and takes its sums: the
-    same bits for power-of-two lengths, where pairwise_sum is symmetric.
+    UNDERFLOW_FLOOR and count the other samples.  A block's row enters
+    weight times (evaluate.iter_arc_squares), once for each block it
+    stands for.  Every block is a fresh array, clipped in place.
     """
     rows = []
-    for index, sq in grid:
-        if index.step and 2 * index.start >= index.step:
-            rows.append(rows[-1])
-            continue
-        sq = np.maximum(sq, 0.0)
+    for _, weight, sq in grid:
+        np.maximum(sq, 0.0, out=sq)
         row = [pairwise_sum(sq * sq * sq if q == 6.0 else sq ** (q / 2.0))
                for q in qs]
         if logs:
@@ -154,7 +151,7 @@ def _block_sums(grid, qs, logs: bool = False) -> list:
             excluded = sq.size - np.count_nonzero(keep)
             row += [0.5 * pairwise_sum(np.log(sq[keep] if excluded else sq)),
                     excluded]
-        rows.append(row)
+        rows += [row] * weight
     return [pairwise_sum(column) for column in zip(*rows)]
 
 
@@ -245,8 +242,8 @@ def flatness_defect_mahler(pair: RudinShapiroPair,
     typically report value / sqrt(n).
     """
     count, grids = _grids((pair, "p"), FULL_CIRCLE, count)
-    return _mahler_estimate([_block_sums(((index, (sq - pair.n) ** 2)
-                                          for index, sq in grid), (), logs=True)
+    return _mahler_estimate([_block_sums(((i, w, (sq - pair.n) ** 2)
+                                          for i, w, sq in grid), (), logs=True)
                              for grid in grids], count)
 
 

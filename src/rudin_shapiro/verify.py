@@ -219,7 +219,7 @@ def bernstein_ratio(k: int, count: int | None = None,
     R(t) = |P_k(e^it)|^2 has degree n - 1, so max |R'| <= ((n-1)/2) max R
     (the factor for nonnegative trigonometric polynomials is half the
     classical one).  R and R' come from the autocorrelation c_l, read on
-    sub-grids r < stride / 2 (the twins mirror them).
+    the sub-grids of evaluate.iter_circle_squares (a twin shares maxima).
     """
     pair = _pair(k, pair)
     n = pair.n
@@ -228,11 +228,10 @@ def bernstein_ratio(k: int, count: int | None = None,
     if count < 16 * n and k > 0:
         raise ValueError("bernstein ratio needs count >= 16n to resolve R'")
     max_r = max_dr = 0.0
-    for r, stride, sq, slope in evaluate.iter_circle_squares(
+    for _, _, sq, slope in evaluate.iter_circle_squares(
             evaluate.autocorrelation(pair.p.coeffs), count, slope=True):
-        if 2 * r < stride:
-            max_r = max(max_r, float(sq.max()))
-            max_dr = max(max_dr, float(np.abs(slope).max()))
+        max_r = max(max_r, float(sq.max()))
+        max_dr = max(max_dr, float(np.abs(slope).max()))
     allowed = 0.5 * (n - 1) * max_r
     ratio = 0.0 if max_dr == 0.0 else max_dr / allowed
     return InequalityReport(
@@ -265,7 +264,7 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     2^12.  So h #{j : f^_j
     - s >= gamma n} <= |{f >= gamma n}|, mean_j max(0, f^_j - s)^(q/2) <=
     M_q^q, and M_q^q <= (2n)^(q/2) if all f^_j <= 2n.  Each block reduces
-    to counts and sums.
+    to counts and sums, times its weight (evaluate.iter_arc_squares).
     """
     _require_min_length(k, arc)
     n, level = pair.n, GAMMA * pair.n
@@ -277,13 +276,14 @@ def _subarc_reports(k: int, arc: Arc, pair: RudinShapiroPair, qs=()):
     slack = (n - 1) * n * width / 2.0 + err
     thresholds = (level + slack, level, level ** 2)  # certified, sampled, unsquared
     peak, hits, sums = 0.0, np.zeros(3, int), np.zeros((len(qs), 2))
-    for _, f in next(evaluate.iter_arc_squares(pair, "p", arc.alpha,
-                                               arc.beta, [count])):
-        hits += [np.count_nonzero(f >= t) for t in thresholds]
+    for _, weight, f in next(evaluate.iter_arc_squares(pair, "p", arc.alpha,
+                                                       arc.beta, [count])):
+        hits += [weight * np.count_nonzero(f >= t) for t in thresholds]
         peak = max(peak, float(f.max()))
         floor = np.maximum(f - slack, 0.0)
         for i, q in enumerate(qs):
-            sums[i] += np.sum(floor ** (q / 2.0)), np.sum(f ** (q / 2.0))
+            sums[i] += weight * np.array([np.sum(floor ** (q / 2.0)),
+                                          np.sum(f ** (q / 2.0))])
     measure, sampled, literal = (width * hits).tolist()
     rhs = arc.length * GAMMA / (4.0 * math.pi)
     level_set = InequalityReport(
@@ -416,9 +416,9 @@ def value_distribution(k: int, bins: int = 64, rectangles=DEFAULT_RECTANGLES,
     hist = np.zeros(bins + 1, dtype=np.int64)  # the last holds u = 1
     hits = [0] * len(rectangles)
     scale = 1.0 / math.sqrt(2.0 * n)  # complex / real in numpy: same bits
-    # no mirror twin conj(values[::-1]) is formed: it doubles the bincounts,
-    # and its hits are the original's in the rectangle (r0, r1, -i1, -i0)
-    for _, stride, values in evaluate._circle_halves(
+    # at stride > 1 a block stands for its twin conj(values[::-1]) too: that
+    # doubles the bincounts and adds the original's hits in (r0, r1, -i1, -i0)
+    for _, stride, values in evaluate.iter_circle_values(
             evaluate.pair_component(pair, component).coeffs, count):
         # contiguous parts: the strided .real/.imag views cost twice as much
         re, im = values.real * scale, values.imag * scale
@@ -458,8 +458,8 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     pair polynomials vanish at -1 or +1 depending on parity, and the
     conjecture is that nothing else on the circle comes close to zero.
     Sample j is left out when |j + 1/2 - m count / 2| <= POLE_EXCLUSION
-    count / (2 pi), m = 0, 1, 2: ranges as symmetric as the mirror twins,
-    so only sub-grids r < stride / 2 of evaluate.iter_arc_squares are read.
+    count / (2 pi), m = 0, 1, 2: ranges the mirror maps onto themselves,
+    so the blocks of evaluate.iter_arc_squares alone give the minimum.
     """
     pair = _pair(k, pair)
     if count is None:
@@ -469,14 +469,13 @@ def min_modulus_excluding_poles(k: int, count: int | None = None,
     cuts = (ends, math.ceil((count - 1) / 2 - edge),
             math.floor((count - 1) / 2 + edge) + 1, count - ends)
     best = math.inf
-    for index, sq in next(evaluate.iter_arc_squares(pair, component, 0.0,
-                                                    math.tau, [count])):
+    for index, _, sq in next(evaluate.iter_arc_squares(pair, component, 0.0,
+                                                       math.tau, [count])):
         r, stride = index.start, index.step
-        if 2 * r < stride:
-            t = [-((r - j) // stride) for j in cuts]  # first t with r + stride t >= j
-            for lo, hi in zip(t[0::2], t[1::2]):
-                if lo < hi:
-                    best = min(best, float(sq[lo:hi].min()))
+        t = [-((r - j) // stride) for j in cuts]  # first t with r + stride t >= j
+        for lo, hi in zip(t[0::2], t[1::2]):
+            if lo < hi:
+                best = min(best, float(sq[lo:hi].min()))
     return math.sqrt(max(best, 0.0))
 
 

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rudin_shapiro import evaluate, norms
+from conftest import fill_circle
+from rudin_shapiro import evaluate, gf2, norms, verify
 from rudin_shapiro.core import (LittlewoodPolynomial, ResourceLimitError,
                                 conjugate_relation_residual, generate_pair,
                                 parallelogram_residual)
 from rudin_shapiro.evaluate import (CirclePoint, circle_grid, eval_grid,
                                     eval_horner, eval_pair_point)
 from rudin_shapiro.norms import (Arc, FULL_CIRCLE, flatness_defect_mahler,
-                                 mq_arc, mq_arcs)
+                                 mq_arc, mq_arcs, mq_limit_diagnostic)
 from rudin_shapiro.reductions import pairwise_sum
 from rudin_shapiro.verify import (DEFAULT_RECTANGLES, KOLMOGOROV_BINS,
                                   bernstein_ratio, min_modulus_excluding_poles,
@@ -184,28 +185,30 @@ def _grid_angles(alpha, beta, count, s, j):
 
 
 class TestArcDispatch:
-    """iter_arc_values, the one backend choice of every pair grid."""
+    """The backend of every pair grid: FFT streams on the exact full circle,
+    the recursion (iter_arc_values) elsewhere."""
 
     @pytest.mark.parametrize("half_offset", [True, False],
                              ids=["half_offset", "lattice"])
     @pytest.mark.parametrize("count", [7, 100, 4096, 132])
     def test_full_circle_tiles_once(self, count, half_offset, monkeypatch):
+        # eval_grid reads circle_values; the yielded sub-grids and the twins
+        # they stand for tile range(count) exactly once
         pair = generate_pair(5)
         whole = evaluate.circle_values(pair.q.coeffs, count, half_offset)
+        assert np.array_equal(eval_grid(pair, FULL_CIRCLE, count,
+                                        half_offset=half_offset).values_q, whole)
         if count == 132:  # past a cap of 64: sub-grids of stride 4
             monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 64)
-        expect = evaluate.iter_circle_values(pair.q.coeffs, count, half_offset)
+        blocks = list(evaluate.iter_circle_values(pair.q.coeffs, count,
+                                                  half_offset))
         hits = np.zeros(count, dtype=int)
-        got = np.empty(count, dtype=np.complex128)
-        for index, values in evaluate.iter_arc_values(
-                pair, "q", 0.0, TAU, count, half_offset=half_offset):
-            r, stride, block = next(expect)
-            assert index == slice(r, None, stride)
-            assert np.array_equal(values, block)
-            hits[index] += 1
-            got[index] = values
-        assert next(expect, None) is None
+        for r, stride, _ in blocks:
+            hits[r::stride] += 1
+            if half_offset and stride > 1:
+                hits[stride - 1 - r::stride] += 1
         assert np.all(hits == 1)
+        got = fill_circle(blocks, count, half_offset)
         if count == 132:  # stride 4 past the cap, one whole FFT within it
             assert np.max(np.abs(got - whole)) <= 10 * EPS * pair.n ** 1.5
         else:
@@ -576,7 +579,7 @@ class TestChirpValues:
 
 
 def _streamed_reductions(pair, count, sample_count):
-    """Every consumer of iter_circle_values; norm estimates at sample_count."""
+    """The full-circle reductions of moduli; norm estimates at sample_count."""
     k, n = pair.k, pair.n
     return {
         "min_modulus_p": min_modulus_excluding_poles(k, count, pair=pair),
@@ -587,36 +590,48 @@ def _streamed_reductions(pair, count, sample_count):
         "conjugate": conjugate_relation_residual(pair, count)[1],
         "mq": mq_arcs((pair, "q"), FULL_CIRCLE, [1.0, 4.0], sample_count),
         "flatness": flatness_defect_mahler(pair, sample_count),
+        "mahler": norms.mahler_arc((pair, "p"), FULL_CIRCLE, sample_count),
+        "ladder": mq_limit_diagnostic((pair, "q"), FULL_CIRCLE, [2.0, 0.5],
+                                      sample_count),
     }
 
 
 def _squares_grid(coeffs, count, slope=False):
     """iter_circle_squares materialized: R, or (R, R') with slope."""
-    grids = np.empty((2 if slope else 1, count))
-    for r, stride, *blocks in evaluate.iter_circle_squares(
-            evaluate.autocorrelation(coeffs), count, slope=slope):
-        grids[:, r::stride] = blocks
-    return grids if slope else grids[0]
+    blocks = list(evaluate.iter_circle_squares(
+        evaluate.autocorrelation(coeffs), count, slope=slope))
+    sq = fill_circle([block[:3] for block in blocks], count)
+    if not slope:
+        return sq
+    return sq, fill_circle([(r, s, ds) for r, s, _, ds in blocks], count,
+                           sign=-1)
 
 
 def _materialized_reductions(pair, count):
     """The same quantities from whole grids.
 
     Moduli come from materialized iter_circle_squares grids, the residuals
-    from circle_values grids.  The norm estimates run their block reducer
-    on sub-grids cut from the materialized grids.
+    from grids of fill_circle.  The norm estimates run their block reducer
+    on every sub-grid cut from the materialized grids, each twin after its
+    original and of weight 1.
     """
     n = pair.n
-    p = evaluate.circle_values(pair.p.coeffs, count)
-    q = evaluate.circle_values(pair.q.coeffs, count)
+    p, q = (fill_circle(evaluate.iter_circle_values(a, count), count)
+            for a in (pair.p.coeffs, pair.q.coeffs))
     sq_p, slope_p = _squares_grid(pair.p.coeffs, count, slope=True)
     sq_q = _squares_grid(pair.q.coeffs, count)
     signs = np.where(np.arange(n) % 2 == 0, 1, -1)
-    p_neg = evaluate.circle_values(signs * pair.p.coeffs.astype(np.int64),
-                                   count)
+    p_neg = fill_circle(evaluate.iter_circle_values(
+        signs * pair.p.coeffs.astype(np.int64), count), count)
     th = circle_grid(0.0, TAU, count)
     away = (th > 0.01) & (np.abs(th - math.pi) > 0.01) & (TAU - th > 0.01)
     qs = [1.0, 4.0]
+
+    def sums(coeffs, qs, logs=False):  # the c-grid's, then the 2c-grid's
+        return [norms._block_sums(_cut_blocks(_squares_grid(coeffs, c), n),
+                                  qs, logs) for c in (count, 2 * count)]
+
+    ladder = sums(pair.q.coeffs, [2.0, 0.5], logs=True)
     return {
         "min_modulus_p": math.sqrt(np.min(sq_p, where=away, initial=math.inf)),
         "min_modulus_q": math.sqrt(np.min(sq_q, where=away, initial=math.inf)),
@@ -624,25 +639,29 @@ def _materialized_reductions(pair, count):
         "parallelogram": float(np.max(np.abs(
             np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
         "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
-        "mq": norms._mq_estimates(
-            [norms._block_sums(_cut_blocks(
-                _squares_grid(pair.q.coeffs, c), n), qs)
-             for c in (count, 2 * count)], qs, count),
+        "mq": norms._mq_estimates(sums(pair.q.coeffs, qs), qs, count),
         "flatness": norms._mahler_estimate(
             [norms._block_sums(_cut_blocks(
                 (_squares_grid(pair.p.coeffs, c) - n) ** 2, n), (),
                 logs=True) for c in (count, 2 * count)], count),
+        "mahler": norms._mahler_estimate(sums(pair.p.coeffs, (), logs=True),
+                                         count),
+        "ladder": norms._mq_estimates(ladder, [2.0, 0.5], count) + [
+            norms._mahler_estimate([row[2:] for row in ladder], count)],
     }
 
 
 def _cut_blocks(whole, n):
-    """A materialized grid cut into the sub-grids iter_circle_squares yields.
+    """A materialized grid cut into every sub-grid, each of weight 1.
 
-    The indices come from the stream, in its order; the values are the
-    materialized grid's.
+    The order is the stream's, each mirror twin right after the sub-grid
+    r that stands for it; the values are the materialized grid's.
     """
-    return [(slice(r, None, stride), whole[r::stride]) for r, stride, _ in
-            evaluate.iter_circle_squares(np.ones(n), whole.size)]
+    blocks = []
+    for r, stride, _ in evaluate.iter_circle_squares(np.ones(n), whole.size):
+        for j in sorted({r, stride - 1 - r}):
+            blocks.append((slice(j, None, stride), 1, whole[j::stride].copy()))
+    return blocks
 
 
 def _block_spy(monkeypatch):
@@ -664,6 +683,41 @@ def _block_spy(monkeypatch):
 
 class TestStreamedCircle:
     """iter_circle_values and its consumers, below and past the grid cap."""
+
+    # (k, count, cap, half_offset): strides 1, 16 and 64 within the cap,
+    # stride 8 past it, and stride 256 on folded sub-grids, then the lattice
+    @pytest.mark.parametrize("k, count, cap, half_offset", [
+        (5, 4096, None, True), (12, 16 * 4096, None, True),
+        (10, 64 * 4096, None, True), (8, 16 * 256, 512, True),
+        (8, 64 * 256, 64, True), (5, 4096, None, False),
+        (12, 16 * 4096, None, False), (8, 64 * 256, 64, False)],
+        ids=["stride1", "stride16", "stride64", "past_cap", "folded",
+             "lattice_stride1", "lattice_stride16", "lattice_folded"])
+    def test_yielded_sub_grids(self, k, count, cap, half_offset,
+                               monkeypatch):
+        # the mirror rule: r < stride / 2 on the half-offset grid at stride
+        # > 1, every r < stride elsewhere; the squares stream and the norms'
+        # weights follow it
+        pair = generate_pair(k)
+        if cap is not None:
+            monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
+        blocks = list(evaluate.iter_circle_values(pair.p.coeffs, count,
+                                                  half_offset))
+        stride = blocks[0][1]
+        mirrored = half_offset and stride > 1
+        assert [r for r, _, _ in blocks] == \
+            list(range(stride // 2 if mirrored else stride))
+        assert all(s == stride and v.size * stride == count
+                   for _, s, v in blocks)
+        if half_offset:
+            squares = evaluate.iter_circle_squares(
+                evaluate.autocorrelation(pair.p.coeffs), count)
+            assert [block[:2] for block in squares] == \
+                [block[:2] for block in blocks]
+            grid, = evaluate.iter_arc_squares(pair, "p", 0.0, TAU, [count])
+            assert [(index, weight) for index, weight, _ in grid] == [
+                (slice(r, None, stride), 2 if mirrored else 1)
+                for r, _, _ in blocks]
 
     @pytest.mark.parametrize("k", [0, 1, 7, 12])
     @pytest.mark.parametrize("mult", [16, 64])
@@ -717,11 +771,11 @@ class TestStreamedCircle:
         n = pair.n
         monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
         for count in (16 * n, 64 * n):
-            values = np.empty(count, dtype=np.complex128)
-            for r, stride, block in evaluate.iter_circle_values(
-                    pair.q.coeffs, count, half_offset):
-                assert block.size * stride == count and block.size <= cap
-                values[r::stride] = block
+            blocks = list(evaluate.iter_circle_values(pair.q.coeffs, count,
+                                                      half_offset))
+            assert all(block.size * stride == count and block.size <= cap
+                       for _, stride, block in blocks)
+            values = fill_circle(blocks, count, half_offset)
             i = np.unique(np.linspace(0, count - 1, 64).astype(int))
             oracle = eval_horner(pair.q, circle_grid(0.0, TAU, count,
                                                      half_offset)[i])
@@ -734,41 +788,21 @@ class TestStreamedCircle:
         ids=["stride1", "stride64", "stride16", "past_cap", "folded"])
     def test_mirror_twins(self, k, count, cap, stride, monkeypatch):
         # the half-offset grid's sub-grid stride - 1 - r is the mirror
-        # conj(values[::-1]) of sub-grid r, yielded right after it
+        # conj(values[::-1]) of sub-grid r: the twins fill_circle forms by
+        # that rule against the Horner oracle, as the yielded sub-grids
         pair = generate_pair(k)
         n = pair.n
         if cap is not None:
             monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", cap)
         blocks = list(evaluate.iter_circle_values(pair.p.coeffs, count))
         assert all(block[1] == stride for block in blocks)
-        assert sorted(r for r, _, _ in blocks) == list(range(stride))
-        pairs = zip(blocks[0::2], blocks[1::2]) if stride > 1 else []
-        for (r, _, values), (twin_r, _, twin) in pairs:
-            assert r < stride // 2 and twin_r == stride - 1 - r
-            assert np.array_equal(twin, np.conj(values[::-1]))
-        # both halves against the Horner oracle
+        whole = fill_circle(blocks, count)
         thetas = circle_grid(0.0, TAU, count)
-        halves = set()
-        for r, _, values in blocks:
-            t = np.unique(np.linspace(0, values.size - 1, 8).astype(int))
+        for r in range(stride):
+            t = np.unique(np.linspace(0, count // stride - 1, 8).astype(int))
             oracle = eval_horner(pair.p, thetas[r::stride][t])
-            assert np.max(np.abs(values[t] - oracle)) <= 10 * EPS * n ** 1.5
-            halves.add(2 * r < stride)
-        assert halves == ({True, False} if stride > 1 else {True})
-
-    def test_mirror_survives_in_place_consumer(self):
-        # value_distribution divides each block in place; the twin that
-        # follows must still be the mirror of the undivided original
-        pair = generate_pair(10)
-        count = 16 * pair.n
-        whole = evaluate.circle_values(pair.q.coeffs, count)
-        got = np.empty(count, dtype=np.complex128)
-        for r, stride, values in evaluate.iter_circle_values(pair.q.coeffs,
-                                                             count):
-            got[r::stride] = values
-            values /= 3.0
-        assert stride == 4
-        assert np.array_equal(got, whole)
+            assert np.max(np.abs(whole[r::stride][t] - oracle)) <= \
+                10 * EPS * n ** 1.5
 
     @pytest.mark.parametrize("k", [0, 3, 8, 12, 14])
     def test_no_tiny_sub_grids(self, k, monkeypatch):
@@ -778,10 +812,13 @@ class TestStreamedCircle:
         coeffs = np.ones(n)
         for count in sorted({n // 2 + 2, 2 * n + 1, 1000, 4096, 6144,
                              16 * n, 64 * n, 200 * n}):
-            sizes = [v.size for _, _, v in
-                     evaluate.iter_circle_values(coeffs, count)]
-            assert min(sizes) >= min(count, evaluate.MIN_FFT)
-            assert sum(sizes) == count
+            blocks = [(stride, v.size) for _, stride, v in
+                      evaluate.iter_circle_values(coeffs, count)]
+            assert min(size for _, size in blocks) >= \
+                min(count, evaluate.MIN_FFT)
+            # each sub-grid at stride > 1 stands for its twin as well
+            assert sum(size * min(stride, 2) for stride, size in blocks) == \
+                count
         monkeypatch.setattr(evaluate, "GRID_MAX_COUNT", 1024)
         sizes = [v.size for _, _, v in
                  evaluate.iter_circle_values(coeffs, 64 * 1024)]
@@ -797,46 +834,37 @@ class TestStreamedCircle:
         # 129 points need sub-grids of stride 4
         with pytest.raises(ResourceLimitError, match="stride 4"):
             next(evaluate.iter_circle_values(coeffs, 129))
-        assert len(list(evaluate.iter_circle_values(coeffs, 132))) == 4
+        # sub-grids 0 and 1, standing for their twins 3 and 2
+        assert len(list(evaluate.iter_circle_values(coeffs, 132))) == 2
 
 
 def _twin_reading_reductions(pair, count, bins, rectangles):
-    """value_distribution and both residuals, reduced over every sub-grid
-    of iter_circle_values, the mirror twins included."""
+    """value_distribution and both residuals, reduced over every point of
+    grids filled by fill_circle, the mirror twins included."""
     n = pair.n
     scale = 1.0 / math.sqrt(2.0 * n)
-    fine = np.zeros(KOLMOGOROV_BINS + 1, dtype=np.int64)
-    hist = np.zeros(bins + 1, dtype=np.int64)
-    hits = [0] * len(rectangles)
-    for _, _, values in evaluate.iter_circle_values(pair.p.coeffs, count):
-        re, im = values.real * scale, values.imag * scale
-        hits = [hit + np.count_nonzero((re >= r0) & (re <= r1) & (im >= i0)
-                                       & (im <= i1))
-                for hit, (r0, r1, i0, i1) in zip(hits, rectangles)]
-        u = np.minimum(re * re + im * im, 1.0)
-        fine += np.bincount((u * KOLMOGOROV_BINS).astype(np.intp),
-                            minlength=KOLMOGOROV_BINS + 1)
-        hist += np.bincount((u * bins).astype(np.intp), minlength=bins + 1)
+    signs = np.where(np.arange(n) % 2 == 0, 1, -1)
+    p, q, p_neg = (fill_circle(evaluate.iter_circle_values(a, count), count)
+                   for a in (pair.p.coeffs, pair.q.coeffs,
+                             signs * pair.p.coeffs))
+    re, im = p.real * scale, p.imag * scale
+    hits = [np.count_nonzero((re >= r0) & (re <= r1) & (im >= i0) & (im <= i1))
+            for r0, r1, i0, i1 in rectangles]
+    u = np.minimum(re * re + im * im, 1.0)
+    fine = np.bincount((u * KOLMOGOROV_BINS).astype(np.intp),
+                       minlength=KOLMOGOROV_BINS + 1)
+    hist = np.bincount((u * bins).astype(np.intp), minlength=bins + 1)
     hist[bins - 1] += hist[bins]
     below = np.concatenate([[0], np.cumsum(fine[:-1])]) / count
     edges = np.arange(KOLMOGOROV_BINS + 1) / KOLMOGOROV_BINS
-    signs = np.where(np.arange(n) % 2 == 0, 1, -1)
-    parallelogram = conjugate = 0.0
-    for (_, _, p), (_, _, q), (_, _, p_neg) in zip(
-            evaluate.iter_circle_values(pair.p.coeffs, count),
-            evaluate.iter_circle_values(pair.q.coeffs, count),
-            evaluate.iter_circle_values(signs * pair.p.coeffs, count)):
-        parallelogram = max(parallelogram, float(np.max(np.abs(
-            np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))))
-        conjugate = max(conjugate, float(np.max(np.abs(
-            np.abs(q) - np.abs(p_neg)))))
     return {
         "cdf": np.cumsum(hist[:bins]) / count,
         "sup": float(max(np.max(below[1:] - edges[:-1]),
                          np.max(edges[1:] - below[:-1]))),
         "rectangles": [TAU * int(hit) / count for hit in hits],
-        "parallelogram": parallelogram / (2.0 * n),
-        "conjugate": conjugate,
+        "parallelogram": float(np.max(np.abs(
+            np.abs(p) ** 2 + np.abs(q) ** 2 - 2.0 * n))) / (2.0 * n),
+        "conjugate": float(np.max(np.abs(np.abs(q) - np.abs(p_neg)))),
     }
 
 
@@ -865,14 +893,78 @@ class TestTwinsNotFormed:
         assert conjugate_relation_residual(pair, count)[1] == \
             expect["conjugate"]
 
-    def test_residual_streams_form_no_twin(self, monkeypatch):
-        # the residuals and the distribution never reach iter_circle_values
-        pair = generate_pair(10)
-        monkeypatch.setattr(evaluate, "iter_circle_values", lambda *args: (
-            pytest.fail("iter_circle_values called")))
-        parallelogram_residual(pair, 16 * pair.n)
-        conjugate_relation_residual(pair, 16 * pair.n)
-        value_distribution(10, pair=pair)
+
+def _subarc_reference(pair, arc, count, slack, qs):
+    """_subarc_reports' hits, peak and means over every block of the whole
+    grid, each full-circle twin after its original and of weight 1."""
+    if arc == FULL_CIRCLE:
+        whole = fill_circle(evaluate.iter_circle_squares(
+            evaluate.autocorrelation(pair.p.coeffs), count), count)
+        blocks = [f for _, _, f in _cut_blocks(whole, pair.n)]
+    else:
+        blocks = [v.real ** 2 + v.imag ** 2 for _, v in
+                  evaluate.iter_arc_values(pair, "p", arc.alpha, arc.beta,
+                                           count)]
+    level = verify.GAMMA * pair.n
+    hits = [sum(np.count_nonzero(f >= t) for f in blocks)
+            for t in (level + slack, level, level ** 2)]
+    sums = np.zeros((len(qs), 2))
+    for f in blocks:
+        floor = np.maximum(f - slack, 0.0)
+        for i, q in enumerate(qs):
+            sums[i] += np.sum(floor ** (q / 2.0)), np.sum(f ** (q / 2.0))
+    return hits, max(float(f.max()) for f in blocks), sums / count
+
+
+class TestWholeGridReferences:
+    """Consumers of the full-circle streams, which weigh each block by the
+    twins it stands for or reduce it alone, against the same reductions of
+    whole grids filled by the mirror rule."""
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    @pytest.mark.parametrize("arc", [FULL_CIRCLE, Arc(0.3, 2.0)],
+                             ids=["full_circle", "subarc"])
+    def test_subarc_reports(self, k, arc):
+        pair = generate_pair(k)
+        qs = (0.5, 2.0)
+        level_set, moments = verify._subarc_reports(k, arc, pair, qs)
+        count = level_set.details["count"]
+        hits, peak, means = _subarc_reference(
+            pair, arc, count, level_set.details["slack"], qs)
+        assert [level_set.lhs, level_set.details["sampled_measure"],
+                level_set.details["literal_measure"]] == \
+            (arc.length / count * np.array(hits)).tolist()
+        assert all(report.details["peak"] == peak for report in moments)
+        got = np.array([[report.details["certified_lower"], report.lhs]
+                        for report in moments])
+        if arc == FULL_CIRCLE:  # a twin's sum no longer runs reversed
+            assert np.allclose(got, means, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(got, means)
+
+    @pytest.mark.parametrize("degree", [2, 64, 4096, 20000])
+    def test_circle_min_modulus(self, degree):
+        # strides 1, 1, 32 and 32
+        coeffs = gf2.random_skew_reciprocal(degree // 2,
+                                            np.random.default_rng(degree))
+        count = 64 * degree
+        whole = fill_circle(evaluate.iter_circle_values(coeffs, count), count)
+        assert gf2.circle_min_modulus(coeffs) == float(np.min(np.abs(whole)))
+
+    @pytest.mark.parametrize("half_offset", [True, False],
+                             ids=["half_offset", "lattice"])
+    @pytest.mark.parametrize("k, count", [(3, 4096), (9, 16 * 512),
+                                          (12, 64 * 4096)])
+    def test_eval_grid_and_circle_values(self, k, count, half_offset):
+        # strides 1, 2 and 64
+        pair = generate_pair(k)
+        grid = eval_grid(pair, FULL_CIRCLE, count, half_offset=half_offset)
+        for poly, got in ((pair.p, grid.values_p), (pair.q, grid.values_q)):
+            expect = fill_circle(evaluate.iter_circle_values(
+                poly.coeffs, count, half_offset), count, half_offset)
+            assert np.array_equal(got, expect)
+            assert np.array_equal(evaluate.circle_values(
+                poly.coeffs, count, half_offset), expect)
 
 
 class TestTracedPeaks:
@@ -969,12 +1061,11 @@ class TestCircleSquares:
         if cap is not None:
             assert max(block.size for _, _, block in squares) <= cap
         eps = _square_bound(pair.p.coeffs, count)
-        whole = np.empty(count)
         for (r, stride, sq), (_, _, v) in zip(squares, values):
             assert sq.size * stride == count
             # |S|^2 of the complex stream is within 3 eps of R (docstring)
             assert np.max(np.abs(sq - np.abs(v) ** 2)) <= 4 * eps
-            whole[r::stride] = sq
+        whole = fill_circle(squares, count)
         i = np.unique(np.linspace(0, count - 1, 64).astype(int))
         oracle = np.abs(eval_horner(pair.p, circle_grid(0.0, TAU, count)[i]))
         # the oracle's float angles are off by < 4 eps_64 2 pi, and |R'| <=
@@ -991,25 +1082,21 @@ class TestCircleSquares:
         blocks = list(evaluate.iter_circle_squares(
             evaluate.autocorrelation(pair.q.coeffs), count, slope=True))
         stride = blocks[0][1]
-        assert sorted(r for r, *_ in blocks) == list(range(stride))
-        for (r, _, sq, ds), (twin_r, _, twin, twin_ds) in \
-                zip(blocks[0::2], blocks[1::2]) if stride > 1 else []:
-            assert r < stride // 2 and twin_r == stride - 1 - r
-            assert np.array_equal(twin, sq[::-1]) and \
-                np.shares_memory(twin, sq)
-            assert np.array_equal(twin_ds, -ds[::-1])
-        # R' = -2 sum_l l c_l sin(l t) at sampled points, each angle reduced
-        # exactly: l t_j = pi (l (2j + 1) mod 2 count) / count
+        # the twins by the mirror rule: R is even, R' odd
+        slope = fill_circle([(r, s, ds) for r, s, _, ds in blocks], count,
+                            sign=-1)
+        # R' = -2 sum_l l c_l sin(l t) at sampled points of every sub-grid,
+        # each angle reduced exactly: l t_j = pi (l (2j + 1) mod 2 count) / count
         c = evaluate.autocorrelation(pair.q.coeffs)
         weights = np.arange(n) * c
         tol = _square_bound(pair.q.coeffs, count, slope=True) + \
             16 * EPS * TAU * np.sum(np.abs(weights))
-        for r, stride, sq, ds in blocks:
-            t = np.unique(np.linspace(0, sq.size - 1, 4).astype(int))
+        for r in range(stride):
+            t = np.unique(np.linspace(0, count // stride - 1, 4).astype(int))
             j = r + stride * t
             turns = np.outer(2 * j + 1, np.arange(n)) % (2 * count)
             exact = -2.0 * np.sin(math.pi / count * turns) @ weights
-            assert np.max(np.abs(ds[t] - exact)) <= tol
+            assert np.max(np.abs(slope[j] - exact)) <= tol
 
     @pytest.mark.parametrize("k", [16, 18])
     def test_relative_error_at_large_k(self, k):
@@ -1036,13 +1123,6 @@ class TestCircleSquares:
             next(evaluate.iter_circle_squares(c, 129))
         assert calls == []
 
-    def test_squares_are_read_only(self):
-        # a twin is a view of its original: no consumer may write either
-        for _, _, sq in evaluate.iter_circle_squares(
-                evaluate.autocorrelation(generate_pair(10).p.coeffs), 16 * 1024):
-            with pytest.raises(ValueError, match="read-only"):
-                sq[0] = 0.0
-
 
 def _complex_path(pair, count):
     """Every modulus-only consumer on iter_circle_values: per-point arrays.
@@ -1050,15 +1130,9 @@ def _complex_path(pair, count):
     |S| of P_k, the flatness integrand | |P|^2 - n |, the angles and
     2 Re(conj(P) i z P'), z P' streamed from the coefficients m a_m.
     """
-    n = pair.n
-    mod = np.empty(count)
-    slope = np.empty(count)
-    for (r, stride, p), (_, _, zdp) in zip(
-            evaluate.iter_circle_values(pair.p.coeffs, count),
-            evaluate.iter_circle_values(pair.p.coeffs * np.arange(n), count)):
-        mod[r::stride] = np.abs(p)
-        slope[r::stride] = 2.0 * np.real(np.conj(p) * 1j * zdp)
-    return mod, slope
+    p, zdp = (fill_circle(evaluate.iter_circle_values(a, count), count)
+              for a in (pair.p.coeffs, pair.p.coeffs * np.arange(pair.n)))
+    return np.abs(p), 2.0 * np.real(np.conj(p) * 1j * zdp)
 
 
 class TestSquaresMatchComplexPath:

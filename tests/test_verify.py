@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fill_circle
 from rudin_shapiro import evaluate, verify
 from rudin_shapiro.cli import main
 from rudin_shapiro.core import MAX_PAIR_K, ResourceLimitError, generate_pair
@@ -601,11 +602,9 @@ class TestDrivers:
             away = (np.minimum(th, TAU - th) > verify.POLE_EXCLUSION) & \
                 (np.abs(th - math.pi) > verify.POLE_EXCLUSION)
             for component in ("p", "q"):
-                sq = np.empty(count)
-                for r, stride, block in evaluate.iter_circle_squares(
-                        evaluate.autocorrelation(evaluate.pair_component(
-                            pair, component).coeffs), count):
-                    sq[r::stride] = block
+                sq = fill_circle(evaluate.iter_circle_squares(
+                    evaluate.autocorrelation(evaluate.pair_component(
+                        pair, component).coeffs), count), count)
                 brute = math.sqrt(max(np.min(sq, where=away,
                                              initial=math.inf), 0.0))
                 assert min_modulus_excluding_poles(
