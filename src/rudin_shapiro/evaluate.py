@@ -341,10 +341,13 @@ def autocorrelation(coeffs) -> np.ndarray:
     more than 1/4 from its integer (|c_l| <= n: far from it at k <= 26).
     """
     a = np.asarray(coeffs)
-    spectrum = np.fft.rfft(a, 2 * a.size)
-    c = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, 2 * a.size)[:a.size]
+    c = np.fft.rfft(a, 2 * a.size)  # |X|^2 is formed in X's own array
+    c.real **= 2
+    c.real += np.square(c.imag, out=c.imag)
+    c.imag = 0  # irfft takes it without a cast copy; rebinding c frees it
+    c = np.fft.irfft(c, 2 * a.size)[:a.size]
     exact = np.rint(c)
-    if np.any(np.abs(c - exact) > 0.25):
+    if np.any(np.abs(np.subtract(c, exact, out=c)) > 0.25):
         raise ValueError("autocorrelation residual above 1/4: the "
                          "coefficients must be integers")
     return exact

@@ -8,13 +8,14 @@ is below tol (Bini & Fiorentino 2000), so a sweep costs (moving roots) x
 degree, not degree^2, and S, S' come from a blocked Horner scheme in
 about 2 sqrt(degree) numpy steps.
 
-Real-zero counts are also exact, independent of any floating-point
-solver: the remainder sequence of (P, P') runs modulo batches of
-word-size primes in lockstep (one uint64 array, primes x coefficients),
-the principal subresultant coefficients follow from its leading
-coefficients and degrees (Brown & Traub 1971), CRT lifts them exactly
-past the Hadamard bound, and the signed Sturm-Habicht sequence counts
-the distinct real zeros (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
+Real-zero counts are exact: Taylor bisection on [-1, 1], for S and its
+reversal, certifies most inputs from blocked Horner values and a priori
+rounding bounds; elsewhere the remainder sequence of (P, P') runs modulo
+batches of word-size primes in lockstep (one uint64 array, primes x
+coefficients), the principal subresultant coefficients follow from its
+leading coefficients and degrees (Brown & Traub 1971), CRT lifts them
+exactly past the Hadamard bound, and the signed Sturm-Habicht sequence
+counts the distinct real zeros (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .core import (LittlewoodPolynomial, ResourceLimitError,
 
 #: A sweep costs (moving roots) x degree; early sweeps move all of them.
 MAX_ABERTH_DEGREE = 1 << 14
-#: An exact real-zero count at degree 2047 takes about 32 s on one core;
-#: the cost grows about 8x per doubling of the degree.
+#: The Sturm-Habicht fallback takes about 32 s at degree 2047 on one core
+#: (bisection: 12 ms for P_11), 8x more per doubling of the degree.
 MAX_STURM_DEGREE = 1 << 11
 
 
@@ -98,11 +99,11 @@ def _coefficient_blocks(c: np.ndarray) -> np.ndarray:
 def _blocked_horner(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(S(x), S'(x)) as an (m, 2) array: Horner in y = x^B, then in x.
 
-    About nb + B numpy steps on (m, 2, B) arrays instead of d on (m,).
+    About nb + B numpy steps on (m, 2, B) arrays of x's dtype, not d on (m,).
     """
     width = blocks.shape[2]
     y = (x ** width)[:, None, None]
-    acc = np.empty((len(x), 2, width), dtype=np.complex128)
+    acc = np.empty((len(x), 2, width), dtype=x.dtype)
     acc[:] = blocks[-1]
     for block in blocks[-2::-1]:
         acc *= y
@@ -534,9 +535,8 @@ def _epsilon(m: int) -> int:
     return -1 if m % 4 >= 2 else 1
 
 
-@functools.lru_cache(maxsize=32)  # keys of at most 2049 ints: ~0.5 MiB
-def _orbit_count(coeffs: tuple[int, ...]) -> int:
-    """Signed Sturm-Habicht count of a canonical coefficient vector."""
+def _sturm_habicht_count(coeffs) -> int:
+    """Distinct real zeros from the signed Sturm-Habicht sequence."""
     degree = len(coeffs) - 1
     degrees, pscs = _subresultant_sequence(list(coeffs))
     signs = [((psc > 0) - (psc < 0)) * _epsilon(degree - n)
@@ -549,26 +549,113 @@ def _orbit_count(coeffs: tuple[int, ...]) -> int:
     return count
 
 
-def real_zero_count_exact(poly) -> int:
-    """Number of distinct real zeros, from the Sturm-Habicht sequence.
+#: Cells one orientation of Taylor bisection may use before the chain runs.
+_CELL_BUDGET = 1 << 12
+#: Covers the loss to underflow in every bound (_taylor_values).
+_UNDERFLOW = 2.0 ** -1000
+#: Scales a cell test's larger side, covering its roundings and M's (< 2^-41).
+_SLACK = 1 + 2.0 ** -40
 
-    The principal subresultant coefficients psc_j of (P, P') come from
-    the remainder sequence modulo word-size primes, lifted exactly by
-    CRT (_subresultant_sequence).  Signed as sRes_j = eps_{d-j} psc_j,
-    eps_m = (-1)^(m(m-1)/2), they count the distinct real zeros as
-    permanences minus variations: over consecutive nonzero sRes_p,
-    sRes_q, add eps_{p-q} sign(sRes_p sRes_q) when p - q is odd
-    (Gonzalez-Vega, Lombardi, Recio & Roy 1989).  Defective steps and a
-    nontrivial gcd(P, P') need no special case.  No floating point
-    touches the signs.  Non-integer coefficients raise ValueError.
+
+def _taylor_values(blocks, sizes, x):
+    """(S, S') at |x| <= 1 as an (m, 2) array, and their rounding bounds.
+
+    blocks and sizes are _coefficient_blocks of integers a_i and |a_i| below
+    2^50.  With u = 2^-53, _blocked_horner rounds each term of S at most
+    N = 4nb + 2B - 3 times: y = x^B by pow (within an ulp, 2u) raised to
+    at most nb - 1, nb - 1 multiply-adds in y, B - 1 in x, i a_i in S'.
+    So S is off by at most gamma_N sum |a_i| |x|^i, gamma_N = N u / (1 -
+    N u), and S' by gamma_N sum i |a_i| |x|^(i-1), the rows of sizes at
+    |x|, which nonnegative terms keep within 1 + gamma_N: rel = 8 (nb + B)
+    u covers both.  Underflow loses under 2^-1075 a product, later scaled
+    by |x|, |y| <= 1: under 2^-1060 in all, which rel absorbs for S (its
+    majorant is >= |a_0| >= 1) but not for S': both add _UNDERFLOW.
+    """
+    rel = 4 * (blocks.shape[0] + blocks.shape[2]) * np.finfo(float).eps
+    values = _blocked_horner(blocks, x)
+    return values, rel * _blocked_horner(sizes, np.abs(x)) + _UNDERFLOW
+
+
+def _cell_count(a: np.ndarray, ends) -> int | None:
+    """Zeros of sum a_i x^i in (-1, 1), or None where cells cannot decide.
+
+    A dyadic cell [c - h, c + h] has S, S' at c within e, e' (_taylor_values)
+    and M = A''(|c| + h) + _UNDERFLOW >= |S''| on it, A = sum |a_i| x^i
+    (blocks of i |a_i|, no larger than a's).  By Taylor it has no zero if
+    |S| - e > (|S'| + e') h + M h^2 / 2.  If |S'| - e' > M h, S is monotone
+    on it: one zero if also (|S'| - e') h > |S| + e + M h^2 / 2 (end values
+    of opposite signs), none inside if it ends at -1 or 1 where S is 0 (ends).
+    Other cells split in eight.  A multiple zero or a zero on a cell edge
+    never decides: past _CELL_BUDGET cells or half-width 2^-50, None.
+    """
+    blocks, sizes = _coefficient_blocks(a), _coefficient_blocks(np.abs(a))
+    curves = _coefficient_blocks(np.arange(1, len(a)) * np.abs(a[1:]))
+    h = 2.0 ** -5
+    centers = np.arange(-1 + h, 1, 2 * h)
+    count = cells = 0
+    while centers.size:
+        cells += centers.size
+        if cells > _CELL_BUDGET or h < 2.0 ** -50:
+            return None
+        values, errors = _taylor_values(blocks, sizes, centers)
+        (value, slope), (err, err_slope) = np.abs(values).T, errors.T
+        curve = _blocked_horner(curves, np.abs(centers) + h)[:, 1] + _UNDERFLOW
+        drift = curve * h * h / 2
+        low_slope = slope - err_slope
+        free = value - err > _SLACK * ((slope + err_slope) * h + drift)
+        steep = low_slope > _SLACK * curve * h
+        crossing = steep & (low_slope * h > _SLACK * (value + err + drift))
+        at_end = steep & ((centers + h == 1) & ends[1]
+                          | (centers - h == -1) & ends[0])
+        count += int(np.count_nonzero(crossing))
+        step = h / 8
+        centers = (centers[~(free | crossing | at_end), None] - h + step
+                   + 2 * step * np.arange(8)).ravel()
+        h = step
+    return count
+
+
+@functools.lru_cache(maxsize=32)  # keys of at most 2049 ints: ~0.5 MiB
+def _orbit_count(coeffs: tuple[int, ...]) -> int:
+    """Distinct real zeros of a canonical vector, by Taylor bisection.
+
+    Zeros at 0 and +-1 are exact; _cell_count counts (-1, 1) for S and for
+    x^d S(1/x), whose zeros there are 1/x of S's zeros with |x| > 1.  The
+    chain counts where a cell count is None or a coefficient is >= 2^50.
+    """
+    low = next(i for i, v in enumerate(coeffs) if v)
+    c = coeffs[low:]
+    ends = (sum(c[::2]) == sum(c[1::2]), sum(c) == 0)
+    count = int(low > 0) + sum(ends)
+    if max(map(abs, c)) < 1 << 50:
+        a = np.array(c, dtype=np.float64)
+        for image in (a, a[::-1]) if len(c) > 1 else ():
+            inside = _cell_count(image, ends)
+            if inside is None:
+                return _sturm_habicht_count(coeffs)
+            count += inside
+        return count
+    return _sturm_habicht_count(coeffs)
+
+
+def real_zero_count_exact(poly) -> int:
+    """Number of distinct real zeros, certified.
+
+    Taylor bisection (_orbit_count) decides almost every input in
+    milliseconds.  Where it cannot (a multiple zero, a zero on a cell edge,
+    coefficients of 2^50 or more), the Sturm-Habicht chain counts: the
+    principal subresultant coefficients psc_j of (P, P') (modulo word-size
+    primes, lifted by CRT: _subresultant_sequence), signed as sRes_j =
+    eps_{d-j} psc_j, eps_m = (-1)^(m(m-1)/2), count permanences minus
+    variations: over consecutive nonzero sRes_p, sRes_q, add eps_{p-q}
+    sign(sRes_p sRes_q) when p - q is odd (Gonzalez-Vega, Lombardi, Recio
+    & Roy 1989).  Non-integer coefficients raise ValueError.
 
     The count is the same on the orbit of P under x -> -x, P -> -P and,
-    when P(0) != 0, the reversal x^d P(1/x): each maps the real zeros
-    one to one (a zero at 0 has no image under x -> 1/x, so a vector
-    with c_0 = 0 is not reversed).  One chain runs per orbit, on its
-    lexicographically least image, and the 32 most recently used orbits
-    keep their counts.  Q_k = +-x^(n-1) P_k(-1/x) is in P_k's orbit, so counting
-    Q_k after P_k costs O(d).
+    when P(0) != 0, the reversal x^d P(1/x) (a zero at 0 has no image
+    under x -> 1/x).  One count runs per orbit, on its lexicographically
+    least image, and the 32 most recently used orbits keep their counts:
+    Q_k = +-x^(n-1) P_k(-1/x) is in P_k's orbit, so it costs O(d) after P_k.
     """
     coeffs = integer_coefficients(poly, "real_zero_count_exact")
     while coeffs and coeffs[-1] == 0:

@@ -157,7 +157,7 @@ def test_criterion_07_exact_real_zero_counts(verdict):
     elapsed = time.monotonic() - start
     ok = all(c == 1 for c in counts) and elapsed <= 300
     verdict(7, "exact-real-zeros", ok,
-            f"Sturm chain counts all 1 for P_k, Q_k, k=1..10, "
+            f"Taylor-bisection counts all 1 for P_k, Q_k, k=1..10, "
             f"{elapsed:.1f}s <= 300s")
     assert all(c == 1 for c in counts)
     assert elapsed <= 300

@@ -572,11 +572,11 @@ class TestExactRealZeroCount:
             kept.extend(result[0].tolist())
             return result
         monkeypatch.setattr(roots_mod, "_remainder_sequence", spy)
-        roots_mod._orbit_count.cache_clear()  # count on the patched path
         assert roots_mod._subresultant_sequence(coeffs) == expected
         assert kept and 11 not in kept
         kept.clear()
-        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        assert roots_mod._sturm_habicht_count(coeffs) == \
+            prs_real_zero_count(coeffs)
         assert kept and 11 not in kept
 
     @pytest.mark.parametrize("cap", [1, 8])
@@ -601,7 +601,6 @@ class TestExactRealZeroCount:
             return lift(residues, primes, bits)
         monkeypatch.setattr(roots_mod, "_remainder_sequence", sequence_spy)
         monkeypatch.setattr(roots_mod, "_chinese_remainder", lift_spy)
-        roots_mod._orbit_count.cache_clear()
         for coeffs, want in zip(inputs, expected):
             monkeypatch.setattr(roots_mod, "_BATCH_ELEMENTS",
                                 cap * len(coeffs))
@@ -610,6 +609,8 @@ class TestExactRealZeroCount:
             assert batches[0][0] == 11
             assert max(map(len, batches)) <= cap
             counts.append(len(batches))
+            assert roots_mod._sturm_habicht_count(coeffs) == \
+                prs_real_zero_count(coeffs)
         # P_5 and the big coefficients need more than eight primes
         assert min(counts[1:]) > 1
         # lifted[0] comes from the unlucky input: 11 was dropped either
@@ -689,8 +690,7 @@ class TestOrbitCount:
         # with c_0 != 0 every image keeps the degree and the real zeros
         images = orbit_images(coeffs)
         assert len(images) <= 8
-        counts = {roots_mod._orbit_count.__wrapped__(image)
-                  for image in images}
+        counts = {roots_mod._sturm_habicht_count(image) for image in images}
         assert counts == {prs_real_zero_count(coeffs)}
 
     def test_zero_constant_term_is_not_reversed(self):
@@ -705,14 +705,92 @@ class TestOrbitCount:
                 (2 if n % 2 == 0 else 1)
         assert roots_mod._orbit_count.cache_info().currsize <= maxsize
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    # The chain alone on P_k and Q_k for k <= 10, the work of gate 7 before
+    # Taylor bisection certified these counts: Sturm stays their oracle.
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_q_counted_on_its_own_coefficients(self, k):
         coeffs = tuple(generate_pair(k).q.coeffs.tolist())
-        assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
+        assert roots_mod._sturm_habicht_count(coeffs) == 1
 
-    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_p_counted_on_its_own_coefficients(self, k):
-        # P_k's own vector is not its orbit's canonical image, so the
-        # cached count never runs the chain on it
+        # P_k's own vector is not its orbit's canonical image, so only
+        # this test runs the chain on it
         coeffs = tuple(generate_pair(k).p.coeffs.tolist())
-        assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
+        assert roots_mod._sturm_habicht_count(coeffs) == 1
+
+
+def exact_value(coeffs, x: float) -> Fraction:
+    """sum c_i x^i exactly, by Horner on the integers of x = p / q."""
+    p, q = Fraction(x).as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= q
+    return Fraction(acc, scale // q)
+
+
+class TestCertifiedCount:
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_pairs_certified_without_the_chain(self, monkeypatch, k):
+        def refuse(coeffs):
+            raise AssertionError("the Sturm-Habicht chain ran")
+        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", refuse)
+        pair = generate_pair(k)
+        for poly in (pair.p, pair.q):
+            coeffs = tuple(poly.coeffs.tolist())
+            assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
+            if k <= 11:
+                roots_mod._orbit_count.cache_clear()
+                assert real_zero_count_exact(poly) == 1
+
+    @pytest.mark.parametrize("coeffs", [
+        generate_pair(4).p.coeffs.tolist(), generate_pair(8).q.coeffs.tolist(),
+        [int(v) for v in np.random.default_rng(5).choice([-1, 1], 256)],
+        [3] + [int(v) for v in np.random.default_rng(6).integers(-4, 5, 199)]
+        + [-2]], ids=["P_4", "Q_8", "littlewood_255", "small_ints_200"])
+    def test_values_within_their_bounds(self, coeffs):
+        near = [1.0, 1 - 1e-15, 1 - 2 ** -53, 1e-15, 2 ** -60, 1e-300, 0.0]
+        x = np.array(near + [-v for v in near]
+                     + np.random.default_rng(7).uniform(-1, 1, 40).tolist())
+        a = np.array(coeffs, dtype=np.float64)
+        values, errors = roots_mod._taylor_values(
+            roots_mod._coefficient_blocks(a),
+            roots_mod._coefficient_blocks(np.abs(a)), x)
+        slope = [i * c for i, c in enumerate(coeffs)][1:]
+        for point, (s, ds), (e, de) in zip(x.tolist(), values.tolist(),
+                                           errors.tolist()):
+            assert abs(Fraction(s) - exact_value(coeffs, point)) <= e
+            assert abs(Fraction(ds) - exact_value(slope, point)) <= de
+
+    @pytest.mark.parametrize("coeffs", [
+        poly_mul([-1, 1], poly_mul([-1, 1], [2, 0, 1])),  # double zero at 1
+        poly_mul([-3, 10], [-3, 10]),                     # double at 0.3
+        poly_mul([1, -2, 1], [1] * 251),          # (x - 1)^2 (1 + ... + x^250)
+        [-1, 2],                                          # 1/2, a cell edge
+        [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]],          # past 2^50
+        ids=["double_at_1", "double_inside", "x_minus_1_squared_deg252",
+             "zero_on_edge", "big"])
+    def test_undecided_inputs_reach_the_chain(self, monkeypatch, coeffs):
+        cells, calls = [], []
+        taylor, cell_count = roots_mod._taylor_values, roots_mod._cell_count
+        chain = roots_mod._sturm_habicht_count
+
+        def count_cells(blocks, sizes, x):
+            cells[-1] += len(x)
+            return taylor(blocks, sizes, x)
+
+        def per_orientation(a, ends):
+            cells.append(0)
+            return cell_count(a, ends)
+
+        def spy(c):
+            calls.append(c)
+            return chain(c)
+        monkeypatch.setattr(roots_mod, "_taylor_values", count_cells)
+        monkeypatch.setattr(roots_mod, "_cell_count", per_orientation)
+        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", spy)
+        roots_mod._orbit_count.cache_clear()
+        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        assert len(calls) == 1
+        assert max(cells, default=0) <= roots_mod._CELL_BUDGET
