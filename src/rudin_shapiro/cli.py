@@ -258,6 +258,7 @@ def cmd_census(args, out_dir: Path) -> int:
                 "on_circle_within_eps": census.on_circle_within_eps,
                 "outside": census.outside,
                 "real_zeros": census.real_zeros,
+                "real_zeros_certified": roots.real_zero_count_exact(poly),
                 "flagged_roots": int(rootset.flags.sum()),
                 "min_modulus_away_from_poles":
                     verify.min_modulus_excluding_poles(

@@ -20,7 +20,6 @@ counts the distinct real zeros (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,8 @@ from .core import (LittlewoodPolynomial, ResourceLimitError,
 
 #: A sweep costs (moving roots) x degree; early sweeps move all of them.
 MAX_ABERTH_DEGREE = 1 << 14
-#: The Sturm-Habicht fallback takes about 32 s at degree 2047 on one core
-#: (bisection: 12 ms for P_11), 8x more per doubling of the degree.
+#: Above it the Sturm-Habicht fallback is refused: 32 s at degree 2047 on one
+#: core, 8x more per doubling (bisection runs at any degree: P_11 in 12 ms).
 MAX_STURM_DEGREE = 1 << 11
 
 
@@ -615,14 +614,29 @@ def _cell_count(a: np.ndarray, ends) -> int | None:
     return count
 
 
-@functools.lru_cache(maxsize=32)  # keys of at most 2049 ints: ~0.5 MiB
-def _orbit_count(coeffs: tuple[int, ...]) -> int:
-    """Distinct real zeros of a canonical vector, by Taylor bisection.
+def real_zero_count_exact(poly) -> int:
+    """Number of distinct real zeros, certified.
 
-    Zeros at 0 and +-1 are exact; _cell_count counts (-1, 1) for S and for
-    x^d S(1/x), whose zeros there are 1/x of S's zeros with |x| > 1.  The
-    chain counts where a cell count is None or a coefficient is >= 2^50.
+    A zero at 0 is stripped and the zeros at +-1 are exact integer sums;
+    Taylor bisection (_cell_count) counts (-1, 1) for S and for x^d S(1/x),
+    whose zeros there are 1/x of S's zeros with |x| > 1.  It decides almost
+    every input in milliseconds, at any degree.  Where it cannot (a multiple
+    zero, a zero on a cell edge, coefficients of 2^50 or more), the
+    Sturm-Habicht chain counts on the input's own coefficients: the
+    principal subresultant coefficients psc_j of (P, P') (modulo word-size
+    primes, lifted by CRT: _subresultant_sequence), signed as sRes_j =
+    eps_{d-j} psc_j, eps_m = (-1)^(m(m-1)/2), count permanences minus
+    variations: over consecutive nonzero sRes_p, sRes_q, add eps_{p-q}
+    sign(sRes_p sRes_q) when p - q is odd (Gonzalez-Vega, Lombardi, Recio
+    & Roy 1989).  Only the chain is refused above MAX_STURM_DEGREE, with
+    ResourceLimitError.  Non-integer coefficients raise ValueError.
     """
+    coeffs = integer_coefficients(poly, "real_zero_count_exact")
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    degree = len(coeffs) - 1
+    if degree <= 0:
+        return 0
     low = next(i for i, v in enumerate(coeffs) if v)
     c = coeffs[low:]
     ends = (sum(c[::2]) == sum(c[1::2]), sum(c) == 0)
@@ -632,45 +646,13 @@ def _orbit_count(coeffs: tuple[int, ...]) -> int:
         for image in (a, a[::-1]) if len(c) > 1 else ():
             inside = _cell_count(image, ends)
             if inside is None:
-                return _sturm_habicht_count(coeffs)
+                break
             count += inside
-        return count
-    return _sturm_habicht_count(coeffs)
-
-
-def real_zero_count_exact(poly) -> int:
-    """Number of distinct real zeros, certified.
-
-    Taylor bisection (_orbit_count) decides almost every input in
-    milliseconds.  Where it cannot (a multiple zero, a zero on a cell edge,
-    coefficients of 2^50 or more), the Sturm-Habicht chain counts: the
-    principal subresultant coefficients psc_j of (P, P') (modulo word-size
-    primes, lifted by CRT: _subresultant_sequence), signed as sRes_j =
-    eps_{d-j} psc_j, eps_m = (-1)^(m(m-1)/2), count permanences minus
-    variations: over consecutive nonzero sRes_p, sRes_q, add eps_{p-q}
-    sign(sRes_p sRes_q) when p - q is odd (Gonzalez-Vega, Lombardi, Recio
-    & Roy 1989).  Non-integer coefficients raise ValueError.
-
-    The count is the same on the orbit of P under x -> -x, P -> -P and,
-    when P(0) != 0, the reversal x^d P(1/x) (a zero at 0 has no image
-    under x -> 1/x).  One count runs per orbit, on its lexicographically
-    least image, and the 32 most recently used orbits keep their counts:
-    Q_k = +-x^(n-1) P_k(-1/x) is in P_k's orbit, so it costs O(d) after P_k.
-    """
-    coeffs = integer_coefficients(poly, "real_zero_count_exact")
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    degree = len(coeffs) - 1
+        else:
+            return count
     if degree > MAX_STURM_DEGREE:
         raise ResourceLimitError(
-            f"degree {degree} exceeds the exact-arithmetic limit "
-            f"{MAX_STURM_DEGREE}; use find_roots + zero_census instead")
-    if degree <= 0:
-        return 0
-
-    images = []
-    for c in (coeffs, coeffs[::-1]) if coeffs[0] else (coeffs,):
-        alternate = [-v if i % 2 else v for i, v in enumerate(c)]
-        for image in (c, alternate):
-            images += [tuple(image), tuple(-v for v in image)]
-    return _orbit_count(min(images))
+            f"degree {degree} exceeds the Sturm-Habicht limit "
+            f"{MAX_STURM_DEGREE} where bisection cannot decide; use "
+            "find_roots + zero_census instead")
+    return _sturm_habicht_count(coeffs)

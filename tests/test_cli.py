@@ -293,6 +293,7 @@ class TestSubcommands:
                 entry["on_circle_within_eps"] + entry["outside"]
             assert total == 31
             assert entry["real_zeros"] == 1
+            assert entry["real_zeros_certified"] == 1
 
     def test_census_k_range(self, tmp_path, capsys):
         assert main(["census", "--k", "3..5", "--out", str(tmp_path)]) == 0

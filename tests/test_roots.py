@@ -646,9 +646,17 @@ class TestExactRealZeroCount:
         assert real_zero_count_exact([-1.0, 0.0, 1.0]) == 2
         assert real_zero_count_exact(np.array([-2.0, 0.0, 1.0])) == 2
 
-    def test_degree_guard(self):
+    def test_degree_guard(self, monkeypatch):
+        # bisection runs at any degree; only the chain is refused past 2^11
+        pair = generate_pair(12)
+        assert real_zero_count_exact(pair.p) == 1
+        assert real_zero_count_exact(pair.q) == 1
+        calls = []
+        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", calls.append)
+        double_at_1 = poly_mul([1, -2, 1], [1] * 2048)  # degree 2049
         with pytest.raises(ResourceLimitError, match="census"):
-            real_zero_count_exact(generate_pair(12).p)
+            real_zero_count_exact(double_at_1)
+        assert not calls
 
     @settings(max_examples=30)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=16))
@@ -694,16 +702,8 @@ class TestOrbitCount:
         assert counts == {prs_real_zero_count(coeffs)}
 
     def test_zero_constant_term_is_not_reversed(self):
-        roots_mod._orbit_count.cache_clear()
         assert real_zero_count_exact([1, 0, 0, 0, -1]) == 2      # 1 - x^4
         assert real_zero_count_exact([0, -1, 0, 0, 0, 1]) == 3   # x^5 - x
-
-    def test_cache_is_bounded(self):
-        maxsize = roots_mod._orbit_count.cache_info().maxsize
-        for n in range(1, maxsize + 9):  # x^n - 1, one orbit per degree
-            assert real_zero_count_exact([-1] + [0] * (n - 1) + [1]) == \
-                (2 if n % 2 == 0 else 1)
-        assert roots_mod._orbit_count.cache_info().currsize <= maxsize
 
     # The chain alone on P_k and Q_k for k <= 10, the work of gate 7 before
     # Taylor bisection certified these counts: Sturm stays their oracle.
@@ -714,8 +714,6 @@ class TestOrbitCount:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_p_counted_on_its_own_coefficients(self, k):
-        # P_k's own vector is not its orbit's canonical image, so only
-        # this test runs the chain on it
         coeffs = tuple(generate_pair(k).p.coeffs.tolist())
         assert roots_mod._sturm_habicht_count(coeffs) == 1
 
@@ -737,12 +735,8 @@ class TestCertifiedCount:
             raise AssertionError("the Sturm-Habicht chain ran")
         monkeypatch.setattr(roots_mod, "_sturm_habicht_count", refuse)
         pair = generate_pair(k)
-        for poly in (pair.p, pair.q):
-            coeffs = tuple(poly.coeffs.tolist())
-            assert roots_mod._orbit_count.__wrapped__(coeffs) == 1
-            if k <= 11:
-                roots_mod._orbit_count.cache_clear()
-                assert real_zero_count_exact(poly) == 1
+        assert real_zero_count_exact(pair.p) == 1
+        assert real_zero_count_exact(pair.q) == 1
 
     @pytest.mark.parametrize("coeffs", [
         generate_pair(4).p.coeffs.tolist(), generate_pair(8).q.coeffs.tolist(),
@@ -790,7 +784,6 @@ class TestCertifiedCount:
         monkeypatch.setattr(roots_mod, "_taylor_values", count_cells)
         monkeypatch.setattr(roots_mod, "_cell_count", per_orientation)
         monkeypatch.setattr(roots_mod, "_sturm_habicht_count", spy)
-        roots_mod._orbit_count.cache_clear()
         assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
         assert len(calls) == 1
         assert max(cells, default=0) <= roots_mod._CELL_BUDGET
