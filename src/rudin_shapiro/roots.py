@@ -5,11 +5,11 @@ which makes deflation unstable; find_roots therefore refines all roots
 jointly by Aberth-Ehrlich simultaneous iteration (Jacobi sweeps, so the
 update order cannot depend on scheduling).  A root freezes once its step
 is below tol (Bini & Fiorentino 2000), so a sweep costs (moving roots) x
-degree, not degree^2, and S, S' come from a blocked Horner scheme in
-about 2 sqrt(degree) numpy steps.
+degree, not degree^2, and forms each pair of moving roots once.  S, S'
+come from powers of x and y = x^B (cumprod) summed by np.einsum.
 
 Real-zero counts are exact: Taylor bisection on [-1, 1], for S and its
-reversal, certifies most inputs from blocked Horner values and a priori
+reversal, certifies most inputs from the same values and a priori
 rounding bounds; elsewhere the remainder sequence of (P, P') runs modulo
 batches of word-size primes in lockstep (one uint64 array, primes x
 coefficients), the principal subresultant coefficients follow from its
@@ -28,10 +28,10 @@ import numpy as np
 from .core import (LittlewoodPolynomial, ResourceLimitError,
                    integer_coefficients)
 
-#: A sweep costs (moving roots) x degree; early sweeps move all of them.
+#: A sweep costs (moving roots) x degree: P_14 takes 16 s on one core.
 MAX_ABERTH_DEGREE = 1 << 14
 #: Above it the Sturm-Habicht fallback is refused: 32 s at degree 2047 on one
-#: core, 8x more per doubling (bisection runs at any degree: P_11 in 12 ms).
+#: core, 8x more per doubling (bisection runs at any degree: P_11 in 3.4 ms).
 MAX_STURM_DEGREE = 1 << 11
 
 
@@ -73,44 +73,61 @@ class ZeroCensus:
 def _coefficients(poly) -> np.ndarray:
     if isinstance(poly, LittlewoodPolynomial):
         return poly.coeffs.astype(np.float64)
-    arr = np.asarray(poly, dtype=np.float64)
+    arr = np.asarray(poly)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a 1-d coefficient sequence")
+    if (arr.dtype.kind == "c"  # a cast would drop the imaginary parts
+            or not np.isfinite(arr := arr.astype(np.float64)).all()):
+        raise ValueError("find_roots needs real, finite coefficients")
     if arr[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     return arr
+
+
+#: Below it one block of width d + 1: a y stage costs more than it saves.
+_ONE_BLOCK = 1 << 7
 
 
 def _coefficient_blocks(c: np.ndarray) -> np.ndarray:
     """(nb, 2, B) blocks of S and S' coefficients, B = ceil(sqrt(d + 1)).
 
     blocks[i, :, r] holds the coefficients of z^(iB + r) in S and S',
-    zero-padded past the top degree.
+    zero-padded past the top degree; below _ONE_BLOCK coefficients B = d + 1.
     """
     size = len(c)
-    width = math.isqrt(size - 1) + 1
+    width = size if size < _ONE_BLOCK else math.isqrt(size - 1) + 1
     pair = np.zeros((2, -(-size // width) * width))
     pair[0, :size] = c
     pair[1, :size - 1] = c[1:] * np.arange(1, size)
     return pair.reshape(2, -1, width).transpose(1, 0, 2).copy()
 
 
-def _blocked_horner(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(S(x), S'(x)) as an (m, 2) array: Horner in y = x^B, then in x.
+def _power_sums(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(S(x), S'(x)) as an (m, 2) array: sum_i y^i sum_r blocks[i, :, r] x^r.
 
-    About nb + B numpy steps on (m, 2, B) arrays of x's dtype, not d on (m,).
+    Per tile of rows, cumprod forms x^r, r < B, and y^i, i < nb, y = x^B by
+    pow; np.einsum (numpy's loops, no BLAS) sums over r, real and imaginary
+    parts apart, then over i.  No temporary exceeds (tile, 2, B).
     """
-    width = blocks.shape[2]
-    y = (x ** width)[:, None, None]
-    acc = np.empty((len(x), 2, width), dtype=x.dtype)
-    acc[:] = blocks[-1]
-    for block in blocks[-2::-1]:
-        acc *= y
-        acc += block
-    out = acc[..., -1]
-    for r in range(width - 2, -1, -1):
-        out = out * x[:, None] + acc[..., r]
-    return out
+    nb, _, width = blocks.shape
+    rows = max(1, (1 << 14) // width)  # tiles of about 2^14 powers of x
+    if len(x) > rows:
+        return np.concatenate([_power_sums(blocks, x[lo:lo + rows])
+                               for lo in range(0, len(x), rows)])
+    powers = np.empty((min(nb, 2), len(x), width), dtype=x.dtype)
+    powers[:, :, 0] = 1.0
+    powers[0, :, 1:] = x[:, None]
+    if nb > 1:
+        powers[1, :, 1:] = (x ** width)[:, None]
+    np.cumprod(powers, axis=2, out=powers)
+    flat = blocks.reshape(2 * nb, width)
+    if nb == 1:
+        return np.einsum("mr,kr->mk", powers[0], flat)
+    parts = [powers[0].real, powers[0].imag][:1 + (x.dtype.kind == "c")]
+    sums = np.einsum("zmr,kr->zmk", np.array(parts), flat)
+    inner = sums[0] + 1j * sums[1] if len(sums) > 1 else sums[0]
+    return np.einsum("mic,mi->mc", inner.reshape(len(x), nb, 2),
+                     powers[1, :, :nb])
 
 
 def _newton_ratio(blocks, blocks_rev, d, x):
@@ -124,15 +141,41 @@ def _newton_ratio(blocks, blocks_rev, d, x):
     inner = np.abs(x) <= 1.0
     xi = x[inner]
     if xi.size:
-        pv, dv = _blocked_horner(blocks, xi).T
+        pv, dv = _power_sums(blocks, xi).T
         ratio[inner] = pv / np.where(dv == 0, 1e-300, dv)
     xo = x[~inner]
     if xo.size:
         y = 1.0 / xo
-        qv, dqv = _blocked_horner(blocks_rev, y).T
+        qv, dqv = _power_sums(blocks_rev, y).T
         denom = d * qv - y * dqv
         ratio[~inner] = xo * qv / np.where(denom == 0, 1e-300, denom)
     return ratio
+
+
+def _repulsion(moving: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1/(x_i - x_j) = conj(diff) / |diff|^2, x_i moving.
+
+    Row blocks of about 2^15 elements meet their own and the frozen columns
+    whole, each later moving column once: as fl(a - b) = -fl(b - a), that
+    pair's term is added to its row and subtracted from the column's.
+    """
+    out = np.zeros(len(moving), dtype=moving.dtype)
+    rows = max(1, (1 << 15) // (len(moving) + len(frozen)))
+    for lo in range(0, len(moving), rows):
+        cols = (np.concatenate((moving[lo:], frozen)) if len(frozen)
+                else moving[lo:])
+        re = moving.real[lo:lo + rows, None] - cols.real
+        im = moving.imag[lo:lo + rows, None] - cols.imag
+        own = slice(None, None, re.shape[1] + 1)  # flat (k, k), k < rows
+        re.reshape(-1)[own] = 1.0  # keeps |diff|^2 > 0; its weight is zeroed
+        w = 1.0 / (re * re + im * im)
+        w.reshape(-1)[own] = 0.0
+        re, im = re * w, im * w
+        out[lo:lo + rows] += re.sum(1) - 1j * im.sum(1)
+        if lo + rows < len(moving):
+            later = slice(rows, len(moving) - lo)
+            out[lo + rows:] -= re[:, later].sum(0) - 1j * im[:, later].sum(0)
+    return out
 
 
 def _center_clusters(c, x, residuals, radius=1e-4):
@@ -218,30 +261,23 @@ def find_roots(poly, tol: float = 1e-10, max_iter: int = 200) -> RootSet:
     # Aberth steps can overshoot badly from a bad configuration; a cap
     # on the move length keeps iterates near the root annulus.
     step_cap = 0.5
-    block = max(1, (1 << 16) // degree)  # rows per cache-sized block
     active = np.arange(degree)
+    frozen = x[:0]
     iterations = 0
     converged = False
     for _ in range(max_iter):
         iterations += 1
         xa = x[active]
         newton = _newton_ratio(blocks, blocks_rev, degree, xa)
-        repulsion = np.empty_like(xa)
-        for lo in range(0, len(active), block):
-            # sum over j != i of 1/(x_i - x_j) = conj(diff) / |diff|^2
-            xb = xa[lo:lo + block]
-            own = (np.arange(len(xb)), active[lo:lo + block])
-            re, im = xb.real[:, None] - x.real, xb.imag[:, None] - x.imag
-            re[own] = 1.0  # keeps |diff|^2 > 0; the self weight is zeroed
-            w = 1.0 / (re * re + im * im)
-            w[own] = 0.0
-            repulsion[lo:lo + block] = (re * w).sum(1) - 1j * (im * w).sum(1)
-        delta = newton / (1.0 - newton * repulsion)
+        delta = newton / (1.0 - newton * _repulsion(xa, frozen))
         mag = np.abs(delta)
         delta *= np.minimum(1.0, step_cap / np.maximum(mag, 1e-300))
-        x[active] = xa - delta
+        x[active] = xa = xa - delta
         # a NaN step fails the test and stays active
-        active = active[~(np.abs(delta) / (1.0 + np.abs(x[active])) < tol)]
+        done = np.abs(delta) / (1.0 + np.abs(xa)) < tol
+        if done.any():
+            frozen = np.concatenate((frozen, xa[done]))
+            active = active[~done]
         if not active.size:
             converged = True
             break
@@ -550,45 +586,49 @@ def _sturm_habicht_count(coeffs) -> int:
 
 #: Cells one orientation of Taylor bisection may use before the chain runs.
 _CELL_BUDGET = 1 << 12
-#: Covers the loss to underflow in every bound (_taylor_values).
+#: Times a coefficient row sum, covers the loss to underflow (_taylor_values).
 _UNDERFLOW = 2.0 ** -1000
-#: Scales a cell test's larger side, covering its roundings and M's (< 2^-41).
+#: Scales a cell test's larger side, covering the roundings of both sides.
 _SLACK = 1 + 2.0 ** -40
 
 
 def _taylor_values(blocks, sizes, x):
-    """(S, S') at |x| <= 1 as an (m, 2) array, and their rounding bounds.
+    """(S, S') at real |x| <= 1 as an (m, 2) array, and their rounding bounds.
 
     blocks and sizes are _coefficient_blocks of integers a_i and |a_i| below
-    2^50.  With u = 2^-53, _blocked_horner rounds each term of S at most
-    N = 4nb + 2B - 3 times: y = x^B by pow (within an ulp, 2u) raised to
-    at most nb - 1, nb - 1 multiply-adds in y, B - 1 in x, i a_i in S'.
-    So S is off by at most gamma_N sum |a_i| |x|^i, gamma_N = N u / (1 -
-    N u), and S' by gamma_N sum i |a_i| |x|^(i-1), the rows of sizes at
-    |x|, which nonnegative terms keep within 1 + gamma_N: rel = 8 (nb + B)
-    u covers both.  Underflow loses under 2^-1075 a product, later scaled
-    by |x|, |y| <= 1: under 2^-1060 in all, which rel absorbs for S (its
-    majorant is >= |a_0| >= 1) but not for S': both add _UNDERFLOW.
+    2^50.  With u = 2^-53, _power_sums rounds the term of x^(iB + r) at most
+    N = 2B + 4nb - 5 times: r - 1 in x^r, 3i - 1 in y^i (y = x^B by pow,
+    within an ulp: 2u), B and nb in the sums over r and i (a product, then
+    additions in any order), one in i a_i for S'.  So S is off by at most
+    gamma_N sum |a_i| |x|^i, gamma_N = N u / (1 - N u), and S' by gamma_N
+    sum i |a_i| |x|^(i-1): the rows of sizes at |x|, which nonnegative terms
+    keep within 1 + gamma_N.  N < 4 (nb + B): rel = 8 (nb + B) u covers both.
+    A product that underflows loses under 2^-1075 (additions are exact), a
+    loss in x^r or y^i then scaled by a coefficient: under (B + 4nb + 1)
+    2^-1075 times the row sum of sizes (>= 1) in all, under _UNDERFLOW times.
     """
     rel = 4 * (blocks.shape[0] + blocks.shape[2]) * np.finfo(float).eps
-    values = _blocked_horner(blocks, x)
-    return values, rel * _blocked_horner(sizes, np.abs(x)) + _UNDERFLOW
+    return _power_sums(blocks, x), (rel * _power_sums(sizes, np.abs(x))
+                                    + _UNDERFLOW * sizes.sum(axis=(0, 2)))
 
 
 def _cell_count(a: np.ndarray, ends) -> int | None:
     """Zeros of sum a_i x^i in (-1, 1), or None where cells cannot decide.
 
     A dyadic cell [c - h, c + h] has S, S' at c within e, e' (_taylor_values)
-    and M = A''(|c| + h) + _UNDERFLOW >= |S''| on it, A = sum |a_i| x^i
-    (blocks of i |a_i|, no larger than a's).  By Taylor it has no zero if
-    |S| - e > (|S'| + e') h + M h^2 / 2.  If |S'| - e' > M h, S is monotone
-    on it: one zero if also (|S'| - e') h > |S| + e + M h^2 / 2 (end values
-    of opposite signs), none inside if it ends at -1 or 1 where S is 0 (ends).
-    Other cells split in eight.  A multiple zero or a zero on a cell edge
-    never decides: past _CELL_BUDGET cells or half-width 2^-50, None.
+    and M >= A''(|c| + h) >= |S''| on it, A = sum |a_i| x^i (blocks of
+    i |a_i|, no larger than a's; the value plus its rounding bound).  By
+    Taylor it has no zero if |S| - e > (|S'| + e') h + M h^2 / 2.  If
+    |S'| - e' > M h, S is monotone on it: one zero if also (|S'| - e') h >
+    |S| + e + M h^2 / 2 (end values of opposite signs), none inside if it
+    ends at -1 or 1 where S is 0 (ends).  Other cells split in eight.  A
+    multiple zero or a zero on a cell edge never decides: past
+    _CELL_BUDGET cells or half-width 2^-50, None.
     """
     blocks, sizes = _coefficient_blocks(a), _coefficient_blocks(np.abs(a))
     curves = _coefficient_blocks(np.arange(1, len(a)) * np.abs(a[1:]))
+    grow = 1 + 4 * (curves.shape[0] + curves.shape[2]) * np.finfo(float).eps
+    floor = _UNDERFLOW * curves[:, 1].sum()
     h = 2.0 ** -5
     centers = np.arange(-1 + h, 1, 2 * h)
     count = cells = 0
@@ -598,7 +638,7 @@ def _cell_count(a: np.ndarray, ends) -> int | None:
             return None
         values, errors = _taylor_values(blocks, sizes, centers)
         (value, slope), (err, err_slope) = np.abs(values).T, errors.T
-        curve = _blocked_horner(curves, np.abs(centers) + h)[:, 1] + _UNDERFLOW
+        curve = grow * _power_sums(curves, np.abs(centers) + h)[:, 1] + floor
         drift = curve * h * h / 2
         low_slope = slope - err_slope
         free = value - err > _SLACK * ((slope + err_slope) * h + drift)

@@ -219,6 +219,23 @@ class TestFindRoots:
         with pytest.raises(ResourceLimitError):
             find_roots(np.ones((1 << 14) + 2))
 
+    @pytest.mark.parametrize("coeffs", [
+        np.array([1 + 1j, 0, 1]), [1, 0, 1j], np.array([1, 0, 1 + 0j])])
+    def test_complex_coefficients_refused(self, coeffs):
+        # a float cast would drop the imaginary parts and return +-i
+        with pytest.raises(ValueError, match="real, finite coefficients"):
+            find_roots(coeffs)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_refused(self, bad, monkeypatch):
+        # refused before the first sweep, not after max_iter sweeps of NaN
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+        monkeypatch.setattr(roots_mod, "_newton_ratio", no_sweep)
+        for coeffs in ([1, bad, 1], [bad, 0, 1], [1, 0, bad]):
+            with pytest.raises(ValueError, match="real, finite coefficients"):
+                find_roots(coeffs)
+
     def test_deterministic_given_seed(self):
         poly = generate_pair(6).p
         first = find_roots(poly)
@@ -285,9 +302,31 @@ class TestFindRoots:
 
 
 class TestAberthSweep:
-    """The blocked Newton-ratio kernel and the sweep that freezes roots."""
+    """The power-sum kernel, the repulsion and the sweep that freezes roots."""
 
-    @pytest.mark.parametrize("degree", [1, 2, 15, 16, 17, 255, 1023])
+    @pytest.mark.parametrize("degree", [1, 2, 126, 127, 200, 4095])
+    def test_power_sums_match_horner(self, degree):
+        # one block below _ONE_BLOCK coefficients (d = 126), blocks of
+        # B = ceil(sqrt(d + 1)) from d = 127; from d = 126, 600 points span
+        # several tiles
+        rng = np.random.default_rng(degree)
+        c = rng.choice([-1.0, 1.0], size=degree + 1)
+        blocks = roots_mod._coefficient_blocks(c)
+        assert (blocks.shape[0] == 1) == (degree < roots_mod._ONE_BLOCK - 1)
+        m = np.arange(degree + 1, dtype=np.float64)
+        disk = rng.uniform(0, 1, 600) * np.exp(1j * rng.uniform(0, 7, 600))
+        for x in (rng.uniform(-1, 1, 600), disk):
+            got = roots_mod._power_sums(blocks, x)
+            assert got.shape == (600, 2) and got.dtype == x.dtype
+            want = (horner(c, x + 0j), horner(c[1:] * m[1:], x + 0j))
+            scale = (horner(np.abs(c), np.abs(x) + 0j).real,
+                     horner(m[1:], np.abs(x) + 0j).real)
+            # twice the a priori bound of _taylor_values, for complex x too
+            rel = 8 * sum(blocks.shape[::2]) * np.finfo(float).eps
+            for column, value, size in zip(got.T, want, scale):
+                assert np.all(np.abs(column - value) <= rel * size)
+
+    @pytest.mark.parametrize("degree", [1, 2, 15, 16, 17, 255, 1023, 4095])
     def test_blocked_ratio_matches_horner(self, degree):
         # d + 1 = 3, 17 and 18 are not multiples of B = ceil(sqrt(d + 1))
         rng = np.random.default_rng(degree)
@@ -345,6 +384,23 @@ class TestAberthSweep:
             dataclasses.replace(rootset, roots=reference))
         jensen = math.exp(np.sum(np.log(np.maximum(1.0, np.abs(reference)))))
         assert jensen_mahler(rootset) == pytest.approx(jensen, rel=1e-12)
+
+    @pytest.mark.parametrize("moving, frozen", [
+        (300, 0), (1, 299), (150, 150), (1000, 0), (700, 300)],
+        ids=["all_moving", "one_moving", "half_frozen", "row_blocks",
+             "row_blocks_frozen"])
+    def test_repulsion_matches_direct_sum(self, moving, frozen):
+        # 1000 points make row blocks of 2^15 // 1000 = 32 rows
+        rng = np.random.default_rng(moving)
+        x = (rng.uniform(0.5, 1.5, moving + frozen)
+             * np.exp(1j * rng.uniform(0, math.tau, moving + frozen)))
+        got = roots_mod._repulsion(x[:moving], x[moving:])
+        diff = x[:moving, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        terms = 1.0 / diff
+        want = terms.sum(axis=1)
+        assert np.all(np.abs(got - want)
+                      <= 1e-14 * np.abs(terms).sum(axis=1))
 
     def test_residuals_cover_every_root(self):
         c = generate_pair(8).p.coeffs.astype(np.float64)
@@ -694,14 +750,14 @@ class TestOrbitCount:
         st.builds(lambda low, middle, lead: [low] + middle + [lead],
                   nonzero, st.lists(st.integers(-4, 4), max_size=126),
                   nonzero)))
-    def test_uncached_chain_is_constant_on_the_orbit(self, coeffs):
+    def test_chain_is_constant_on_sign_and_reversal_images(self, coeffs):
         # with c_0 != 0 every image keeps the degree and the real zeros
         images = orbit_images(coeffs)
         assert len(images) <= 8
         counts = {roots_mod._sturm_habicht_count(image) for image in images}
         assert counts == {prs_real_zero_count(coeffs)}
 
-    def test_zero_constant_term_is_not_reversed(self):
+    def test_zeros_at_zero_and_plus_minus_one(self):
         assert real_zero_count_exact([1, 0, 0, 0, -1]) == 2      # 1 - x^4
         assert real_zero_count_exact([0, -1, 0, 0, 0, 1]) == 3   # x^5 - x
 
