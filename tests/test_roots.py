@@ -34,59 +34,6 @@ def _clusters(roots, radius=1e-4):
     return clusters
 
 
-def _primitive(v):
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    return [c // g for c in v] if g > 1 else v
-
-
-def _pseudo_remainder(f, g):
-    """(r, sign): r = positive * sign * (f mod g), all in integers."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    sign = 1
-    while len(r) - 1 >= dg:
-        lead = r[-1]
-        if lead == 0:
-            r.pop()
-            continue
-        if lg < 0:
-            sign = -sign
-        shift = len(r) - 1 - dg
-        r = [lg * c for c in r[:shift]] + \
-            [lg * c - lead * gc for c, gc in zip(r[shift:-1], g[:dg])]
-        while r and r[-1] == 0:
-            r.pop()
-    return r, sign
-
-
-def prs_real_zero_count(coeffs) -> int:
-    """Oracle: distinct real zeros by a primitive pseudo-remainder Sturm chain.
-
-    Every term is a positive multiple of the true Sturm term, so the sign
-    variations at -inf and +inf come from leading coefficients alone.
-    """
-    p = [int(c) for c in coeffs]
-    while p and p[-1] == 0:
-        p.pop()
-    if len(p) <= 1:
-        return 0
-    chain = [_primitive(p), _primitive([i * p[i] for i in range(1, len(p))])]
-    while len(chain[-1]) > 1:
-        r, sign = _pseudo_remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive([-c for c in r] if sign > 0 else r))
-    at_plus = [1 if term[-1] > 0 else -1 for term in chain]
-    at_minus = [s * (-1) ** (len(term) - 1) for s, term in zip(at_plus, chain)]
-
-    def variations(signs):
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-    return variations(at_minus) - variations(at_plus)
-
-
 def sylvester_psc(coeffs, j) -> int:
     """det of the index-j Sylvester submatrix of (P, P'), by Fractions."""
     d = len(coeffs) - 1
@@ -111,6 +58,26 @@ def sylvester_psc(coeffs, j) -> int:
             for c in range(col, size):
                 m[r][c] -= f * m[col][c]
     return int(det)
+
+
+def sturm_habicht_count(coeffs) -> int:
+    """Oracle: distinct real zeros from the signed Sturm-Habicht sequence.
+
+    sRes_j = eps_{d-j} psc_j with eps_m = (-1)^(m(m-1)/2), psc_d = lc(P),
+    psc_{d-1} = d lc(P) and sylvester_psc for j < d - 1; over consecutive
+    nonzero sRes_p, sRes_q add eps_{p-q} sign(sRes_p sRes_q) where p - q
+    is odd (Gonzalez-Vega, Lombardi, Recio & Roy 1989).
+    """
+    d = len(coeffs) - 1
+    pscs = [coeffs[-1], d * coeffs[-1]] + [
+        sylvester_psc(coeffs, j) for j in range(d - 2, -1, -1)]
+
+    def eps(m):
+        return -1 if m % 4 >= 2 else 1
+    signed = [(d - i, eps(i) * (1 if v > 0 else -1))
+              for i, v in enumerate(pscs) if v]
+    return sum(eps(p - q) * s * t for (p, s), (q, t)
+               in zip(signed, signed[1:]) if (p - q) % 2)
 
 
 def poly_mul(f, g):
@@ -175,12 +142,13 @@ def unfrozen_find_roots(c, tol=1e-10, max_iter=200):
 def squarefree(coeffs) -> bool:
     """gcd(P, P') is a constant, by an exact primitive remainder sequence."""
     p = [int(c) for c in coeffs]
-    a, b = _primitive(p), _primitive([i * p[i] for i in range(1, len(p))])
+    primitive = roots_mod._primitive
+    a, b = primitive(p), primitive([i * p[i] for i in range(1, len(p))])
     while len(b) > 1:
-        r, _sign = _pseudo_remainder(a, b)
+        r, _sign = roots_mod._pseudo_remainder(a, b)
         if not r:
             return False
-        a, b = b, _primitive(r)
+        a, b = b, primitive(r)
     return True
 
 
@@ -556,19 +524,19 @@ class TestExactRealZeroCount:
             pair = generate_pair(k)
             for poly in (pair.p, pair.q):
                 assert real_zero_count_exact(poly) == \
-                    prs_real_zero_count(poly.coeffs.tolist())
+                    roots_mod._sturm_count(poly.coeffs.tolist())
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=256))
     def test_littlewood_matches_prs_oracle(self, coeffs):
-        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        assert real_zero_count_exact(coeffs) == roots_mod._sturm_count(coeffs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=255),
            st.sampled_from([-3, -1, 1, 2]))
     def test_small_integers_match_prs_oracle(self, coeffs, lead):
         coeffs = coeffs + [lead]
-        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        assert real_zero_count_exact(coeffs) == roots_mod._sturm_count(coeffs)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6)),
@@ -586,11 +554,12 @@ class TestExactRealZeroCount:
                 coeffs = poly_mul(coeffs, [e, c, 1])
         distinct = len({Fraction(b, a) for a, b in linear})
         assert real_zero_count_exact(coeffs) == distinct
-        assert prs_real_zero_count(coeffs) == distinct
+        assert roots_mod._sturm_count(coeffs) == distinct
 
     def test_principal_coefficients_are_exact(self):
-        # the fixed cases have an even degree gap before later steps, where
-        # the Brown-Traub sign (-1)^tau is odd; x^6 + x^3 has a gcd
+        # the Sturm chain against the signed Sturm-Habicht count from
+        # Fraction determinants; the fixed cases have an even degree gap
+        # before later steps, and x^6 + x^3 has a gcd
         rng = np.random.default_rng(3)
         cases = [[1, 2, 0, 0, 1], [-1, 0, -2, 0, 0, 0, 2, 1],
                  [0, 0, 0, 1, 0, 0, 1]]
@@ -599,97 +568,23 @@ class TestExactRealZeroCount:
             cases.append([int(c) for c in rng.integers(-4, 5, d)] +
                          [int(rng.choice([-2, -1, 1, 3]))])
         for coeffs in cases:
-            d = len(coeffs) - 1
-            assert real_zero_count_exact(coeffs) == \
-                prs_real_zero_count(coeffs)
-            degrees, pscs = roots_mod._subresultant_sequence(coeffs)
-            by_index = dict(zip(degrees, pscs))
-            for j in range(d - 1):
-                assert by_index.get(j, 0) == sylvester_psc(coeffs, j)
+            want = sturm_habicht_count(coeffs)
+            assert roots_mod._sturm_count(coeffs) == want
+            assert real_zero_count_exact(coeffs) == want
 
     def test_big_coefficients(self):
         coeffs = [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]
-        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
-
-    def test_unlucky_prime_is_dropped(self, monkeypatch):
-        # 11 divides psc_2 = 72567 = 11 * 6597 but not d lc = 6, so mod 11
-        # the sequence loses index 2 after two coefficients were stored
-        coeffs = [2, -1, 3, 3, 2, -2, 1]
-        expected = roots_mod._subresultant_sequence(coeffs)
-        assert expected[0] == [6, 5, 4, 3, 2, 1, 0]
-        assert expected[1][4] == 72567
-        table = np.concatenate(([11], roots_mod._primes(64)))
-        monkeypatch.setattr(roots_mod, "_prime_table", table)
-        kept = []
-        sequence = roots_mod._remainder_sequence
-
-        def spy(p_res, primes):
-            result = sequence(p_res, primes)
-            kept.extend(result[0].tolist())
-            return result
-        monkeypatch.setattr(roots_mod, "_remainder_sequence", spy)
-        assert roots_mod._subresultant_sequence(coeffs) == expected
-        assert kept and 11 not in kept
-        kept.clear()
-        assert roots_mod._sturm_habicht_count(coeffs) == \
-            prs_real_zero_count(coeffs)
-        assert kept and 11 not in kept
-
-    @pytest.mark.parametrize("cap", [1, 8])
-    def test_multi_batch_matches_single_batch(self, monkeypatch, cap):
-        # With the unlucky 11 first, a one-prime batch returns the shorter
-        # degree sequence, and the next batch must reset the kept primes.
-        inputs = [[2, -1, 3, 3, 2, -2, 1], generate_pair(5).p.coeffs.tolist(),
-                  [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]]
-        expected = [roots_mod._subresultant_sequence(c) for c in inputs]
-        table = np.concatenate(([11], roots_mod._primes(64)))
-        monkeypatch.setattr(roots_mod, "_prime_table", table)
-        batches, lifted, counts = [], [], []
-        sequence, lift = (roots_mod._remainder_sequence,
-                          roots_mod._chinese_remainder)
-
-        def sequence_spy(p_res, primes):
-            batches.append(primes.tolist())
-            return sequence(p_res, primes)
-
-        def lift_spy(residues, primes, bits):
-            lifted.append(primes.tolist())
-            return lift(residues, primes, bits)
-        monkeypatch.setattr(roots_mod, "_remainder_sequence", sequence_spy)
-        monkeypatch.setattr(roots_mod, "_chinese_remainder", lift_spy)
-        for coeffs, want in zip(inputs, expected):
-            monkeypatch.setattr(roots_mod, "_BATCH_ELEMENTS",
-                                cap * len(coeffs))
-            batches.clear()
-            assert roots_mod._subresultant_sequence(coeffs) == want
-            assert batches[0][0] == 11
-            assert max(map(len, batches)) <= cap
-            counts.append(len(batches))
-            assert roots_mod._sturm_habicht_count(coeffs) == \
-                prs_real_zero_count(coeffs)
-        # P_5 and the big coefficients need more than eight primes
-        assert min(counts[1:]) > 1
-        # lifted[0] comes from the unlucky input: 11 was dropped either
-        # inside its batch (cap 8) or with its whole batch (cap 1)
-        assert 11 not in lifted[0]
+        assert real_zero_count_exact(coeffs) == roots_mod._sturm_count(coeffs)
 
     @pytest.mark.parametrize("d", range(1, 65))
     def test_residues_at_the_top_of_the_word(self, d):
-        # all coefficients -1: every residue of P is p - 1 on the largest
-        # primes below 2^31.  -(x^(d+1) - 1)/(x - 1) has one real zero, -1,
-        # for odd d and none for even d.
+        # all coefficients -1: -(x^(d+1) - 1)/(x - 1) has one real zero, -1,
+        # for odd d and none for even d
         coeffs = [-1] * (d + 1)
         assert real_zero_count_exact(coeffs) == d % 2
+        assert roots_mod._sturm_count(coeffs) == d % 2
         if d <= 8:
-            degrees, pscs = roots_mod._subresultant_sequence(coeffs)
-            by_index = dict(zip(degrees, pscs))
-            for j in range(d - 1):
-                assert by_index.get(j, 0) == sylvester_psc(coeffs, j)
-        primes = roots_mod._primes(4).astype(np.uint64)
-        kept, _, values = roots_mod._remainder_sequence(
-            np.tile(primes - 1, (d + 1, 1)), primes)
-        assert kept.dtype == values.dtype == np.uint64
-        assert (values < kept).all()
+            assert sturm_habicht_count(coeffs) == d % 2
 
     @pytest.mark.parametrize("coeffs", [
         [-0.5, 0, 1], [1, 0.25, 1], [math.nan, 1], [1, math.inf],
@@ -703,16 +598,30 @@ class TestExactRealZeroCount:
         assert real_zero_count_exact(np.array([-2.0, 0.0, 1.0])) == 2
 
     def test_degree_guard(self, monkeypatch):
-        # bisection runs at any degree; only the chain is refused past 2^11
+        # bisection runs at any degree; only the chain is refused past 2^9
         pair = generate_pair(12)
         assert real_zero_count_exact(pair.p) == 1
         assert real_zero_count_exact(pair.q) == 1
         calls = []
-        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", calls.append)
-        double_at_1 = poly_mul([1, -2, 1], [1] * 2048)  # degree 2049
+        monkeypatch.setattr(roots_mod, "_sturm_count", calls.append)
+        # a double zero at 0.3 that bisection cannot decide, degree 602
+        double_inside = poly_mul([9, -60, 100], [1] * 601)
         with pytest.raises(ResourceLimitError, match="census"):
-            real_zero_count_exact(double_at_1)
+            real_zero_count_exact(double_inside)
         assert not calls
+
+    @pytest.mark.parametrize("coeffs, count", [
+        (poly_mul([-1, 1], poly_mul([-1, 1], [2, 0, 1])), 1),
+        ([-1, 1, 1, -1, 1, -1, -1, 1], 2),  # triple zero at 1, double at -1
+        (poly_mul([1, -2, 1], [1] * 251), 1),   # (x - 1)^2 (1 + ... + x^250)
+        (poly_mul([1, -2, 1], [1] * 2048), 2)],  # degree 2049, zero at -1
+        ids=["double_at_1", "triple_and_double", "deg252", "deg2049"])
+    def test_multiple_zeros_at_plus_minus_one_divided_out(self, monkeypatch,
+                                                          coeffs, count):
+        def refuse(coeffs):
+            raise AssertionError("the Sturm chain ran")
+        monkeypatch.setattr(roots_mod, "_sturm_count", refuse)
+        assert real_zero_count_exact(coeffs) == count
 
     @settings(max_examples=30)
     @given(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=16))
@@ -754,24 +663,24 @@ class TestOrbitCount:
         # with c_0 != 0 every image keeps the degree and the real zeros
         images = orbit_images(coeffs)
         assert len(images) <= 8
-        counts = {roots_mod._sturm_habicht_count(image) for image in images}
-        assert counts == {prs_real_zero_count(coeffs)}
+        counts = {real_zero_count_exact(image) for image in images}
+        assert counts == {roots_mod._sturm_count(coeffs)}
 
     def test_zeros_at_zero_and_plus_minus_one(self):
         assert real_zero_count_exact([1, 0, 0, 0, -1]) == 2      # 1 - x^4
         assert real_zero_count_exact([0, -1, 0, 0, 0, 1]) == 3   # x^5 - x
 
-    # The chain alone on P_k and Q_k for k <= 10, the work of gate 7 before
-    # Taylor bisection certified these counts: Sturm stays their oracle.
-    @pytest.mark.parametrize("k", range(1, 11))
+    # The chain alone on P_k and Q_k for k <= 9, the top degree it is run
+    # at (4.6 s at degree 511): Sturm stays the oracle of bisection's counts.
+    @pytest.mark.parametrize("k", range(1, 10))
     def test_q_counted_on_its_own_coefficients(self, k):
         coeffs = tuple(generate_pair(k).q.coeffs.tolist())
-        assert roots_mod._sturm_habicht_count(coeffs) == 1
+        assert roots_mod._sturm_count(coeffs) == 1
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", range(1, 10))
     def test_p_counted_on_its_own_coefficients(self, k):
         coeffs = tuple(generate_pair(k).p.coeffs.tolist())
-        assert roots_mod._sturm_habicht_count(coeffs) == 1
+        assert roots_mod._sturm_count(coeffs) == 1
 
 
 def exact_value(coeffs, x: float) -> Fraction:
@@ -788,8 +697,8 @@ class TestCertifiedCount:
     @pytest.mark.parametrize("k", range(1, 14))
     def test_pairs_certified_without_the_chain(self, monkeypatch, k):
         def refuse(coeffs):
-            raise AssertionError("the Sturm-Habicht chain ran")
-        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", refuse)
+            raise AssertionError("the Sturm chain ran")
+        monkeypatch.setattr(roots_mod, "_sturm_count", refuse)
         pair = generate_pair(k)
         assert real_zero_count_exact(pair.p) == 1
         assert real_zero_count_exact(pair.q) == 1
@@ -814,17 +723,17 @@ class TestCertifiedCount:
             assert abs(Fraction(ds) - exact_value(slope, point)) <= de
 
     @pytest.mark.parametrize("coeffs", [
-        poly_mul([-1, 1], poly_mul([-1, 1], [2, 0, 1])),  # double zero at 1
         poly_mul([-3, 10], [-3, 10]),                     # double at 0.3
-        poly_mul([1, -2, 1], [1] * 251),          # (x - 1)^2 (1 + ... + x^250)
         [-1, 2],                                          # 1/2, a cell edge
+        # 1/3 decided by S, 1/2 a cell edge of the reversal: the chain's
+        # count replaces the decided one, not added to it
+        [2, -7, 3],
         [3 * 2 ** 70, -(2 ** 65), -7, 2 ** 80]],          # past 2^50
-        ids=["double_at_1", "double_inside", "x_minus_1_squared_deg252",
-             "zero_on_edge", "big"])
+        ids=["double_inside", "zero_on_edge", "one_side_decided", "big"])
     def test_undecided_inputs_reach_the_chain(self, monkeypatch, coeffs):
         cells, calls = [], []
         taylor, cell_count = roots_mod._taylor_values, roots_mod._cell_count
-        chain = roots_mod._sturm_habicht_count
+        chain = roots_mod._sturm_count
 
         def count_cells(blocks, sizes, x):
             cells[-1] += len(x)
@@ -839,7 +748,7 @@ class TestCertifiedCount:
             return chain(c)
         monkeypatch.setattr(roots_mod, "_taylor_values", count_cells)
         monkeypatch.setattr(roots_mod, "_cell_count", per_orientation)
-        monkeypatch.setattr(roots_mod, "_sturm_habicht_count", spy)
-        assert real_zero_count_exact(coeffs) == prs_real_zero_count(coeffs)
+        monkeypatch.setattr(roots_mod, "_sturm_count", spy)
+        assert real_zero_count_exact(coeffs) == sturm_habicht_count(coeffs)
         assert len(calls) == 1
         assert max(cells, default=0) <= roots_mod._CELL_BUDGET
