@@ -342,16 +342,16 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(f: list[int], g: list[int]) -> tuple[list[int], int]:
-    """(r, sign): r = positive * sign * (f mod g), all in integers."""
+    """(r, sign): r = positive * sign * (f mod g), all in integers.
+
+    f[-1] and g[-1] are nonzero; each step strips r's zero top terms.
+    """
     r = list(f)
     dg = len(g) - 1
     lg = g[-1]
     sign = 1
     while len(r) - 1 >= dg:
         lead = r[-1]
-        if lead == 0:
-            r.pop()
-            continue
         if lg < 0:
             sign = -sign
         shift = len(r) - 1 - dg
